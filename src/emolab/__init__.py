@@ -36,6 +36,7 @@ from .problems import (
     OneMinMax,
     OneMinMaxStar,
     ParetoFront,
+    batch_evaluator,
     classify_ojzj,
     default_reference_point,
     enumerate_pareto_front,
@@ -45,7 +46,6 @@ from .problems import (
 )
 from .survival import (
     CrowdingDistance,
-    Individual,
     ReferencePointDistance,
     crowding_distance_assign,
     fast_nondominated_sort,

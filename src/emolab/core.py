@@ -92,11 +92,13 @@ def random_bitstring(n: int, rng: RngStream) -> np.ndarray:
 def bitwise_mutate(x: np.ndarray, rate: float, rng: RngStream) -> np.ndarray:
     """Flip each bit of x independently with the given probability.
 
-    Returns a new bitstring; x is left untouched.
+    x is one bitstring or a (P, n) batch of them. One draw of x.shape
+    uniforms covers the batch; row-major order makes it consume the stream
+    exactly as P single-row calls would. Returns new bits; x is left untouched.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"mutation rate must lie in [0, 1], got {rate}")
-    flips = rng.random(len(x)) < rate
+    flips = rng.random(x.shape) < rate
     child = np.bitwise_xor(x, flips.view(np.uint8))
     child.flags.writeable = False
     return child

@@ -16,19 +16,22 @@ capped run may overshoot max_evaluations by at most N - 1.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import RngStream, bitwise_mutate, euclidean_distance, random_bitstring, stream
+import numpy as np
+
+from .core import RngStream, bitwise_mutate, random_bitstring, stream
 from .problems import (
     ClosedFormUnavailableError,
     ParetoFront,
     ProblemSpec,
+    batch_evaluator,
     enumerate_pareto_front,
-    evaluate,
     pareto_front_closed_form,
 )
-from .survival import Individual, SurvivalPolicy, survival_select
+from .survival import SurvivalPolicy, survival_select
 
 
 @dataclass(frozen=True)
@@ -59,15 +62,24 @@ class AlgorithmConfig:
 
 @dataclass
 class RunState:
-    """Mutable snapshot of a run between generations."""
+    """Snapshot of a run between generations.
 
-    population: list
+    The population is held row-aligned: genomes (N x n uint8), objectives
+    (N x 2 float64) and birth (N int64), in survivor order. A birth index
+    is the 0-based number of the evaluation that created the row, so it
+    rises with creation order, and the next offspring's is `evaluations`.
+    `evaluator` is the problem's batch objective function, built once per run.
+    """
+
+    genomes: np.ndarray
+    objectives: np.ndarray
+    birth: np.ndarray
     generation: int
     evaluations: int
     hit: bool
     evaluations_to_hit: Optional[int]
     rng: RngStream
-    next_birth_index: int
+    evaluator: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -84,58 +96,64 @@ def target_hit(objectives, reference) -> bool:
     return tuple(objectives) == tuple(reference)
 
 
+def _first_hit(objectives: np.ndarray, reference) -> Optional[int]:
+    """Index of the first row equal to the reference point, or None."""
+    rows = objectives.tolist()
+    target = list(reference)
+    return rows.index(target) if target in rows else None
+
+
 def initialize(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> RunState:
-    """Draw and evaluate the N uniform random starting solutions."""
+    """Draw and evaluate the N uniform random starting solutions.
+
+    Rows are drawn one at a time: a single (N, n) integer draw would not
+    consume the stream as N row draws do.
+    """
     rng = stream(seed)
-    reference = config.reference_point
-    population = []
-    hit = False
-    hit_at = None
-    for i in range(config.pop_size):
-        genome = random_bitstring(problem.n, rng)
-        objectives = evaluate(problem, genome)
-        population.append(Individual(genome=genome, objectives=objectives, birth_index=i))
-        if not hit and target_hit(objectives, reference):
-            hit = True
-            hit_at = i + 1
+    evaluator = batch_evaluator(problem)
+    genomes = np.stack([random_bitstring(problem.n, rng) for _ in range(config.pop_size)])
+    objectives = evaluator(genomes)
+    first = _first_hit(objectives, config.reference_point)
     return RunState(
-        population=population,
+        genomes=genomes,
+        objectives=objectives,
+        birth=np.arange(config.pop_size, dtype=np.int64),
         generation=0,
         evaluations=config.pop_size,
-        hit=hit,
-        evaluations_to_hit=hit_at,
+        hit=first is not None,
+        evaluations_to_hit=None if first is None else first + 1,
         rng=rng,
-        next_birth_index=config.pop_size,
+        evaluator=evaluator,
     )
 
 
 def step_generation(state: RunState, problem: ProblemSpec, config: AlgorithmConfig) -> RunState:
     """Mutate every parent once, evaluate the offspring, keep the best N."""
     rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / problem.n
-    reference = config.reference_point
-    evaluations = state.evaluations
-    hit = state.hit
-    hit_at = state.evaluations_to_hit
-    birth = state.next_birth_index
-    offspring = []
-    for parent in state.population:
-        genome = bitwise_mutate(parent.genome, rate, state.rng)
-        objectives = evaluate(problem, genome)
-        evaluations += 1
-        offspring.append(Individual(genome=genome, objectives=objectives, birth_index=birth))
-        birth += 1
-        if not hit and target_hit(objectives, reference):
-            hit = True
-            hit_at = evaluations
-    survivors = survival_select(state.population + offspring, config.pop_size, config.policy)
+    offspring = bitwise_mutate(state.genomes, rate, state.rng)
+    objectives = state.evaluator(offspring)
+    evaluations = state.evaluations + len(offspring)
+    hit, hit_at = state.hit, state.evaluations_to_hit
+    if not hit:
+        first = _first_hit(objectives, config.reference_point)
+        if first is not None:
+            hit, hit_at = True, state.evaluations + first + 1
+    # the pool is parents then offspring; survivor order decides which parent
+    # the next generation's mutation draws go to
+    pool_objectives = np.concatenate((state.objectives, objectives))
+    pool_birth = np.concatenate(
+        (state.birth, np.arange(state.evaluations, evaluations, dtype=np.int64)))
+    keep = survival_select(pool_objectives, pool_birth, config.pop_size, config.policy)
     return RunState(
-        population=survivors,
+        genomes=np.concatenate((state.genomes, offspring)).take(keep, axis=0),
+        objectives=pool_objectives.take(keep, axis=0),
+        birth=pool_birth.take(keep),
         generation=state.generation + 1,
         evaluations=evaluations,
         hit=hit,
         evaluations_to_hit=hit_at,
         rng=state.rng,
-        next_birth_index=birth,
+        evaluator=state.evaluator,
     )
 
 
@@ -149,7 +167,7 @@ def run(
 
     on_generation, when given, is called on the initialized state and after
     every completed generation; it is how traces and invariant checks
-    observe the population.
+    observe the population (see RunState for its arrays).
     """
     state = initialize(problem, config, seed)
     if on_generation is not None:
@@ -187,8 +205,8 @@ class GenerationTrace:
         self.rows = []
 
     def __call__(self, state: RunState) -> None:
-        vectors = {ind.objectives for ind in state.population}
-        min_dist = min(euclidean_distance(v, self.reference) for v in vectors)
+        vectors = set(map(tuple, state.objectives.tolist()))
+        min_dist = min(math.dist(v, self.reference) for v in vectors)
         covered = len(vectors & self.front_points)
         self.rows.append((state.generation, min_dist, covered))
 

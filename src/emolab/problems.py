@@ -16,15 +16,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Optional, Union
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
 from .core import RngStream, count_ones, stream
 
 ENUMERATION_LIMIT = 25
+# Rows per enumeration block: large enough to amortize numpy's per-call cost,
+# small enough that a block's NK index arrays stay in the tens of MB at n=25.
+ENUMERATION_BLOCK = 1 << 16
 
 
 class EnumerationLimitError(ValueError):
@@ -52,15 +55,6 @@ class NkInstance:
     seed: int
     loci: np.ndarray          # shape (2, n, K), int
     contributions: np.ndarray  # shape (2, n, 2**(K+1)), float64 in [0, 1)
-    _memo: dict = field(default_factory=dict, repr=False)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_memo"] = {}
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
 
 def generate_nk_instance(n: int, K: int, seed: int) -> NkInstance:
@@ -166,22 +160,52 @@ class NkLandscape:
 ProblemSpec = Union[OneMinMax, OneJumpZeroJump, OneMinMaxStar, NkLandscape]
 
 
-def _evaluate_nk(instance: NkInstance, x: np.ndarray):
-    key = x.tobytes()
-    cached = instance._memo.get(key)
-    if cached is not None:
-        return cached
-    n, K = instance.n, instance.K
-    own = x.astype(np.int64) << K
-    powers = 1 << np.arange(K - 1, -1, -1, dtype=np.int64)
-    rows = np.arange(n)
-    values = []
+def _nk_objectives(instance: NkInstance, x: np.ndarray) -> np.ndarray:
+    """Mean contribution per objective for every row of x, a (P, n) batch."""
+    K = instance.K
+    bits = x.astype(np.intp)
+    positions = np.arange(instance.n)
+    out = np.empty((len(bits), 2))
     for j in (0, 1):
-        idx = own + x[instance.loci[j]].astype(np.int64) @ powers if K else own
-        values.append(float(instance.contributions[j, rows, idx].mean()))
-    result = (values[0], values[1])
-    instance._memo[key] = result
-    return result
+        # own bit highest, then the loci bits in listed order
+        index = bits << K
+        for t in range(K):
+            index += bits[:, instance.loci[j, :, t]] << (K - 1 - t)
+        out[:, j] = instance.contributions[j, positions, index].mean(axis=1)
+    return out
+
+
+def _ones_table(problem: ProblemSpec) -> np.ndarray:
+    """Objective vectors of the synthetic problems indexed by number of ones."""
+    n = problem.n
+    ones = np.arange(n + 1, dtype=np.float64)
+    zeros = n - ones
+    if isinstance(problem, (OneMinMax, OneMinMaxStar)):
+        table = np.column_stack((zeros, ones))
+        if isinstance(problem, OneMinMaxStar):
+            table[0] = (-n, 2 * n)
+        return table
+    if isinstance(problem, OneJumpZeroJump):
+        k = problem.k
+        f1 = np.where((ones <= n - k) | (ones == n), k + ones, n - ones)
+        f2 = np.where((zeros <= n - k) | (zeros == n), k + zeros, n - zeros)
+        return np.column_stack((f1, f2))
+    raise TypeError(f"unknown problem spec: {problem!r}")
+
+
+def batch_evaluator(problem: ProblemSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The problem's objective function over a (P, n) batch of bitstrings.
+
+    The returned function maps the rows to a (P, 2) float64 array of their
+    objective vectors (maximization). The synthetic problems depend on a
+    bitstring only through its number of ones, so making the evaluator
+    builds their (n + 1)-row objective table: make one per run, not per batch.
+    """
+    if isinstance(problem, NkLandscape):
+        instance = problem.instance
+        return lambda x: _nk_objectives(instance, x)
+    table = _ones_table(problem)
+    return lambda x: table[x.sum(axis=1)]
 
 
 def evaluate(problem: ProblemSpec, x: np.ndarray):
@@ -189,24 +213,7 @@ def evaluate(problem: ProblemSpec, x: np.ndarray):
     n = problem.n
     if len(x) != n:
         raise ValueError(f"bitstring length {len(x)} does not match problem size {n}")
-    if isinstance(problem, OneMinMax):
-        ones = count_ones(x)
-        return (float(n - ones), float(ones))
-    if isinstance(problem, OneMinMaxStar):
-        ones = count_ones(x)
-        if ones == 0:
-            return (float(-n), float(2 * n))
-        return (float(n - ones), float(ones))
-    if isinstance(problem, OneJumpZeroJump):
-        k = problem.k
-        ones = count_ones(x)
-        zeros = n - ones
-        f1 = k + ones if (ones <= n - k or ones == n) else n - ones
-        f2 = k + zeros if (zeros <= n - k or zeros == n) else n - zeros
-        return (float(f1), float(f2))
-    if isinstance(problem, NkLandscape):
-        return _evaluate_nk(problem.instance, x)
-    raise TypeError(f"unknown problem spec: {problem!r}")
+    return tuple(batch_evaluator(problem)(x[None, :])[0].tolist())
 
 
 @dataclass(eq=False)
@@ -248,43 +255,52 @@ def pareto_front_closed_form(problem: ProblemSpec) -> ParetoFront:
     return ParetoFront(points=frozenset(points))
 
 
-def _nondominated_2d(vectors) -> list:
-    """Skyline of 2-d vectors under maximization (sorted sweep)."""
-    ordered = sorted(set(vectors), key=lambda v: (-v[0], -v[1]))
-    out = []
-    best_f2 = -math.inf
-    prev_f1 = None
-    for v in ordered:
-        if v[0] == prev_f1:
-            continue
-        prev_f1 = v[0]
-        if v[1] > best_f2:
-            out.append(v)
-            best_f2 = v[1]
-    return out
+def _skyline(objectives: np.ndarray, values: np.ndarray):
+    """Distinct non-dominated rows under maximization, each with its smallest value."""
+    f1, f2 = objectives[:, 0], objectives[:, 1]
+    order = np.lexsort((values, -f2, -f1))
+    f1, f2 = f1[order], f2[order]
+    # the first row of each f1 group has the group's best f2; it survives iff
+    # it beats every row with a larger f1, all of which sort before it
+    leader = np.ones(len(order), dtype=bool)
+    leader[1:] = f1[1:] != f1[:-1]
+    best_before = np.empty(len(order))
+    best_before[0] = -math.inf
+    np.maximum.accumulate(f2[:-1], out=best_before[1:])
+    keep = order[leader & (f2 > best_before)]
+    return objectives[keep], values[keep]
 
 
 def enumerate_pareto_front(problem: ProblemSpec, witness: bool = False) -> ParetoFront:
     """Pareto front by brute-force evaluation of all 2^n bitstrings.
 
     Independent of the closed-form construction; guarded at n <= 25.
-    With witness=True the front carries one solution per objective vector
-    (the numerically smallest bitstring found).
+    Bitstrings are evaluated in blocks of ENUMERATION_BLOCK, in increasing
+    numeric order, and each block is merged into a running skyline, so
+    memory stays bounded by the block size. With witness=True the front
+    carries one solution per objective vector (the numerically smallest
+    bitstring found).
     """
     n = problem.n
     if n > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"enumeration is limited to n <= {ENUMERATION_LIMIT}, got n={n}")
+    objectives_of = batch_evaluator(problem)
     shifts = np.arange(n - 1, -1, -1)
-    first_seen = {}
-    for value in range(1 << n):
-        bits = ((value >> shifts) & 1).astype(np.uint8)
-        bits.flags.writeable = False
-        f = evaluate(problem, bits)
-        if f not in first_seen:
-            first_seen[f] = bits
-    points = _nondominated_2d(first_seen.keys())
-    witnesses = {p: first_seen[p] for p in points} if witness else None
+    front, values = np.empty((0, 2)), np.empty(0, dtype=np.int64)
+    for start in range(0, 1 << n, ENUMERATION_BLOCK):
+        block = np.arange(start, min(start + ENUMERATION_BLOCK, 1 << n), dtype=np.int64)
+        bits = ((block[:, None] >> shifts) & 1).astype(np.uint8)
+        front, values = _skyline(np.concatenate((front, objectives_of(bits))),
+                                 np.concatenate((values, block)))
+    points = [tuple(p) for p in front.tolist()]
+    witnesses = None
+    if witness:
+        witnesses = {}
+        for point, value in zip(points, values.tolist()):
+            bits = ((value >> shifts) & 1).astype(np.uint8)
+            bits.flags.writeable = False
+            witnesses[point] = bits
     return ParetoFront(points=frozenset(points), witnesses=witnesses)
 
 

@@ -6,36 +6,20 @@ crowding distance keeps the most isolated solutions (descending), the
 reference-point policy keeps the solutions closest to the target vector
 (ascending). Whole fronts are admitted as long as they fit; only the first
 front that does not fit is truncated, and its key is computed exactly once.
-All ties break on birth_index, so selection is fully deterministic.
+All ties break on birth index, so selection is fully deterministic.
+
+A population is a set of parallel arrays: objectives (P x 2 float64) and
+birth (P int64), one row per solution; selection returns row indices.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
-
-from .core import euclidean_distance
-
-
-@dataclass(eq=False)
-class Individual:
-    """A candidate solution with cached objectives and survival bookkeeping.
-
-    rank is the 1-based front index from the last sort; survival_key holds
-    the last truncation key computed for this individual (crowding distance,
-    larger is better, or distance to the reference point, smaller is better).
-    birth_index increases monotonically with creation order and is the
-    universal tie-breaker.
-    """
-
-    genome: np.ndarray
-    objectives: tuple
-    birth_index: int
-    rank: Optional[int] = None
-    survival_key: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -53,110 +37,109 @@ class ReferencePointDistance:
 SurvivalPolicy = Union[CrowdingDistance, ReferencePointDistance]
 
 
-def fast_nondominated_sort(population) -> list:
-    """Partition individuals into fronts F1, F2, ... and set their ranks.
+def fast_nondominated_sort(objectives) -> np.ndarray:
+    """1-based front index of every row of a P x 2 objective array.
 
-    F1 holds everything non-dominated in the input; each later front is
-    non-dominated once the earlier fronts are removed. Individuals with
-    equal objective vectors always share a front. Returns a list of lists
-    in front order; an empty input gives an empty partition.
+    Front 1 holds everything non-dominated in the input; each later front is
+    non-dominated once the earlier fronts are removed. Equal objective
+    vectors always share a front. An empty input gives an empty array.
+
+    Rows are swept in decreasing (f1, f2) order, so every distinct vector
+    already seen dominates the current one iff its f2 is at least as large.
+    Each front keeps the largest f2 it holds; these maxima decrease with
+    the front index, so the current vector's front is found by bisection:
+    O(P log P) instead of a P x P dominance matrix.
     """
-    population = list(population)
-    if not population:
-        return []
-    objs = np.array([ind.objectives for ind in population], dtype=np.float64)
-    if objs.ndim != 2:
-        raise ValueError("all individuals must share one objective dimension")
-    # dom[i, j]: i dominates j; the two-column form avoids a (P, P, m) temporary
-    if objs.shape[1] == 2:
-        f1, f2 = objs[:, 0], objs[:, 1]
-        dom = ((f1[:, None] >= f1[None, :]) & (f2[:, None] >= f2[None, :])
-               & ((f1[:, None] > f1[None, :]) | (f2[:, None] > f2[None, :])))
-    else:
-        weak = (objs[:, None, :] >= objs[None, :, :]).all(axis=2)
-        strict = (objs[:, None, :] > objs[None, :, :]).any(axis=2)
-        dom = weak & strict
-    counts = dom.sum(axis=0)
-    assigned = np.zeros(len(population), dtype=bool)
-    fronts = []
-    current = np.flatnonzero(counts == 0)
-    rank = 1
-    while current.size:
-        for i in current:
-            population[i].rank = rank
-        assigned[current] = True
-        fronts.append([population[i] for i in current])
-        counts = counts - dom[current].sum(axis=0)
-        current = np.flatnonzero((counts == 0) & ~assigned)
-        rank += 1
-    return fronts
+    objectives = np.asarray(objectives, dtype=np.float64)
+    if objectives.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if objectives.ndim != 2 or objectives.shape[1] != 2:
+        raise ValueError(f"expected a P x 2 objective array, got shape {objectives.shape}")
+    order = np.lexsort((objectives[:, 1], objectives[:, 0]))
+    rows = objectives.take(order, axis=0).tolist()
+    sorted_ranks = [0] * len(rows)
+    negated_best = []  # -(largest f2) per front, non-decreasing
+    previous = None
+    rank = 0
+    for i in range(len(rows) - 1, -1, -1):
+        row = rows[i]
+        if row != previous:
+            previous = row
+            negated = -row[1]
+            front = bisect_right(negated_best, negated)
+            if front == len(negated_best):
+                negated_best.append(negated)
+            else:
+                negated_best[front] = negated
+            rank = front + 1
+        sorted_ranks[i] = rank
+    ranks = np.empty(len(rows), dtype=np.int64)
+    ranks[order] = sorted_ranks
+    return ranks
 
 
-def crowding_distance_assign(front) -> dict:
-    """Crowding distance for one front, computed in a single pass.
+def crowding_distance_assign(objectives, birth) -> np.ndarray:
+    """Crowding distance of every row of one front.
 
-    Per objective the front is sorted ascending (ties on birth_index), the
-    two boundary individuals get infinity, and each interior individual
-    accumulates the normalized gap between its sorted neighbours. When an
+    Per objective the front is sorted ascending (ties on birth), the two
+    boundary rows get infinity, and each interior row accumulates the
+    normalized gap between its sorted neighbours, objective 0 first. When an
     objective is constant across the front it contributes nothing to the
     interior, but the boundary infinities still apply.
     """
-    front = list(front)
-    dist = {ind: 0.0 for ind in front}
-    if not front:
+    objectives = np.asarray(objectives, dtype=np.float64)
+    dist = np.zeros(len(objectives))
+    if not len(objectives):
         return dist
-    size = len(front)
-    for i in range(len(front[0].objectives)):
-        order = sorted(front, key=lambda ind: (ind.objectives[i], ind.birth_index))
+    for i in range(objectives.shape[1]):
+        values = objectives[:, i]
+        order = np.lexsort((birth, values))
         dist[order[0]] = math.inf
         dist[order[-1]] = math.inf
-        span = order[-1].objectives[i] - order[0].objectives[i]
+        span = values[order[-1]] - values[order[0]]
         if span == 0:
             continue
-        for j in range(1, size - 1):
-            dist[order[j]] += (order[j + 1].objectives[i] - order[j - 1].objectives[i]) / span
+        ranked = values[order]
+        dist[order[1:-1]] += (ranked[2:] - ranked[:-2]) / span
     return dist
 
 
-def reference_distances(front, reference) -> dict:
-    """Euclidean distance from each individual's objectives to the reference point."""
-    return {ind: euclidean_distance(ind.objectives, reference) for ind in front}
+def reference_distances(objectives, reference) -> np.ndarray:
+    """Euclidean distance from every row's objective vector to the reference point."""
+    return np.array([math.dist(v, reference) for v in np.asarray(objectives).tolist()])
 
 
-def survival_select(combined, capacity: int, policy: SurvivalPolicy) -> list:
-    """Pick the next population of exactly `capacity` from the combined pool.
+def survival_select(objectives, birth, capacity: int, policy: SurvivalPolicy) -> np.ndarray:
+    """Row indices of the next population of exactly `capacity` from the pool.
 
     Fronts are admitted whole while they fit (filling to exactly capacity
-    counts as complete admission); the first front that does not fit is
-    ordered by the policy key with birth_index breaking ties, and only the
-    remaining slots are taken from it.
+    counts as complete admission), each in pool order; the first front that
+    does not fit is ordered by the policy key with birth breaking ties, and
+    only the remaining slots are taken from it, in that order.
     """
-    combined = list(combined)
+    objectives = np.asarray(objectives, dtype=np.float64)
+    birth = np.asarray(birth)
     if capacity < 1:
         raise ValueError("capacity must be at least 1")
-    if len(combined) < capacity:
+    if len(objectives) < capacity:
         raise ValueError(
-            f"need at least {capacity} individuals to select from, got {len(combined)}")
-    for ind in combined:
-        ind.survival_key = None
-    survivors = []
-    for front in fast_nondominated_sort(combined):
-        if len(survivors) + len(front) <= capacity:
-            survivors.extend(front)
-            if len(survivors) == capacity:
-                break
-            continue
-        slots = capacity - len(survivors)
-        if isinstance(policy, CrowdingDistance):
-            keys = crowding_distance_assign(front)
-            ordered = sorted(front, key=lambda ind: (-keys[ind], ind.birth_index))
-        elif isinstance(policy, ReferencePointDistance):
-            keys = reference_distances(front, policy.reference)
-            ordered = sorted(front, key=lambda ind: (keys[ind], ind.birth_index))
-        else:
-            raise TypeError(f"unknown survival policy: {policy!r}")
-        for ind in front:
-            ind.survival_key = keys[ind]
-        survivors.extend(ordered[:slots])
-        break
-    return survivors
+            f"need at least {capacity} individuals to select from, got {len(objectives)}")
+    ranks = fast_nondominated_sort(objectives)
+    order = ranks.argsort(kind="stable")
+    if capacity == len(order):
+        return order
+    sorted_ranks = ranks[order].tolist()
+    critical = sorted_ranks[capacity]
+    if sorted_ranks[capacity - 1] != critical:
+        return order[:capacity]
+    start = bisect_left(sorted_ranks, critical)
+    front = order[start:bisect_right(sorted_ranks, critical)]
+    front_birth = birth.take(front)
+    if isinstance(policy, CrowdingDistance):
+        key = -crowding_distance_assign(objectives.take(front, axis=0), front_birth)
+    elif isinstance(policy, ReferencePointDistance):
+        key = reference_distances(objectives.take(front, axis=0), policy.reference)
+    else:
+        raise TypeError(f"unknown survival policy: {policy!r}")
+    picks = front.take(np.lexsort((front_birth, key))[:capacity - start])
+    return np.concatenate((order[:start], picks)) if start else picks

@@ -118,6 +118,16 @@ class TestBitwiseMutate:
         bitwise_mutate(x, 0.5, stream(9))
         assert np.array_equal(x, before)
 
+    def test_batch_matches_row_calls_from_one_stream(self):
+        # one (P, n) draw consumes the stream exactly as P row draws do
+        rng = stream(21)
+        batch = np.stack([random_bitstring(13, rng) for _ in range(7)])
+        for rate in (0.0, 1 / 13, 0.5, 1.0):
+            rows_rng, batch_rng = stream(99), stream(99)
+            rows = np.stack([bitwise_mutate(x, rate, rows_rng) for x in batch])
+            assert np.array_equal(bitwise_mutate(batch, rate, batch_rng), rows)
+            assert rows_rng.random() == batch_rng.random()
+
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             bitwise_mutate(bits_from_str("01"), 1.5, stream(1))

@@ -14,7 +14,7 @@ from emolab.evolve import (
     step_generation,
     target_hit,
 )
-from emolab.problems import OneJumpZeroJump, OneMinMax, pareto_front_closed_form
+from emolab.problems import OneJumpZeroJump, OneMinMax, evaluate, pareto_front_closed_form
 from emolab.survival import CrowdingDistance, ReferencePointDistance
 
 
@@ -38,7 +38,9 @@ class TestInitialize:
         state = initialize(OneMinMax(6), omm_config(6, 4), seed=1)
         assert state.evaluations == 4
         assert state.generation == 0
-        assert len(state.population) == 4
+        assert state.genomes.shape == (4, 6)
+        assert state.objectives.shape == (4, 2)
+        assert state.birth.tolist() == [0, 1, 2, 3]
 
     def test_immediate_hit_with_single_bit(self):
         # find a seed whose single random bit is 1, giving objectives (0, 1)
@@ -51,9 +53,8 @@ class TestInitialize:
     def test_deterministic(self):
         a = initialize(OneMinMax(10), omm_config(10, 5), seed=3)
         b = initialize(OneMinMax(10), omm_config(10, 5), seed=3)
-        for x, y in zip(a.population, b.population):
-            assert np.array_equal(x.genome, y.genome)
-            assert x.objectives == y.objectives
+        assert np.array_equal(a.genomes, b.genomes)
+        assert np.array_equal(a.objectives, b.objectives)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -75,7 +76,7 @@ class TestStepGeneration:
         for expected in (12, 18, 24):
             state = step_generation(state, problem, config)
             assert state.evaluations == expected
-            assert len(state.population) == 6
+            assert len(state.genomes) == len(state.objectives) == len(state.birth) == 6
 
     def test_zero_rate_offspring_duplicate_parents(self):
         # with nothing flipped and a retention-sized population (N >= 4(n+1)),
@@ -84,31 +85,31 @@ class TestStepGeneration:
         problem = OneMinMax(n)
         config = omm_config(n, 4 * (n + 1), policy=CrowdingDistance(), mutation_rate=0.0)
         state = initialize(problem, config, seed=5)
-        before = {i.objectives for i in state.population}
+        before = set(map(tuple, state.objectives.tolist()))
         after_state = step_generation(state, problem, config)
-        after = {i.objectives for i in after_state.population}
+        after = set(map(tuple, after_state.objectives.tolist()))
         assert after == before
 
     def test_single_parent_reference_policy_tie_prefers_parent(self):
         problem = OneMinMax(6)
         config = omm_config(6, 1, mutation_rate=0.0)
         state = initialize(problem, config, seed=9)
-        parent = state.population[0]
         new_state = step_generation(state, problem, config)
         # child is an exact copy: equal distance, parent wins on birth index
-        assert new_state.population[0] is parent
+        assert new_state.birth.tolist() == state.birth.tolist() == [0]
+        assert np.array_equal(new_state.genomes, state.genomes)
 
     def test_single_parent_keeps_closer_of_pair(self):
         problem = OneMinMax(12)
         config = omm_config(12, 1)
         state = initialize(problem, config, seed=4)
         for _ in range(40):
-            previous = state.population[0]
+            previous = state.objectives[0].tolist()
             state = step_generation(state, problem, config)
-            survivor = state.population[0]
+            survivor = state.objectives[0].tolist()
             ref = config.reference_point
-            assert (euclidean_distance(survivor.objectives, ref)
-                    <= euclidean_distance(previous.objectives, ref))
+            assert (euclidean_distance(survivor, ref)
+                    <= euclidean_distance(previous, ref))
 
 
 class TestRun:
@@ -154,7 +155,7 @@ class TestRun:
         totals = []
         run(problem, config, seed=6,
             on_generation=lambda s: totals.append((s.generation, s.evaluations,
-                                                   len(s.population))))
+                                                   len(s.genomes))))
         for generation, evaluations, size in totals:
             assert evaluations == 7 * (generation + 1)
             assert size == 7
@@ -168,8 +169,8 @@ class TestRun:
             dists = []
             run(problem, config, seed,
                 on_generation=lambda s: dists.append(
-                    min(euclidean_distance(i.objectives, reference)
-                        for i in s.population)))
+                    min(euclidean_distance(v, reference)
+                        for v in s.objectives.tolist())))
             assert all(b <= a for a, b in zip(dists, dists[1:]))
 
     def test_front_coverage_never_shrinks_with_large_population(self):
@@ -181,9 +182,23 @@ class TestRun:
             covered = []
             run(problem, config, seed,
                 on_generation=lambda s: covered.append(
-                    {i.objectives for i in s.population} & front))
+                    set(map(tuple, s.objectives.tolist())) & front))
             for earlier, later in zip(covered, covered[1:]):
                 assert earlier <= later
+
+
+    def test_population_arrays_stay_row_aligned(self):
+        # every row's objectives belong to its genome, and birth indices are
+        # distinct evaluation numbers already spent
+        problem = OneJumpZeroJump(12, 2)
+        config = AlgorithmConfig(policy=CrowdingDistance(), pop_size=9,
+                                 reference_point=(14.0, 2.0), max_evaluations=400)
+        states = []
+        run(problem, config, seed=13, on_generation=states.append)
+        for s in states:
+            assert s.objectives.tolist() == [list(evaluate(problem, g)) for g in s.genomes]
+            assert len(set(s.birth.tolist())) == len(s.birth) == 9
+            assert s.birth.max() < s.evaluations
 
 
 class TestGenerationTrace:

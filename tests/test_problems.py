@@ -1,10 +1,12 @@
 """Benchmarks, closed-form fronts, the enumeration oracle, and NK instances."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from emolab import problems
 from emolab.core import bits_from_str, dominates, random_bitstring, stream
 from emolab.problems import (
     ClosedFormUnavailableError,
@@ -14,6 +16,7 @@ from emolab.problems import (
     OneJumpZeroJump,
     OneMinMax,
     OneMinMaxStar,
+    batch_evaluator,
     classify_ojzj,
     default_reference_point,
     enumerate_pareto_front,
@@ -28,6 +31,19 @@ from emolab.problems import (
 def all_bitstrings(n):
     for value in range(1 << n):
         yield bits_from_str(format(value, f"0{n}b"))
+
+
+def nk_reference(instance, x):
+    """The per-bitstring NK evaluation the batch evaluator replaced."""
+    n, K = instance.n, instance.K
+    own = x.astype(np.int64) << K
+    powers = 1 << np.arange(K - 1, -1, -1, dtype=np.int64)
+    rows = np.arange(n)
+    values = []
+    for j in (0, 1):
+        idx = own + x[instance.loci[j]].astype(np.int64) @ powers if K else own
+        values.append(float(instance.contributions[j, rows, idx].mean()))
+    return tuple(values)
 
 
 class TestEvaluate:
@@ -71,6 +87,26 @@ class TestEvaluate:
             for _ in range(50):
                 f = evaluate(problem, random_bitstring(n, rng))
                 assert f[0] + f[1] == n
+
+
+class TestBatchEvaluator:
+    def test_rows_match_evaluate_for_every_problem(self):
+        rng = stream(8)
+        for problem in (OneMinMax(11), OneMinMaxStar(11), OneJumpZeroJump(11, 2),
+                        NkLandscape(generate_nk_instance(11, 3, seed=4))):
+            batch = np.stack([random_bitstring(11, rng) for _ in range(40)])
+            batch[0], batch[1] = 0, 1
+            got = batch_evaluator(problem)(batch)
+            assert got.shape == (40, 2) and got.dtype == np.float64
+            assert [tuple(v) for v in got.tolist()] == [evaluate(problem, x) for x in batch]
+
+    def test_nk_matches_per_bitstring_reference_exactly(self):
+        rng = stream(19)
+        for n, K in ((5, 0), (9, 1), (16, 3), (25, 3), (20, 7), (13, 12)):
+            instance = generate_nk_instance(n, K, seed=n * 31 + K)
+            batch = (rng.random((300, n)) < rng.random((300, 1))).astype(np.uint8)
+            got = batch_evaluator(NkLandscape(instance))(batch)
+            assert [tuple(v) for v in got.tolist()] == [nk_reference(instance, x) for x in batch]
 
 
 class TestClosedFormFronts:
@@ -142,6 +178,37 @@ class TestEnumerationOracle:
                 front = pareto_front_closed_form(problem).points
                 for x in all_bitstrings(n):
                     assert evaluate(problem, x) in front
+
+
+    def test_blocks_merge_to_the_single_block_front(self, monkeypatch):
+        problems_to_check = [NkLandscape(generate_nk_instance(10, 3, seed=s)) for s in range(4)]
+        problems_to_check += [OneJumpZeroJump(10, 2), OneMinMaxStar(10)]
+        whole = [enumerate_pareto_front(p, witness=True) for p in problems_to_check]
+        monkeypatch.setattr(problems, "ENUMERATION_BLOCK", 1 << 5)
+        for problem, expected in zip(problems_to_check, whole):
+            front = enumerate_pareto_front(problem, witness=True)
+            assert front.points == expected.points
+            for point in front.points:
+                assert np.array_equal(front.witnesses[point], expected.witnesses[point])
+
+    def test_witness_is_numerically_smallest(self):
+        problem = NkLandscape(generate_nk_instance(8, 2, seed=40))
+        front = enumerate_pareto_front(problem, witness=True)
+        first = {}
+        for x in all_bitstrings(8):
+            first.setdefault(evaluate(problem, x), x)
+        for point, witness in front.witnesses.items():
+            assert np.array_equal(witness, first[point])
+
+    def test_n18_nk_enumeration_memory_is_bounded(self):
+        problem = NkLandscape(generate_nk_instance(18, 3, seed=18))
+        tracemalloc.start()
+        try:
+            enumerate_pareto_front(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
 
 
 class TestNkInstances:
