@@ -3,19 +3,16 @@ bi-objective bitstring benchmarks, with brute-force oracles and a seeded,
 reproducible experiment harness."""
 
 from .core import (
-    Dominance,
     bits_from_str,
     bits_to_str,
     bitwise_mutate,
     child_seed,
     count_ones,
-    dominance,
     dominates,
-    euclidean_distance,
     random_bitstring,
     stream,
 )
-from .evolve import AlgorithmConfig, GenerationTrace, RunResult, RunState, run, target_hit
+from .evolve import AlgorithmConfig, GenerationTrace, RunResult, RunState, run
 from .lab import (
     ExperimentPlan,
     StatTestResult,

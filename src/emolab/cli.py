@@ -10,30 +10,23 @@ failure. The EMO_LAB_SEED environment variable supplies a master seed when
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import lab
-from .evolve import AlgorithmConfig, GenerationTrace, run
-from .problems import (
-    ClosedFormUnavailableError,
-    EnumerationLimitError,
-    NkLandscape,
-    OneJumpZeroJump,
-    OneMinMax,
-    OneMinMaxStar,
-    default_reference_point,
-    enumerate_pareto_front,
-    generate_nk_instance,
-    pareto_front_closed_form,
-)
-from .core import child_seed, stream
-from .survival import CrowdingDistance, ReferencePointDistance
+from .evolve import GenerationTrace, run
+from .problems import ClosedFormUnavailableError, enumerate_pareto_front, pareto_front_closed_form
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+# `run` and `oracle` have no K flag: their NK instances use the NK preset's K.
+NK_K = 3
+ALGORITHM_POLICIES = {"nsga2": "crowding", "rnsga2": "refpoint"}
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 
@@ -47,34 +40,25 @@ def _resolve_seed(value):
     return None
 
 
-def _build_problem(family: str, n: int, k: int, master_seed: int):
-    if family == "omm":
-        return OneMinMax(n)
-    if family == "ojzj":
-        return OneJumpZeroJump(n, k)
-    if family == "ommstar":
-        return OneMinMaxStar(n)
-    if family == "nk":
-        instance_seed = child_seed(master_seed, "nk-instance", n)
-        return NkLandscape(generate_nk_instance(n, 3, instance_seed))
-    raise ValueError(f"unknown problem family {family!r}")
-
-
-def _reference_for(problem, master_seed: int):
-    if isinstance(problem, NkLandscape):
-        return default_reference_point(
-            problem, stream(child_seed(master_seed, "nk-ref", problem.n)))
-    return default_reference_point(problem)
+def _cell_plan(args, master_seed: int, variants: tuple = (),
+               max_evaluations=None) -> lab.ExperimentPlan:
+    """The one (problem, n) cell that the flags of `run` and `oracle` describe."""
+    return lab.ExperimentPlan(
+        name=args.command,
+        problem=args.problem,
+        n_values=(args.n,),
+        variants=variants,
+        runs_per_cell=1,
+        master_seed=master_seed,
+        max_evaluations=max_evaluations,
+        k=args.k if args.problem == "ojzj" else None,
+        nk_k=NK_K if args.problem == "nk" else None,
+    )
 
 
 def cmd_sweep(args) -> int:
     if args.preset is not None:
-        presets = lab.preset_plans()
-        if args.preset not in presets:
-            print(f"error: unknown preset {args.preset!r}; "
-                  f"choose from {sorted(presets)}", file=sys.stderr)
-            return EXIT_USAGE
-        plan = presets[args.preset]
+        plan = lab.preset_plans()[args.preset]
     else:
         try:
             plan = lab.load_plan(args.plan)
@@ -86,6 +70,9 @@ def cmd_sweep(args) -> int:
         lab.validate_plan(plan)
     except ValueError as exc:
         print(f"error: invalid plan: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.parallelism < 1:
+        print("error: --parallelism must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     print(f"sweep plan={plan.name} problem={plan.problem} n_values={list(plan.n_values)} "
           f"variants={[v.label for v in plan.variants]} runs={plan.runs_per_cell} "
@@ -112,18 +99,14 @@ def cmd_oracle(args) -> int:
         master_seed = lab.DEFAULT_MASTER_SEED
     print(f"oracle problem={args.problem} n={args.n} k={args.k} seed={master_seed}")
     try:
-        problem = _build_problem(args.problem, args.n, args.k, master_seed)
+        problem = lab.build_problem(_cell_plan(args, master_seed), args.n)
+        try:
+            front = pareto_front_closed_form(problem)
+        except ClosedFormUnavailableError:
+            front = enumerate_pareto_front(problem)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        front = pareto_front_closed_form(problem)
-    except ClosedFormUnavailableError:
-        try:
-            front = enumerate_pareto_front(problem)
-        except EnumerationLimitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     for point in front.sorted_points():
         print(" ".join(f"{v:g}" for v in point))
     print(f"size {len(front)}")
@@ -134,27 +117,18 @@ def cmd_run(args) -> int:
     seed = _resolve_seed(args.seed)
     if seed is None:
         seed = lab.DEFAULT_MASTER_SEED
+    variant = lab.Variant(args.algo, ALGORITHM_POLICIES[args.algo], args.pop)
+    plan = _cell_plan(args, seed, (variant,), args.cap)
     try:
-        problem = _build_problem(args.problem, args.n, args.k, seed)
-        reference = _reference_for(problem, seed)
-        k = args.k if args.problem == "ojzj" else None
-        pop_size = lab.resolve_pop_size(args.pop, args.n, k)
-        if args.algo == "nsga2":
-            policy = CrowdingDistance()
-        else:
-            policy = ReferencePointDistance(reference)
-        config = AlgorithmConfig(
-            policy=policy,
-            pop_size=pop_size,
-            reference_point=reference,
-            mutation_rate=args.rate,
-            max_evaluations=args.cap,
-        )
-    except (ValueError, EnumerationLimitError) as exc:
+        problem = lab.build_problem(plan, args.n)
+        reference = lab.reference_for(plan, args.n, problem)
+        config = replace(lab.algorithm_config(plan, variant, args.n, reference),
+                         mutation_rate=args.rate)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"run problem={args.problem} n={args.n} k={args.k} algo={args.algo} "
-          f"pop_size={pop_size} rate={args.rate if args.rate is not None else f'1/{args.n}'} "
+          f"pop_size={config.pop_size} rate={args.rate if args.rate is not None else f'1/{args.n}'} "
           f"cap={args.cap} seed={seed} "
           f"reference={tuple(round(v, 6) for v in reference)}")
     trace = None
@@ -181,8 +155,6 @@ def render_line_chart(series, log_y: bool = False, title: str = "") -> str:
     series maps a label to a list of (x, y) pairs. With log_y the y axis is
     log10-scaled; callers must guard against non-positive values first.
     """
-    import math
-
     width, height = 720, 440
     left, right, top, bottom = 80, 200, 40, 60
     plot_w = width - left - right
@@ -287,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a preset or plan file, write trials/summary CSVs")
     group = sweep.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=("omm", "ojzj", "ommstar", "nk"))
+    group.add_argument("--preset", choices=lab.PROBLEM_FAMILIES)
     group.add_argument("--plan", help="path to a plan JSON file")
     sweep.add_argument("--out", required=True, help="output directory")
     sweep.add_argument("--runs", type=int, default=None, help="override runs per cell")
@@ -296,17 +268,17 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     oracle = sub.add_parser("oracle", help="print a problem's Pareto front")
-    oracle.add_argument("--problem", required=True, choices=("omm", "ojzj", "ommstar", "nk"))
+    oracle.add_argument("--problem", required=True, choices=lab.PROBLEM_FAMILIES)
     oracle.add_argument("--n", type=int, required=True)
     oracle.add_argument("--k", type=int, default=2, help="valley width for ojzj")
     oracle.add_argument("--seed", type=int, default=None, help="master seed (NK instance)")
     oracle.set_defaults(func=cmd_oracle)
 
     runner = sub.add_parser("run", help="execute a single seeded run")
-    runner.add_argument("--problem", required=True, choices=("omm", "ojzj", "ommstar", "nk"))
+    runner.add_argument("--problem", required=True, choices=lab.PROBLEM_FAMILIES)
     runner.add_argument("--n", type=int, required=True)
     runner.add_argument("--k", type=int, default=2, help="valley width for ojzj")
-    runner.add_argument("--algo", required=True, choices=("nsga2", "rnsga2"))
+    runner.add_argument("--algo", required=True, choices=tuple(ALGORITHM_POLICIES))
     runner.add_argument("--pop", default="4*(n+1)",
                         help="population size, an integer or a rule over n (and k)")
     runner.add_argument("--rate", type=float, default=None, help="mutation rate (default 1/n)")

@@ -10,16 +10,10 @@ independent.
 
 from __future__ import annotations
 
-import math
-from enum import Enum
-
 import numpy as np
 
 # A stream is owned by exactly one run at a time; nothing here shares state.
 RngStream = np.random.Generator
-
-# Objective vectors are plain tuples of floats (m = 2 throughout).
-ObjectiveVector = tuple
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -45,39 +39,11 @@ def child_seed(master_seed: int, *key) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
-class Dominance(Enum):
-    """Outcome of comparing two objective vectors under maximization."""
-
-    DOMINATES = "dominates"
-    DOMINATED_BY = "dominated_by"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-
-def dominance(a, b) -> Dominance:
-    """Pareto-compare two objective vectors; exactly one relation holds."""
-    if len(a) != len(b):
-        raise ValueError(f"objective dimension mismatch: {len(a)} vs {len(b)}")
-    a_weak = all(x >= y for x, y in zip(a, b))
-    b_weak = all(y >= x for x, y in zip(a, b))
-    if a_weak and b_weak:
-        return Dominance.EQUAL
-    if a_weak:
-        return Dominance.DOMINATES
-    if b_weak:
-        return Dominance.DOMINATED_BY
-    return Dominance.INCOMPARABLE
-
-
 def dominates(a, b) -> bool:
     """True iff a is at least as good everywhere and strictly better somewhere."""
-    return dominance(a, b) is Dominance.DOMINATES
-
-
-def euclidean_distance(a, b) -> float:
     if len(a) != len(b):
         raise ValueError(f"objective dimension mismatch: {len(a)} vs {len(b)}")
-    return math.dist(a, b)
+    return all(x >= y for x, y in zip(a, b)) and any(x > y for x, y in zip(a, b))
 
 
 def random_bitstring(n: int, rng: RngStream) -> np.ndarray:

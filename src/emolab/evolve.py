@@ -91,11 +91,6 @@ class RunResult:
     seed: int
 
 
-def target_hit(objectives, reference) -> bool:
-    """Exact componentwise equality with the reference point."""
-    return tuple(objectives) == tuple(reference)
-
-
 def _first_hit(objectives: np.ndarray, reference) -> Optional[int]:
     """Index of the first row equal to the reference point, or None."""
     rows = objectives.tolist()

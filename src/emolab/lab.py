@@ -12,11 +12,14 @@ are exposed separately through the success rate.
 
 from __future__ import annotations
 
+import ast
+import csv
 import json
 import math
+import operator
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 from .core import child_seed, stream
@@ -96,34 +99,75 @@ class StatTestResult:
     direction: str  # "a", "b", or "none": which sample tends smaller
 
 
+_RULE_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
+                   ast.Mult: operator.mul, ast.FloorDiv: operator.floordiv}
+
+
+def _rule_value(node, names: dict) -> int:
+    """Integer value of a parsed rule; only the population-rule grammar is accepted."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _RULE_OPERATORS:
+        return _RULE_OPERATORS[type(node.op)](_rule_value(node.left, names),
+                                              _rule_value(node.right, names))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_rule_value(node.operand, names)
+    raise ValueError("a population rule may only use integers, n, k, "
+                     "binary + - * //, unary - and parentheses")
+
+
 def resolve_pop_size(rule: Union[int, str], n: int, k: Optional[int] = None) -> int:
-    """Evaluate a population-size rule for a given problem size."""
+    """Evaluate a population-size rule for a given problem size.
+
+    A rule is an integer or an arithmetic expression over integer literals,
+    n and (when set) k, with binary + - * //, unary - and parentheses.
+    Nothing else is evaluated, so plan files cannot run code.
+    """
+    if isinstance(rule, bool) or not isinstance(rule, (int, str)):
+        raise ValueError(f"population rule must be an integer or a string, got {rule!r}")
     if isinstance(rule, int):
         value = rule
     else:
-        names = {"n": n}
-        if k is not None:
-            names["k"] = k
+        names = {"n": n} if k is None else {"n": n, "k": k}
         try:
-            value = eval(rule, {"__builtins__": {}}, names)  # trusted config strings
-        except Exception as exc:
+            value = _rule_value(ast.parse(rule.strip(), mode="eval").body, names)
+        # the parser reports a too deeply nested rule as MemoryError or RecursionError
+        except (SyntaxError, ValueError, ArithmeticError, RecursionError, MemoryError) as exc:
             raise ValueError(f"cannot evaluate population rule {rule!r}: {exc}") from exc
-    value = int(value)
     if value < 1:
         raise ValueError(f"population rule {rule!r} gave {value} at n={n}")
     return value
 
 
+def _check_int(name: str, value, optional: bool = False) -> None:
+    """Plan fields may come from untrusted JSON: accept true integers only."""
+    if type(value) is not int and not (optional and value is None):
+        raise ValueError(f"{name} must be an integer{' or null' if optional else ''}, "
+                         f"got {value!r}")
+
+
 def validate_plan(plan: ExperimentPlan) -> None:
     if plan.problem not in PROBLEM_FAMILIES:
         raise ValueError(f"unknown problem family {plan.problem!r}")
+    _check_int("runs_per_cell", plan.runs_per_cell)
+    _check_int("master_seed", plan.master_seed)
+    for name in ("max_evaluations", "k", "nk_k"):
+        _check_int(name, getattr(plan, name), optional=True)
+    for n in plan.n_values:
+        _check_int("every problem size", n)
     if plan.runs_per_cell < 1:
         raise ValueError("runs_per_cell must be at least 1")
     if not plan.n_values:
         raise ValueError("plan needs at least one problem size")
     if not plan.variants:
         raise ValueError("plan needs at least one variant")
+    if plan.max_evaluations is not None and plan.max_evaluations < 1:
+        raise ValueError("max_evaluations must be at least 1 when set")
     labels = [v.label for v in plan.variants]
+    if not all(isinstance(label, str) for label in labels):
+        raise ValueError(f"variant labels must be strings, got {labels}")
     if len(set(labels)) != len(labels):
         raise ValueError(f"variant labels must be unique, got {labels}")
     for variant in plan.variants:
@@ -173,6 +217,21 @@ def reference_for(plan: ExperimentPlan, n: int, problem: ProblemSpec):
     return default_reference_point(problem)
 
 
+def algorithm_config(plan: ExperimentPlan, variant: Variant, n: int,
+                     reference) -> AlgorithmConfig:
+    """The run settings of one variant at size n: population, survival policy, budget."""
+    if variant.policy == "crowding":
+        policy = CrowdingDistance()
+    else:
+        policy = ReferencePointDistance(reference)
+    return AlgorithmConfig(
+        policy=policy,
+        pop_size=resolve_pop_size(variant.pop_size, n, plan.k),
+        reference_point=reference,
+        max_evaluations=plan.max_evaluations,
+    )
+
+
 def trial_seed(plan: ExperimentPlan, n: int, variant_index: int, trial: int) -> int:
     return child_seed(plan.master_seed, "trial", n, variant_index, trial)
 
@@ -213,17 +272,7 @@ def run_experiment(plan: ExperimentPlan, parallelism: int = 1) -> list:
         problem = build_problem(plan, n)
         reference = reference_for(plan, n, problem)
         for variant_index, variant in enumerate(plan.variants):
-            pop_size = resolve_pop_size(variant.pop_size, n, plan.k)
-            if variant.policy == "crowding":
-                policy = CrowdingDistance()
-            else:
-                policy = ReferencePointDistance(reference)
-            config = AlgorithmConfig(
-                policy=policy,
-                pop_size=pop_size,
-                reference_point=reference,
-                max_evaluations=plan.max_evaluations,
-            )
+            config = algorithm_config(plan, variant, n, reference)
             meta = {
                 "problem": plan.problem,
                 "n": n,
@@ -419,6 +468,13 @@ def plan_to_json(plan: ExperimentPlan) -> str:
 
 def plan_from_json(text: str) -> ExperimentPlan:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a plan must be a JSON object")
+    for key in ("n_values", "variants"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{key} must be a list, got {doc[key]!r}")
+    if not all(isinstance(v, dict) for v in doc["variants"]):
+        raise ValueError("every variant must be a JSON object")
     plan = ExperimentPlan(
         name=doc.get("name", "plan"),
         problem=doc["problem"],
@@ -456,8 +512,6 @@ SUMMARY_HEADER = ["problem", "n", "variant", "mean_evals", "std_evals",
 
 
 def write_trials_csv(records: Sequence[TrialRecord], path) -> None:
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRIALS_HEADER)
@@ -470,8 +524,6 @@ def write_trials_csv(records: Sequence[TrialRecord], path) -> None:
 
 
 def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_HEADER)
@@ -484,8 +536,6 @@ def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
 
 
 def read_summary_csv(path) -> list:
-    import csv
-
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != SUMMARY_HEADER:

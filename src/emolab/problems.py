@@ -14,7 +14,6 @@ construction for the synthetic problems and exhaustive enumeration of
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -79,38 +78,6 @@ def generate_nk_instance(n: int, K: int, seed: int) -> NkInstance:
     loci.flags.writeable = False
     contributions.flags.writeable = False
     return NkInstance(n=n, K=K, seed=int(seed), loci=loci, contributions=contributions)
-
-
-def nk_instance_to_json(instance: NkInstance) -> str:
-    doc = {
-        "n": instance.n,
-        "K": instance.K,
-        "seed": instance.seed,
-        "loci": instance.loci.tolist(),
-        "contributions": instance.contributions.tolist(),
-    }
-    return json.dumps(doc)
-
-
-def nk_instance_from_json(text: str) -> NkInstance:
-    doc = json.loads(text)
-    loci = np.array(doc["loci"], dtype=np.int64).reshape(2, doc["n"], doc["K"])
-    contributions = np.array(doc["contributions"], dtype=np.float64)
-    contributions = contributions.reshape(2, doc["n"], 2 ** (doc["K"] + 1))
-    loci.flags.writeable = False
-    contributions.flags.writeable = False
-    return NkInstance(n=doc["n"], K=doc["K"], seed=doc["seed"],
-                      loci=loci, contributions=contributions)
-
-
-def save_nk_instance(instance: NkInstance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(nk_instance_to_json(instance))
-
-
-def load_nk_instance(path) -> NkInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return nk_instance_from_json(fh.read())
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import emolab.lab as lab
 from emolab.cli import main
-from emolab.core import child_seed, euclidean_distance, stream
+from emolab.core import child_seed, stream
 from emolab.evolve import AlgorithmConfig, run
 from emolab.lab import Variant, rank_sum_test, run_experiment, summarize
 from emolab.problems import (
@@ -237,7 +237,7 @@ def _reference_runs(problem, reference, pop_size, cap, runs, seed_key):
         dists = []
         run(problem, config, child_seed(ACCEPT_SEED, seed_key, i),
             on_generation=lambda s: dists.append(
-                min(euclidean_distance(v, reference)
+                min(math.dist(v, reference)
                     for v in s.objectives.tolist())))
         generations += len(dists) - 1
         violations += sum(1 for a, b in zip(dists, dists[1:]) if b > a)

@@ -7,72 +7,60 @@ import numpy as np
 import pytest
 
 from emolab.core import (
-    Dominance,
     bits_from_str,
     bits_to_str,
     bitwise_mutate,
     child_seed,
     count_ones,
-    dominance,
-    euclidean_distance,
+    dominates,
     random_bitstring,
     stream,
 )
+from emolab.survival import reference_distances
 
 
 class TestDominance:
     def test_componentwise_examples(self):
-        assert dominance((2, 3), (1, 3)) is Dominance.DOMINATES
-        assert dominance((0, 4), (4, 0)) is Dominance.INCOMPARABLE
-        assert dominance((5, 5), (5, 5)) is Dominance.EQUAL
-        assert dominance((1, 3), (2, 3)) is Dominance.DOMINATED_BY
+        assert dominates((2, 3), (1, 3))
+        assert not dominates((1, 3), (2, 3))
+        assert not dominates((0, 4), (4, 0)) and not dominates((4, 0), (0, 4))
+        assert not dominates((5, 5), (5, 5))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            dominance((1, 2), (1, 2, 3))
+            dominates((1, 2), (1, 2, 3))
 
     def test_strict_partial_order_by_brute_force(self):
         # exhaustive check over all vectors with coordinates in [0..5]
         vectors = list(itertools.product(range(6), repeat=2))
-        rel = {(a, b): dominance(a, b) for a in vectors for b in vectors}
+        rel = {(a, b): dominates(a, b) for a in vectors for b in vectors}
         for a in vectors:
-            assert rel[(a, a)] is Dominance.EQUAL
-        for a in vectors:
-            for b in vectors:
-                forward, backward = rel[(a, b)], rel[(b, a)]
-                if forward is Dominance.DOMINATES:
-                    assert backward is Dominance.DOMINATED_BY
-                elif forward is Dominance.DOMINATED_BY:
-                    assert backward is Dominance.DOMINATES
-                else:
-                    assert backward is forward
+            assert not rel[(a, a)]  # irreflexive
         for a in vectors:
             for b in vectors:
-                if rel[(a, b)] is not Dominance.DOMINATES:
+                assert not (rel[(a, b)] and rel[(b, a)])  # asymmetric
+        for a in vectors:
+            for b in vectors:
+                if not rel[(a, b)]:
                     continue
                 for c in vectors:
-                    if rel[(b, c)] is Dominance.DOMINATES:
-                        assert rel[(a, c)] is Dominance.DOMINATES
+                    if rel[(b, c)]:
+                        assert rel[(a, c)]  # transitive
 
 
 class TestEuclideanDistance:
-    def test_examples(self):
-        assert euclidean_distance((3, 7), (0, 10)) == pytest.approx(math.sqrt(18))
-        assert euclidean_distance((2.5, -1), (2.5, -1)) == 0.0
-        assert euclidean_distance((12, 2), (10, 4)) == pytest.approx(math.sqrt(8))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            euclidean_distance((1,), (1, 2))
-
     def test_metric_properties_on_random_triples(self):
+        # the distance the reference-point policy ranks by
+        def dist(a, b):
+            return reference_distances([a], b)[0]
+
         rng = np.random.default_rng(42)
         for _ in range(300):
             a, b, c = (tuple(rng.normal(size=2)) for _ in range(3))
-            dab = euclidean_distance(a, b)
+            dab = dist(a, b)
             assert dab >= 0.0
-            assert dab == pytest.approx(euclidean_distance(b, a))
-            assert dab <= euclidean_distance(a, c) + euclidean_distance(c, b) + 1e-12
+            assert dab == pytest.approx(dist(b, a))
+            assert dab <= dist(a, c) + dist(c, b) + 1e-12
 
 
 class TestRandomBitstring:

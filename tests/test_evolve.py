@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from emolab.core import euclidean_distance, random_bitstring, stream
+from emolab.core import random_bitstring, stream
 from emolab.evolve import (
     AlgorithmConfig,
     GenerationTrace,
     initialize,
     run,
     step_generation,
-    target_hit,
 )
 from emolab.problems import OneJumpZeroJump, OneMinMax, evaluate, pareto_front_closed_form
 from emolab.survival import CrowdingDistance, ReferencePointDistance
@@ -24,13 +23,6 @@ def omm_config(n, pop_size, policy=None, **kwargs):
         policy = ReferencePointDistance(reference)
     return AlgorithmConfig(policy=policy, pop_size=pop_size,
                            reference_point=reference, **kwargs)
-
-
-class TestTargetHit:
-    def test_examples(self):
-        assert target_hit((0.0, 50.0), (0.0, 50.0))
-        assert not target_hit((1.0, 49.0), (0.0, 50.0))
-        assert target_hit((-30.0, 60.0), (-30.0, 60.0))
 
 
 class TestInitialize:
@@ -108,8 +100,7 @@ class TestStepGeneration:
             state = step_generation(state, problem, config)
             survivor = state.objectives[0].tolist()
             ref = config.reference_point
-            assert (euclidean_distance(survivor, ref)
-                    <= euclidean_distance(previous, ref))
+            assert math.dist(survivor, ref) <= math.dist(previous, ref)
 
 
 class TestRun:
@@ -169,7 +160,7 @@ class TestRun:
             dists = []
             run(problem, config, seed,
                 on_generation=lambda s: dists.append(
-                    min(euclidean_distance(v, reference)
+                    min(math.dist(v, reference)
                         for v in s.objectives.tolist())))
             assert all(b <= a for a, b in zip(dists, dists[1:]))
 

@@ -1,5 +1,6 @@
 """Experiment plans, the seeded parallel runner, summaries, and statistics."""
 
+import json
 import math
 
 import numpy as np
@@ -189,6 +190,45 @@ class TestPresets:
         assert ref_a == ref_b
 
 
+class TestResolvePopSize:
+    @pytest.mark.parametrize("rule, n, k, expected", [
+        ("4*(n+1)", 10, None, 44),
+        ("4*(n-2*k+3)", 10, 2, 36),
+        ("1", 5, None, 1),
+        (7, 5, None, 7),
+        (" 4 * ( n + 1 ) ", 3, None, 16),
+        ("n//2 - -1", 9, None, 5),
+        ("(n - 1) * (k + 1) // 3", 20, 3, 25),
+    ])
+    def test_grammar_values(self, rule, n, k, expected):
+        assert resolve_pop_size(rule, n, k) == expected
+
+    def test_preset_rules_keep_their_values(self):
+        formulas = {"4*(n+1)": lambda n, k: 4 * (n + 1),
+                    "4*(n-2*k+3)": lambda n, k: 4 * (n - 2 * k + 3)}
+        for plan in preset_plans().values():
+            for variant in plan.variants:
+                for n in plan.n_values:
+                    expected = (variant.pop_size if isinstance(variant.pop_size, int)
+                                else formulas[variant.pop_size](n, plan.k))
+                    assert resolve_pop_size(variant.pop_size, n, plan.k) == expected
+
+    @pytest.mark.parametrize("rule", [True, 4.0, None, ["n"]])
+    def test_rejects_non_rule_values(self, rule):
+        with pytest.raises(ValueError):
+            resolve_pop_size(rule, 10)
+
+    @pytest.mark.parametrize("rule", ["", "n//0", "0", "n-20", "(n+1", "4*(n+1)\nimport os"])
+    def test_rejects_malformed_or_non_positive_rules(self, rule):
+        with pytest.raises(ValueError):
+            resolve_pop_size(rule, 10)
+
+    def test_rejects_deeply_nested_rules(self):
+        for rule in ("-" * 100_000 + "1", "1+" * 100_000 + "1", "(" * 1000 + "1" + ")" * 1000):
+            with pytest.raises(ValueError):
+                resolve_pop_size(rule, 10)
+
+
 class TestRunExperiment:
     def test_record_cardinality(self):
         records = run_experiment(tiny_plan())
@@ -268,6 +308,22 @@ class TestPlanJson:
             plan_from_json('{"problem": "omm", "n_values": [], "variants": '
                            '[{"label": "a", "policy": "crowding", "pop_size": 4}], '
                            '"runs_per_cell": 1}')
+
+    @pytest.mark.parametrize("changes", [
+        {"master_seed": "11"},
+        {"n_values": [6, 8.0]},
+        {"n_values": [6, True]},
+        {"nk_k": [3]},
+        {"variants": ["nsga2"]},
+        {"variants": [{"label": 3, "policy": "crowding", "pop_size": 4}]},
+        {"variants": [{"label": "a", "policy": "crowding", "pop_size": 4.5}]},
+        {"max_evaluations": -1},
+    ])
+    def test_field_types_are_checked(self, changes):
+        doc = json.loads(plan_to_json(tiny_plan()))
+        doc.update(changes)
+        with pytest.raises(ValueError):
+            plan_from_json(json.dumps(doc))
 
 
 class TestCsvRoundTrip:

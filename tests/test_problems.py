@@ -1,6 +1,5 @@
 """Benchmarks, closed-form fronts, the enumeration oracle, and NK instances."""
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -22,8 +21,6 @@ from emolab.problems import (
     enumerate_pareto_front,
     evaluate,
     generate_nk_instance,
-    nk_instance_from_json,
-    nk_instance_to_json,
     pareto_front_closed_form,
 )
 
@@ -261,16 +258,6 @@ class TestNkInstances:
             f = evaluate(problem, x)
             assert 0.0 <= f[0] < 1.0 and 0.0 <= f[1] < 1.0
             assert evaluate(problem, x) == f
-
-    def test_json_round_trip(self):
-        instance = generate_nk_instance(6, 2, seed=31)
-        clone = nk_instance_from_json(nk_instance_to_json(instance))
-        assert clone.n == instance.n and clone.K == instance.K and clone.seed == instance.seed
-        assert np.array_equal(clone.loci, instance.loci)
-        assert np.array_equal(clone.contributions, instance.contributions)
-        x = bits_from_str("011010")
-        assert evaluate(NkLandscape(clone), x) == evaluate(NkLandscape(instance), x)
-        json.loads(nk_instance_to_json(instance))  # stays valid JSON
 
 
 class TestClassifyOjzj:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from emolab.core import dominates, euclidean_distance, random_bitstring, stream
+from emolab.core import dominates, random_bitstring, stream
 from emolab.problems import (
     NkLandscape,
     OneJumpZeroJump,
@@ -84,7 +84,7 @@ def select_reference(objectives, birth, capacity, policy):
         if isinstance(policy, CrowdingDistance):
             keys = [-d for d in crowding_reference(sub, birth[front])]
         else:
-            keys = [euclidean_distance(v, policy.reference) for v in sub.tolist()]
+            keys = [math.dist(v, policy.reference) for v in sub.tolist()]
         ordered = sorted(range(len(front)), key=lambda r: (keys[r], birth[front][r]))
         survivors.extend(front[r] for r in ordered[:capacity - len(survivors)])
         break
@@ -258,7 +258,7 @@ class TestSurvivalSelect:
             # under the reference policy, if a globally closest individual is
             # non-dominated it always survives
             if isinstance(policy, ReferencePointDistance):
-                dist = [euclidean_distance(v, reference) for v in objectives.tolist()]
+                dist = [math.dist(v, reference) for v in objectives.tolist()]
                 closest = min(dist)
                 best = [i for i in range(pool) if dist[i] == closest]
                 if any(ranks[i] == 1 for i in best):
@@ -288,7 +288,7 @@ class TestSurvivalSelect:
                 [evaluate(problem, random_bitstring(9, rng)) for _ in range(size)])
             capacity = int(rng.integers(1, size + 1))
             kept = survival_select(objectives, birth, capacity, ReferencePointDistance(reference))
-            dist = [euclidean_distance(v, reference) for v in objectives.tolist()]
+            dist = [math.dist(v, reference) for v in objectives.tolist()]
             assert min(dist[i] for i in kept) == min(dist)
 
     def test_deterministic_for_identical_input_order(self):
