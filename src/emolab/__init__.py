@@ -4,10 +4,8 @@ reproducible experiment harness."""
 
 from .core import (
     bits_from_str,
-    bits_to_str,
     bitwise_mutate,
     child_seed,
-    count_ones,
     dominates,
     random_bitstring,
     stream,
@@ -26,19 +24,16 @@ from .lab import (
     summarize,
 )
 from .problems import (
-    NkInstance,
     NkLandscape,
-    OjzjClass,
     OneJumpZeroJump,
     OneMinMax,
     OneMinMaxStar,
-    ParetoFront,
     batch_evaluator,
-    classify_ojzj,
     default_reference_point,
     enumerate_pareto_front,
     evaluate,
     generate_nk_instance,
+    pareto_front,
     pareto_front_closed_form,
 )
 from .survival import (

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import lab
 from .evolve import GenerationTrace, run
-from .problems import ClosedFormUnavailableError, enumerate_pareto_front, pareto_front_closed_form
+from .problems import pareto_front
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -31,13 +31,17 @@ ALGORITHM_POLICIES = {"nsga2": "crowding", "rnsga2": "refpoint"}
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 
 
-def _resolve_seed(value):
+def _resolve_seed(value, default=None):
+    """--seed, else EMO_LAB_SEED, else default; a non-integer variable is a ValueError."""
     if value is not None:
         return int(value)
     env = os.environ.get("EMO_LAB_SEED")
-    if env is not None:
+    if env is None:
+        return default
+    try:
         return int(env)
-    return None
+    except ValueError:
+        raise ValueError(f"EMO_LAB_SEED must be an integer, got {env!r}") from None
 
 
 def _cell_plan(args, master_seed: int, variants: tuple = (),
@@ -65,8 +69,8 @@ def cmd_sweep(args) -> int:
         except (OSError, ValueError, KeyError) as exc:
             print(f"error: cannot load plan {args.plan!r}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    plan = lab.with_overrides(plan, runs=args.runs, master_seed=_resolve_seed(args.seed))
     try:
+        plan = lab.with_overrides(plan, runs=args.runs, master_seed=_resolve_seed(args.seed))
         lab.validate_plan(plan)
     except ValueError as exc:
         print(f"error: invalid plan: {exc}", file=sys.stderr)
@@ -94,32 +98,25 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    master_seed = _resolve_seed(args.seed)
-    if master_seed is None:
-        master_seed = lab.DEFAULT_MASTER_SEED
-    print(f"oracle problem={args.problem} n={args.n} k={args.k} seed={master_seed}")
     try:
-        problem = lab.build_problem(_cell_plan(args, master_seed), args.n)
-        try:
-            front = pareto_front_closed_form(problem)
-        except ClosedFormUnavailableError:
-            front = enumerate_pareto_front(problem)
+        master_seed = _resolve_seed(args.seed, lab.DEFAULT_MASTER_SEED)
+        print(f"oracle problem={args.problem} n={args.n} k={args.k} seed={master_seed}")
+        front = pareto_front(lab.build_problem(_cell_plan(args, master_seed), args.n))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    for point in front.sorted_points():
+    for point in sorted(front):
         print(" ".join(f"{v:g}" for v in point))
     print(f"size {len(front)}")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    seed = _resolve_seed(args.seed)
-    if seed is None:
-        seed = lab.DEFAULT_MASTER_SEED
     variant = lab.Variant(args.algo, ALGORITHM_POLICIES[args.algo], args.pop)
-    plan = _cell_plan(args, seed, (variant,), args.cap)
     try:
+        seed = _resolve_seed(args.seed, lab.DEFAULT_MASTER_SEED)
+        plan = _cell_plan(args, seed, (variant,), args.cap)
+        lab.validate_plan(plan)
         problem = lab.build_problem(plan, args.n)
         reference = lab.reference_for(plan, args.n, problem)
         config = replace(lab.algorithm_config(plan, variant, args.n, reference),

@@ -1,11 +1,11 @@
 """Bitstring and objective-space primitives shared by the benchmarks and algorithms.
 
 Bitstrings are fixed-length numpy uint8 arrays marked read-only after
-construction; the canonical text rendering uses '0'/'1' characters with
-position 0 leftmost. All randomness flows through numpy's PCG64 generator
-(seeded via SeedSequence), so every seeded trajectory is reproducible bit
-for bit and child streams derived from (master seed, key...) are mutually
-independent.
+construction; a population is a (P, n) batch of them. Their text form uses
+'0'/'1' characters with position 0 leftmost. All randomness flows through
+numpy's PCG64 generator (seeded via SeedSequence), so every seeded
+trajectory is reproducible bit for bit and child streams derived from
+(master seed, key...) are mutually independent.
 """
 
 from __future__ import annotations
@@ -70,16 +70,8 @@ def bitwise_mutate(x: np.ndarray, rate: float, rng: RngStream) -> np.ndarray:
     return child
 
 
-def count_ones(x: np.ndarray) -> int:
-    return int(np.count_nonzero(x))
-
-
-def bits_to_str(x: np.ndarray) -> str:
-    """Canonical text form: '0'/'1' characters, position 0 leftmost."""
-    return "".join("1" if b else "0" for b in x)
-
-
 def bits_from_str(text: str) -> np.ndarray:
+    """Parse the text form: '0'/'1' characters, position 0 leftmost."""
     if not text or any(c not in "01" for c in text):
         raise ValueError("bitstring text must be nonempty and contain only '0'/'1'")
     bits = (np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")).astype(np.uint8)

@@ -23,14 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import RngStream, bitwise_mutate, random_bitstring, stream
-from .problems import (
-    ClosedFormUnavailableError,
-    ParetoFront,
-    ProblemSpec,
-    batch_evaluator,
-    enumerate_pareto_front,
-    pareto_front_closed_form,
-)
+from .problems import ProblemSpec, batch_evaluator, pareto_front
 from .survival import SurvivalPolicy, survival_select
 
 
@@ -189,20 +182,15 @@ class GenerationTrace:
     an instance as on_generation, then inspect .rows or write_csv().
     """
 
-    def __init__(self, problem: ProblemSpec, reference, front: Optional[ParetoFront] = None):
+    def __init__(self, problem: ProblemSpec, reference):
         self.reference = tuple(reference)
-        if front is None:
-            try:
-                front = pareto_front_closed_form(problem)
-            except ClosedFormUnavailableError:
-                front = enumerate_pareto_front(problem)
-        self.front_points = front.points
+        self.front = pareto_front(problem)
         self.rows = []
 
     def __call__(self, state: RunState) -> None:
         vectors = set(map(tuple, state.objectives.tolist()))
         min_dist = min(math.dist(v, self.reference) for v in vectors)
-        covered = len(vectors & self.front_points)
+        covered = len(vectors & self.front)
         self.rows.append((state.generation, min_dist, covered))
 
     def write_csv(self, path) -> None:

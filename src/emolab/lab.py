@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 from .core import child_seed, stream
 from .evolve import AlgorithmConfig, run
 from .problems import (
-    NkLandscape,
+    ENUMERATION_LIMIT,
     OneJumpZeroJump,
     OneMinMax,
     OneMinMaxStar,
@@ -36,6 +36,12 @@ from .problems import (
 from .survival import CrowdingDistance, ReferencePointDistance
 
 DEFAULT_MASTER_SEED = 1009
+
+# Size bounds that keep an accepted plan in bounded memory; the presets use at
+# most 10,200 population bits, 800 NK table entries and 15,000 trials.
+MAX_POPULATION_BITS = 1_000_000  # pop_size * n: a generation peaks near 0.5 GB
+MAX_NK_TABLE = 1 << 24           # 2 * n * 2^(nk_k+1) float64 entries: 128 MiB
+MAX_TRIALS = 1_000_000           # runs_per_cell * |n_values| * |variants|: ~0.4 GB
 
 PROBLEM_FAMILIES = ("omm", "ojzj", "ommstar", "nk")
 POLICY_KINDS = ("crowding", "refpoint")
@@ -165,6 +171,9 @@ def validate_plan(plan: ExperimentPlan) -> None:
         raise ValueError("plan needs at least one variant")
     if plan.max_evaluations is not None and plan.max_evaluations < 1:
         raise ValueError("max_evaluations must be at least 1 when set")
+    trials = plan.runs_per_cell * len(plan.n_values) * len(plan.variants)
+    if trials > MAX_TRIALS:
+        raise ValueError(f"the plan has {trials} trials, above the limit of {MAX_TRIALS}")
     labels = [v.label for v in plan.variants]
     if not all(isinstance(label, str) for label in labels):
         raise ValueError(f"variant labels must be strings, got {labels}")
@@ -185,11 +194,18 @@ def validate_plan(plan: ExperimentPlan) -> None:
         for n in plan.n_values:
             if not 0 <= plan.nk_k < n:
                 raise ValueError(f"nk_k={plan.nk_k} is invalid for n={n}")
+            if n > ENUMERATION_LIMIT:
+                raise ValueError(f"enumeration is limited to n <= {ENUMERATION_LIMIT}, got n={n}")
+            if 2 * n * 2 ** (plan.nk_k + 1) > MAX_NK_TABLE:
+                raise ValueError(f"nk_k={plan.nk_k} at n={n} needs more than "
+                                 f"{MAX_NK_TABLE} NK table entries")
     for n in plan.n_values:
         if n < 1:
             raise ValueError("problem sizes must be positive")
         for variant in plan.variants:
-            resolve_pop_size(variant.pop_size, n, plan.k)
+            if resolve_pop_size(variant.pop_size, n, plan.k) * n > MAX_POPULATION_BITS:
+                raise ValueError(f"variant {variant.label!r} at n={n} holds more than "
+                                 f"{MAX_POPULATION_BITS} population bits")
 
 
 def build_problem(plan: ExperimentPlan, n: int) -> ProblemSpec:
@@ -206,7 +222,7 @@ def build_problem(plan: ExperimentPlan, n: int) -> ProblemSpec:
         return OneMinMaxStar(n)
     if plan.problem == "nk":
         instance_seed = child_seed(plan.master_seed, "nk-instance", n)
-        return NkLandscape(generate_nk_instance(n, plan.nk_k, instance_seed))
+        return generate_nk_instance(n, plan.nk_k, instance_seed)
     raise ValueError(f"unknown problem family {plan.problem!r}")
 
 

@@ -8,20 +8,21 @@ the bi-objective NK landscape uses two independently generated epistatic
 contribution tables over the same bitstring.
 
 Two independent routes to the Pareto front are provided: closed-form
-construction for the synthetic problems and exhaustive enumeration of
-{0,1}^n (guarded at n <= 25) for everything.
+construction for the synthetic problems, a frozenset of objective vectors,
+and exhaustive enumeration of {0,1}^n (guarded at n <= 25) for everything,
+a dict from each front vector to its numerically smallest witness.
+pareto_front picks the closed form where there is one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, ClassVar, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import RngStream, count_ones, stream
+from .core import RngStream, stream
 
 ENUMERATION_LIMIT = 25
 # Rows per enumeration block: large enough to amortize numpy's per-call cost,
@@ -38,15 +39,15 @@ class ClosedFormUnavailableError(ValueError):
 
 
 @dataclass(eq=False)
-class NkInstance:
-    """One generated NK landscape: per-objective loci and contribution tables.
+class NkLandscape:
+    """A bi-objective NK landscape: per-objective loci and contribution tables.
 
     For objective j and position i, loci[j, i] lists the K positions (all
     distinct and different from i) whose bits join bit i in the contribution
     lookup, and contributions[j, i] is the table of 2^(K+1) values in [0, 1).
     The table index places the position's own bit in the highest bit,
-    followed by the loci bits in listed order. An instance is a pure
-    function of (n, K, seed).
+    followed by the loci bits in listed order. A landscape is a pure
+    function of (n, K, seed); generate_nk_instance builds it.
     """
 
     n: int
@@ -56,7 +57,7 @@ class NkInstance:
     contributions: np.ndarray  # shape (2, n, 2**(K+1)), float64 in [0, 1)
 
 
-def generate_nk_instance(n: int, K: int, seed: int) -> NkInstance:
+def generate_nk_instance(n: int, K: int, seed: int) -> NkLandscape:
     """Generate a bi-objective NK instance deterministically from its seed.
 
     Each position's K loci are drawn uniformly without replacement from the
@@ -77,13 +78,12 @@ def generate_nk_instance(n: int, K: int, seed: int) -> NkInstance:
     contributions = rng.random((2, n, 2 ** (K + 1)))
     loci.flags.writeable = False
     contributions.flags.writeable = False
-    return NkInstance(n=n, K=K, seed=int(seed), loci=loci, contributions=contributions)
+    return NkLandscape(n=n, K=K, seed=int(seed), loci=loci, contributions=contributions)
 
 
 @dataclass(frozen=True)
 class OneMinMax:
     n: int
-    label: ClassVar[str] = "omm"
 
     def __post_init__(self):
         if self.n < 1:
@@ -94,7 +94,6 @@ class OneMinMax:
 class OneJumpZeroJump:
     n: int
     k: int
-    label: ClassVar[str] = "ojzj"
 
     def __post_init__(self):
         if self.n < 1:
@@ -107,38 +106,27 @@ class OneJumpZeroJump:
 @dataclass(frozen=True)
 class OneMinMaxStar:
     n: int
-    label: ClassVar[str] = "ommstar"
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
 
 
-@dataclass(eq=False)
-class NkLandscape:
-    instance: NkInstance
-    label: ClassVar[str] = "nk"
-
-    @property
-    def n(self) -> int:
-        return self.instance.n
-
-
 ProblemSpec = Union[OneMinMax, OneJumpZeroJump, OneMinMaxStar, NkLandscape]
 
 
-def _nk_objectives(instance: NkInstance, x: np.ndarray) -> np.ndarray:
+def _nk_objectives(problem: NkLandscape, x: np.ndarray) -> np.ndarray:
     """Mean contribution per objective for every row of x, a (P, n) batch."""
-    K = instance.K
+    K = problem.K
     bits = x.astype(np.intp)
-    positions = np.arange(instance.n)
+    positions = np.arange(problem.n)
     out = np.empty((len(bits), 2))
     for j in (0, 1):
         # own bit highest, then the loci bits in listed order
         index = bits << K
         for t in range(K):
-            index += bits[:, instance.loci[j, :, t]] << (K - 1 - t)
-        out[:, j] = instance.contributions[j, positions, index].mean(axis=1)
+            index += bits[:, problem.loci[j, :, t]] << (K - 1 - t)
+        out[:, j] = problem.contributions[j, positions, index].mean(axis=1)
     return out
 
 
@@ -169,8 +157,7 @@ def batch_evaluator(problem: ProblemSpec) -> Callable[[np.ndarray], np.ndarray]:
     builds their (n + 1)-row objective table: make one per run, not per batch.
     """
     if isinstance(problem, NkLandscape):
-        instance = problem.instance
-        return lambda x: _nk_objectives(instance, x)
+        return lambda x: _nk_objectives(problem, x)
     table = _ones_table(problem)
     return lambda x: table[x.sum(axis=1)]
 
@@ -183,25 +170,8 @@ def evaluate(problem: ProblemSpec, x: np.ndarray):
     return tuple(batch_evaluator(problem)(x[None, :])[0].tolist())
 
 
-@dataclass(eq=False)
-class ParetoFront:
-    """A set of mutually non-dominated objective vectors, optionally with witnesses."""
-
-    points: frozenset
-    witnesses: Optional[dict] = None
-
-    def sorted_points(self) -> list:
-        return sorted(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __contains__(self, vector) -> bool:
-        return vector in self.points
-
-
-def pareto_front_closed_form(problem: ProblemSpec) -> ParetoFront:
-    """Exact Pareto front by direct construction (synthetic problems only)."""
+def pareto_front_closed_form(problem: ProblemSpec) -> frozenset:
+    """Exact Pareto front of a synthetic problem, as a set of objective vectors."""
     if isinstance(problem, OneMinMax):
         n = problem.n
         points = {(float(i), float(n - i)) for i in range(n + 1)}
@@ -219,7 +189,7 @@ def pareto_front_closed_form(problem: ProblemSpec) -> ParetoFront:
             "NK landscapes have no closed-form front; use enumerate_pareto_front")
     else:
         raise TypeError(f"unknown problem spec: {problem!r}")
-    return ParetoFront(points=frozenset(points))
+    return frozenset(points)
 
 
 def _skyline(objectives: np.ndarray, values: np.ndarray):
@@ -238,15 +208,15 @@ def _skyline(objectives: np.ndarray, values: np.ndarray):
     return objectives[keep], values[keep]
 
 
-def enumerate_pareto_front(problem: ProblemSpec, witness: bool = False) -> ParetoFront:
+def enumerate_pareto_front(problem: ProblemSpec) -> dict:
     """Pareto front by brute-force evaluation of all 2^n bitstrings.
 
     Independent of the closed-form construction; guarded at n <= 25.
     Bitstrings are evaluated in blocks of ENUMERATION_BLOCK, in increasing
     numeric order, and each block is merged into a running skyline, so
-    memory stays bounded by the block size. With witness=True the front
-    carries one solution per objective vector (the numerically smallest
-    bitstring found).
+    memory stays bounded by the block size. The result maps each front
+    vector to its witness, the numerically smallest bitstring (read-only)
+    that evaluates to it.
     """
     n = problem.n
     if n > ENUMERATION_LIMIT:
@@ -260,37 +230,17 @@ def enumerate_pareto_front(problem: ProblemSpec, witness: bool = False) -> Paret
         bits = ((block[:, None] >> shifts) & 1).astype(np.uint8)
         front, values = _skyline(np.concatenate((front, objectives_of(bits))),
                                  np.concatenate((values, block)))
-    points = [tuple(p) for p in front.tolist()]
-    witnesses = None
-    if witness:
-        witnesses = {}
-        for point, value in zip(points, values.tolist()):
-            bits = ((value >> shifts) & 1).astype(np.uint8)
-            bits.flags.writeable = False
-            witnesses[point] = bits
-    return ParetoFront(points=frozenset(points), witnesses=witnesses)
+    witnesses = ((values[:, None] >> shifts) & 1).astype(np.uint8)
+    witnesses.flags.writeable = False
+    return dict(zip(map(tuple, front.tolist()), witnesses))
 
 
-class OjzjClass(Enum):
-    """Position of a solution relative to the OneJumpZeroJump Pareto set."""
-
-    INNER_PARETO_SET = "inner"
-    OUTER_PARETO_SET = "outer"
-    NOT_PARETO_OPTIMAL = "not_optimal"
-
-
-def classify_ojzj(x: np.ndarray, n: int, k: int) -> OjzjClass:
-    """Classify x by ones-count: inner part, outer part, or not Pareto optimal."""
-    if not 2 <= k <= n // 4:
-        raise ValueError(f"k must lie in [2, n//4] = [2, {n // 4}], got {k}")
-    if len(x) != n:
-        raise ValueError(f"bitstring length {len(x)} does not match n={n}")
-    ones = count_ones(x)
-    if k <= ones <= n - k:
-        return OjzjClass.INNER_PARETO_SET
-    if ones in (0, n):
-        return OjzjClass.OUTER_PARETO_SET
-    return OjzjClass.NOT_PARETO_OPTIMAL
+def pareto_front(problem: ProblemSpec) -> frozenset:
+    """The problem's Pareto front: the closed form where there is one, else enumerated."""
+    try:
+        return pareto_front_closed_form(problem)
+    except ClosedFormUnavailableError:
+        return frozenset(enumerate_pareto_front(problem))
 
 
 def default_reference_point(problem: ProblemSpec, rng: Optional[RngStream] = None):
@@ -309,6 +259,6 @@ def default_reference_point(problem: ProblemSpec, rng: Optional[RngStream] = Non
     if isinstance(problem, NkLandscape):
         if rng is None:
             raise ValueError("an RNG stream is required to pick an NK reference point")
-        points = enumerate_pareto_front(problem).sorted_points()
+        points = sorted(enumerate_pareto_front(problem))
         return points[int(rng.integers(len(points)))]
     raise TypeError(f"unknown problem spec: {problem!r}")

@@ -110,6 +110,46 @@ def test_sweep_outputs_match_pins(tmp_path, preset):
     assert digests == SWEEP_PINS[preset]
 
 
+# sha256 of `oracle` stdout and of the `run --trace` CSV, recorded while fronts
+# were still wrapped in a ParetoFront type
+ORACLE_PINS = {
+    "omm": (["--n", "10"],
+            "f658b2abd75208e9d73852b4a9ad832dba8facee80919bac5f75a5b34256ae44"),
+    "ojzj": (["--n", "12", "--k", "2"],
+             "2b482ba4f40f12c349efd7018f7ee5893efff714e06df83025c76845327746fa"),
+    "ommstar": (["--n", "10"],
+                "dbe4cb5c87b18176fecdf0901fe924f20b60cf2a37fa991729a7257764563d5a"),
+    "nk": (["--n", "12", "--seed", "7"],
+           "c13a38c65877c08fd85974d468b2ec43fc9a2cc81ed3aa27cef8b4b288febc7c"),
+}
+TRACE_PINS = {
+    "omm": (["--n", "12", "--algo", "nsga2"],
+            "7f8089edd4d0f0e6b181e5a226e6e7fe08daad21ed1d43a75791ba03e7525186"),
+    "ojzj": (["--n", "12", "--algo", "rnsga2"],
+             "63a70f143ed4a4a01f4e0b6d719481607b6f1e43b0e6c1984a2b73d343da9b60"),
+    "ommstar": (["--n", "12", "--algo", "nsga2", "--cap", "2000"],
+                "80ede25a2321f612140fcdedd092f6f0ce8c6f9ecf79e2baf536da76b640b72b"),
+    "nk": (["--n", "12", "--algo", "rnsga2", "--cap", "2000"],
+           "f4f0da910f5870dc78ca5f59caae28addbc191aea5168add72a1080def2d02af"),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(ORACLE_PINS))
+def test_oracle_output_matches_pins(capsys, problem):
+    flags, digest = ORACLE_PINS[problem]
+    assert main(["oracle", "--problem", problem, *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("problem", sorted(TRACE_PINS))
+def test_run_trace_matches_pins(tmp_path, problem):
+    flags, digest = TRACE_PINS[problem]
+    trace = tmp_path / "trace.csv"
+    assert main(["run", "--problem", problem, *flags, "--seed", "3",
+                 "--trace", str(trace)]) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+
 def _plan_doc(**changes):
     doc = json.loads(lab.plan_to_json(ExperimentPlan(
         name="tiny", problem="omm", n_values=(6,),
@@ -126,6 +166,11 @@ MALFORMED_PLANS = {
     "k is a string": _plan_doc(problem="ojzj", n_values=[8], k="2"),
     "max_evaluations is a string": _plan_doc(max_evaluations="10"),
     "max_evaluations is 0": _plan_doc(max_evaluations=0),
+    "nk size above the enumeration limit": _plan_doc(problem="nk", nk_k=3, n_values=[30]),
+    "population bits above the bound": _plan_doc(
+        n_values=[50], variants=[{"label": "big", "policy": "crowding", "pop_size": "n*n*n"}]),
+    "NK table above the bound": _plan_doc(problem="nk", nk_k=24, n_values=[25]),
+    "trial count above the bound": _plan_doc(runs_per_cell=10 ** 12),
 }
 
 # outside the population-rule grammar: attribute access, calls, **, unknown
@@ -148,6 +193,32 @@ def test_malformed_sweep_input_is_usage_error(tmp_path, capsys, case):
     assert captured.err.startswith("error: ")
     assert captured.out == ""  # rejected before the config line and any work
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "run", "oracle"])
+def test_non_integer_env_seed_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("EMO_LAB_SEED", "abc")
+    out = tmp_path / "results"
+    argv = {"sweep": ["sweep", "--preset", "omm", "--out", str(out)],
+            "run": ["run", "--problem", "omm", "--n", "3", "--algo", "nsga2"],
+            "oracle": ["oracle", "--problem", "omm", "--n", "3"]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "EMO_LAB_SEED" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--problem", "omm", "--n", "50", "--pop", "20001"],
+    ["--problem", "omm", "--n", "1000000000", "--pop", "1"],
+    ["--problem", "nk", "--n", "1000000000"],
+])
+def test_oversized_run_is_usage_error(capsys, flags):
+    assert main(["run", *flags, "--algo", "nsga2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("rule", BAD_RULES)
@@ -249,7 +320,7 @@ class TestNkCell:
         front = enumerate_pareto_front(lab.build_problem(self.cell(10, 7), 10))
         lines = capsys.readouterr().out.splitlines()
         assert lines[1:-1] == [" ".join(f"{v:g}" for v in point)
-                               for point in front.sorted_points()]
+                               for point in sorted(front)]
         assert lines[-1] == f"size {len(front)}" == "size 5"
 
 

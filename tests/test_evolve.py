@@ -167,7 +167,7 @@ class TestRun:
     def test_front_coverage_never_shrinks_with_large_population(self):
         n = 10
         problem = OneMinMax(n)
-        front = pareto_front_closed_form(problem).points
+        front = pareto_front_closed_form(problem)
         config = omm_config(n, 4 * (n + 1), policy=CrowdingDistance())
         for seed in range(5):
             covered = []

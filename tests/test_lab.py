@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,8 +184,7 @@ class TestPresets:
         plan = preset_plans()["nk"]
         problem_a = lab.build_problem(plan, 5)
         problem_b = lab.build_problem(plan, 5)
-        assert np.array_equal(problem_a.instance.contributions,
-                              problem_b.instance.contributions)
+        assert np.array_equal(problem_a.contributions, problem_b.contributions)
         ref_a = lab.reference_for(plan, 5, problem_a)
         ref_b = lab.reference_for(plan, 5, problem_b)
         assert ref_a == ref_b
@@ -227,6 +227,30 @@ class TestResolvePopSize:
         for rule in ("-" * 100_000 + "1", "1+" * 100_000 + "1", "(" * 1000 + "1" + ")" * 1000):
             with pytest.raises(ValueError):
                 resolve_pop_size(rule, 10)
+
+
+class TestSizeBounds:
+    """Each size bound accepts its limit and rejects one step beyond it."""
+
+    @pytest.mark.parametrize("fits, beyond", [
+        ({"n_values": (50,), "variants": (Variant("a", "crowding", 20_000),)},
+         {"n_values": (50,), "variants": (Variant("a", "crowding", 20_001),)}),
+        ({"problem": "nk", "n_values": (25,), "nk_k": 17},
+         {"problem": "nk", "n_values": (25,), "nk_k": 18}),
+        ({"problem": "nk", "n_values": (25,), "nk_k": 3},
+         {"problem": "nk", "n_values": (26,), "nk_k": 3}),
+        ({"runs_per_cell": 250_000}, {"runs_per_cell": 250_001}),
+    ], ids=["population bits", "NK table", "NK enumeration", "trials"])
+    def test_limit_accepted_and_beyond_rejected(self, fits, beyond):
+        validate_plan(tiny_plan(**fits))
+        with pytest.raises(ValueError):
+            validate_plan(tiny_plan(**beyond))
+
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).parents[1] / "bench" / "plans").glob("*.json")),
+        ids=lambda path: path.stem)
+    def test_benchmark_plans_fit(self, path):
+        lab.load_plan(path)
 
 
 class TestRunExperiment:

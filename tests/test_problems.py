@@ -10,13 +10,10 @@ from emolab.core import bits_from_str, dominates, random_bitstring, stream
 from emolab.problems import (
     ClosedFormUnavailableError,
     EnumerationLimitError,
-    NkLandscape,
-    OjzjClass,
     OneJumpZeroJump,
     OneMinMax,
     OneMinMaxStar,
     batch_evaluator,
-    classify_ojzj,
     default_reference_point,
     enumerate_pareto_front,
     evaluate,
@@ -66,10 +63,8 @@ class TestEvaluate:
         assert evaluate(problem, bits_from_str("1" + "0" * 9)) == (9.0, 1.0)
 
     def test_constant_nk_tables_give_constant_objectives(self):
-        instance = generate_nk_instance(6, 2, seed=5)
-        const = np.full_like(np.asarray(instance.contributions), 0.375)
-        instance.__dict__["contributions"] = const
-        problem = NkLandscape(instance)
+        problem = generate_nk_instance(6, 2, seed=5)
+        problem.contributions = np.full_like(problem.contributions, 0.375)
         for x in (bits_from_str("000000"), bits_from_str("101011")):
             assert evaluate(problem, x) == (0.375, 0.375)
 
@@ -90,7 +85,7 @@ class TestBatchEvaluator:
     def test_rows_match_evaluate_for_every_problem(self):
         rng = stream(8)
         for problem in (OneMinMax(11), OneMinMaxStar(11), OneJumpZeroJump(11, 2),
-                        NkLandscape(generate_nk_instance(11, 3, seed=4))):
+                        generate_nk_instance(11, 3, seed=4)):
             batch = np.stack([random_bitstring(11, rng) for _ in range(40)])
             batch[0], batch[1] = 0, 1
             got = batch_evaluator(problem)(batch)
@@ -102,28 +97,28 @@ class TestBatchEvaluator:
         for n, K in ((5, 0), (9, 1), (16, 3), (25, 3), (20, 7), (13, 12)):
             instance = generate_nk_instance(n, K, seed=n * 31 + K)
             batch = (rng.random((300, n)) < rng.random((300, 1))).astype(np.uint8)
-            got = batch_evaluator(NkLandscape(instance))(batch)
+            got = batch_evaluator(instance)(batch)
             assert [tuple(v) for v in got.tolist()] == [nk_reference(instance, x) for x in batch]
 
 
 class TestClosedFormFronts:
     def test_oneminmax_front(self):
         front = pareto_front_closed_form(OneMinMax(4))
-        assert front.points == {(0.0, 4.0), (1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (4.0, 0.0)}
+        assert front == {(0.0, 4.0), (1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (4.0, 0.0)}
 
     def test_ojzj_front(self):
         front = pareto_front_closed_form(OneJumpZeroJump(8, 2))
         expected = {(4.0, 8.0), (5.0, 7.0), (6.0, 6.0), (7.0, 5.0), (8.0, 4.0),
                     (2.0, 10.0), (10.0, 2.0)}
-        assert front.points == expected
+        assert front == expected
         assert len(front) == 8 - 2 * 2 + 3
 
     def test_oneminmax_star_front(self):
         front = pareto_front_closed_form(OneMinMaxStar(4))
-        assert front.points == {(0.0, 4.0), (1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (-4.0, 8.0)}
+        assert front == {(0.0, 4.0), (1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (-4.0, 8.0)}
 
     def test_nk_has_no_closed_form(self):
-        problem = NkLandscape(generate_nk_instance(5, 2, seed=1))
+        problem = generate_nk_instance(5, 2, seed=1)
         with pytest.raises(ClosedFormUnavailableError):
             pareto_front_closed_form(problem)
 
@@ -131,16 +126,14 @@ class TestClosedFormFronts:
 class TestEnumerationOracle:
     def test_matches_closed_form_oneminmax(self):
         for n in range(1, 13):
-            assert (enumerate_pareto_front(OneMinMax(n)).points
-                    == pareto_front_closed_form(OneMinMax(n)).points)
+            assert set(enumerate_pareto_front(OneMinMax(n))) == pareto_front_closed_form(OneMinMax(n))
 
     def test_matches_closed_form_everywhere_small(self):
         problems = [OneMinMaxStar(n) for n in range(1, 13)]
         problems += [OneJumpZeroJump(n, 2) for n in range(8, 13)]
         problems += [OneJumpZeroJump(12, 3)]
         for problem in problems:
-            assert (enumerate_pareto_front(problem).points
-                    == pareto_front_closed_form(problem).points)
+            assert set(enumerate_pareto_front(problem)) == pareto_front_closed_form(problem)
 
     def test_ojzj_front_size(self):
         front = enumerate_pareto_front(OneJumpZeroJump(12, 3))
@@ -151,54 +144,53 @@ class TestEnumerationOracle:
             enumerate_pareto_front(OneMinMax(26))
 
     def test_nk_points_nondominated_against_full_space(self):
-        problem = NkLandscape(generate_nk_instance(5, 2, seed=9))
+        problem = generate_nk_instance(5, 2, seed=9)
         front = enumerate_pareto_front(problem)
         everything = [evaluate(problem, x) for x in all_bitstrings(5)]
-        for point in front.points:
+        for point in front:
             assert not any(dominates(other, point) for other in everything)
         # and nothing non-dominated is missing
         for vector in everything:
             if not any(dominates(other, vector) for other in everything):
-                assert vector in front.points
+                assert vector in front
 
     def test_witnesses_evaluate_to_their_point(self):
-        problem = NkLandscape(generate_nk_instance(7, 3, seed=2))
-        front = enumerate_pareto_front(problem, witness=True)
-        assert front.witnesses is not None
-        assert set(front.witnesses) == front.points
-        for point, witness in front.witnesses.items():
+        problem = generate_nk_instance(7, 3, seed=2)
+        front = enumerate_pareto_front(problem)
+        for point, witness in front.items():
+            assert not witness.flags.writeable
             assert evaluate(problem, witness) == point
 
     def test_every_omm_solution_is_pareto_optimal(self):
         for n in (5, 9, 12):
             for problem in (OneMinMax(n), OneMinMaxStar(n)):
-                front = pareto_front_closed_form(problem).points
+                front = pareto_front_closed_form(problem)
                 for x in all_bitstrings(n):
                     assert evaluate(problem, x) in front
 
 
     def test_blocks_merge_to_the_single_block_front(self, monkeypatch):
-        problems_to_check = [NkLandscape(generate_nk_instance(10, 3, seed=s)) for s in range(4)]
+        problems_to_check = [generate_nk_instance(10, 3, seed=s) for s in range(4)]
         problems_to_check += [OneJumpZeroJump(10, 2), OneMinMaxStar(10)]
-        whole = [enumerate_pareto_front(p, witness=True) for p in problems_to_check]
+        whole = [enumerate_pareto_front(p) for p in problems_to_check]
         monkeypatch.setattr(problems, "ENUMERATION_BLOCK", 1 << 5)
         for problem, expected in zip(problems_to_check, whole):
-            front = enumerate_pareto_front(problem, witness=True)
-            assert front.points == expected.points
-            for point in front.points:
-                assert np.array_equal(front.witnesses[point], expected.witnesses[point])
+            front = enumerate_pareto_front(problem)
+            assert front.keys() == expected.keys()
+            for point, witness in front.items():
+                assert np.array_equal(witness, expected[point])
 
     def test_witness_is_numerically_smallest(self):
-        problem = NkLandscape(generate_nk_instance(8, 2, seed=40))
-        front = enumerate_pareto_front(problem, witness=True)
+        problem = generate_nk_instance(8, 2, seed=40)
+        front = enumerate_pareto_front(problem)
         first = {}
         for x in all_bitstrings(8):
             first.setdefault(evaluate(problem, x), x)
-        for point, witness in front.witnesses.items():
+        for point, witness in front.items():
             assert np.array_equal(witness, first[point])
 
     def test_n18_nk_enumeration_memory_is_bounded(self):
-        problem = NkLandscape(generate_nk_instance(18, 3, seed=18))
+        problem = generate_nk_instance(18, 3, seed=18)
         tracemalloc.start()
         try:
             enumerate_pareto_front(problem)
@@ -225,9 +217,8 @@ class TestNkInstances:
                 assert i not in row
 
     def test_k_zero_degenerate(self):
-        instance = generate_nk_instance(5, 0, seed=1)
-        assert instance.contributions.shape == (2, 5, 2)
-        problem = NkLandscape(instance)
+        problem = generate_nk_instance(5, 0, seed=1)
+        assert problem.contributions.shape == (2, 5, 2)
         # objectives are linear in bits: flipping one bit changes each
         # objective by exactly that position's table delta / n
         base = bits_from_str("00000")
@@ -235,7 +226,7 @@ class TestNkInstances:
         flipped = bits_from_str("10000")
         f1 = evaluate(problem, flipped)
         for j in range(2):
-            delta = (instance.contributions[j, 0, 1] - instance.contributions[j, 0, 0]) / 5
+            delta = (problem.contributions[j, 0, 1] - problem.contributions[j, 0, 0]) / 5
             assert f1[j] - f0[j] == pytest.approx(delta)
 
     def test_deterministic_in_seed(self):
@@ -251,7 +242,7 @@ class TestNkInstances:
             generate_nk_instance(5, 5, seed=0)
 
     def test_nk_objectives_in_unit_interval_and_pure(self):
-        problem = NkLandscape(generate_nk_instance(9, 3, seed=6))
+        problem = generate_nk_instance(9, 3, seed=6)
         rng = stream(2)
         for _ in range(100):
             x = random_bitstring(9, rng)
@@ -261,37 +252,27 @@ class TestNkInstances:
 
 
 class TestClassifyOjzj:
-    def test_examples(self):
-        assert classify_ojzj(bits_from_str("1" * 6 + "0" * 6), 12, 2) is OjzjClass.INNER_PARETO_SET
-        assert classify_ojzj(bits_from_str("0" * 12), 12, 2) is OjzjClass.OUTER_PARETO_SET
-        assert classify_ojzj(bits_from_str("1" + "0" * 11), 12, 2) is OjzjClass.NOT_PARETO_OPTIMAL
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            classify_ojzj(bits_from_str("0" * 12), 12, 1)
-        with pytest.raises(ValueError):
-            classify_ojzj(bits_from_str("0" * 12), 12, 4)
+    """Every OneJumpZeroJump solution is classified by front membership."""
 
     def test_sum_property_iff_pareto_optimal(self):
         for n, k in ((8, 2), (12, 2), (12, 3)):
             problem = OneJumpZeroJump(n, k)
+            front = pareto_front_closed_form(problem)
             for x in all_bitstrings(n):
                 f = evaluate(problem, x)
-                cls = classify_ojzj(x, n, k)
-                if cls is not OjzjClass.NOT_PARETO_OPTIMAL:
-                    assert f[0] + f[1] == n + 2 * k
-                else:
-                    assert f[0] + f[1] != n + 2 * k
+                ones = int(x.sum())
+                # the Pareto set: the inner part k..n-k ones, and the two extremes
+                optimal = k <= ones <= n - k or ones in (0, n)
+                assert (f in front) == optimal == (f[0] + f[1] == n + 2 * k)
 
     def test_not_optimal_iff_dominated_by_front(self):
         for n, k in ((8, 2), (12, 2)):
             problem = OneJumpZeroJump(n, k)
-            front = pareto_front_closed_form(problem).points
+            front = pareto_front_closed_form(problem)
             for x in all_bitstrings(n):
                 f = evaluate(problem, x)
                 dominated = any(dominates(p, f) for p in front)
-                expected = classify_ojzj(x, n, k) is OjzjClass.NOT_PARETO_OPTIMAL
-                assert dominated == expected
+                assert dominated == (f not in front)
 
 
 class TestDefaultReferencePoints:
@@ -301,14 +282,14 @@ class TestDefaultReferencePoints:
         assert default_reference_point(OneMinMaxStar(30)) == (-30.0, 60.0)
 
     def test_nk_reference_is_front_member(self):
-        problem = NkLandscape(generate_nk_instance(6, 2, seed=12))
-        front = enumerate_pareto_front(problem).points
+        problem = generate_nk_instance(6, 2, seed=12)
+        front = enumerate_pareto_front(problem)
         ref = default_reference_point(problem, stream(5))
         assert ref in front
         assert default_reference_point(problem, stream(5)) == ref
 
     def test_nk_requires_stream(self):
-        problem = NkLandscape(generate_nk_instance(6, 2, seed=12))
+        problem = generate_nk_instance(6, 2, seed=12)
         with pytest.raises(ValueError):
             default_reference_point(problem)
 

@@ -17,7 +17,6 @@ from pathlib import Path
 from emolab.core import stream
 from emolab.evolve import AlgorithmConfig, run
 from emolab.problems import (
-    NkLandscape,
     OneJumpZeroJump,
     OneMinMax,
     OneMinMaxStar,
@@ -38,7 +37,7 @@ def problem_and_reference(label):
     elif label == "ommstar":
         problem = OneMinMaxStar(8)
     else:
-        problem = NkLandscape(generate_nk_instance(8, 2, seed=3))
+        problem = generate_nk_instance(8, 2, seed=3)
         return problem, default_reference_point(problem, stream(11))
     return problem, default_reference_point(problem)
 

@@ -7,7 +7,6 @@ import pytest
 
 from emolab.core import dominates, random_bitstring, stream
 from emolab.problems import (
-    NkLandscape,
     OneJumpZeroJump,
     OneMinMax,
     OneMinMaxStar,
@@ -101,7 +100,7 @@ def random_population(rng):
     elif choice == 2:
         problem = OneMinMaxStar(int(rng.integers(2, 9)))
     else:
-        problem = NkLandscape(generate_nk_instance(6, 2, seed=int(rng.integers(1000))))
+        problem = generate_nk_instance(6, 2, seed=int(rng.integers(1000)))
     size = int(rng.integers(1, 33))
     objectives = [evaluate(problem, random_bitstring(problem.n, rng)) for _ in range(size)]
     return individuals(objectives)
