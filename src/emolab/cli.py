@@ -44,20 +44,22 @@ def _resolve_seed(value, default=None):
         raise ValueError(f"EMO_LAB_SEED must be an integer, got {env!r}") from None
 
 
-def _cell_plan(args, master_seed: int, variants: tuple = (),
+def _cell_plan(args, master_seed: int, variant: lab.Variant,
                max_evaluations=None) -> lab.ExperimentPlan:
-    """The one (problem, n) cell that the flags of `run` and `oracle` describe."""
-    return lab.ExperimentPlan(
+    """The one (problem, n) cell that the flags of `run` and `oracle` describe, validated."""
+    plan = lab.ExperimentPlan(
         name=args.command,
         problem=args.problem,
         n_values=(args.n,),
-        variants=variants,
+        variants=(variant,),
         runs_per_cell=1,
         master_seed=master_seed,
         max_evaluations=max_evaluations,
         k=args.k if args.problem == "ojzj" else None,
         nk_k=NK_K if args.problem == "nk" else None,
     )
+    lab.validate_plan(plan)
+    return plan
 
 
 def cmd_sweep(args) -> int:
@@ -100,8 +102,10 @@ def cmd_sweep(args) -> int:
 def cmd_oracle(args) -> int:
     try:
         master_seed = _resolve_seed(args.seed, lab.DEFAULT_MASTER_SEED)
+        # bounded like `run --pop 1`: the front of a one-individual cell
+        plan = _cell_plan(args, master_seed, lab.Variant("oracle", "crowding", 1))
         print(f"oracle problem={args.problem} n={args.n} k={args.k} seed={master_seed}")
-        front = pareto_front(lab.build_problem(_cell_plan(args, master_seed), args.n))
+        front = pareto_front(lab.build_problem(plan, args.n))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -115,8 +119,7 @@ def cmd_run(args) -> int:
     variant = lab.Variant(args.algo, ALGORITHM_POLICIES[args.algo], args.pop)
     try:
         seed = _resolve_seed(args.seed, lab.DEFAULT_MASTER_SEED)
-        plan = _cell_plan(args, seed, (variant,), args.cap)
-        lab.validate_plan(plan)
+        plan = _cell_plan(args, seed, variant, args.cap)
         problem = lab.build_problem(plan, args.n)
         reference = lab.reference_for(plan, args.n, problem)
         config = replace(lab.algorithm_config(plan, variant, args.n, reference),

@@ -19,8 +19,11 @@ import math
 import operator
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .core import child_seed, stream
 from .evolve import AlgorithmConfig, run
@@ -161,8 +164,6 @@ def validate_plan(plan: ExperimentPlan) -> None:
     _check_int("master_seed", plan.master_seed)
     for name in ("max_evaluations", "k", "nk_k"):
         _check_int(name, getattr(plan, name), optional=True)
-    for n in plan.n_values:
-        _check_int("every problem size", n)
     if plan.runs_per_cell < 1:
         raise ValueError("runs_per_cell must be at least 1")
     if not plan.n_values:
@@ -182,16 +183,15 @@ def validate_plan(plan: ExperimentPlan) -> None:
     for variant in plan.variants:
         if variant.policy not in POLICY_KINDS:
             raise ValueError(f"unknown policy {variant.policy!r} in variant {variant.label!r}")
-    if plan.problem == "ojzj":
-        if plan.k is None:
-            raise ValueError("OneJumpZeroJump plans must set k")
-        for n in plan.n_values:
-            if not 2 <= plan.k <= n // 4:
-                raise ValueError(f"k={plan.k} is invalid for n={n}")
-    if plan.problem == "nk":
-        if plan.nk_k is None:
-            raise ValueError("NK plans must set nk_k")
-        for n in plan.n_values:
+    if plan.problem == "ojzj" and plan.k is None:
+        raise ValueError("OneJumpZeroJump plans must set k")
+    if plan.problem == "nk" and plan.nk_k is None:
+        raise ValueError("NK plans must set nk_k")
+    for n in plan.n_values:
+        _check_int("every problem size", n)
+        if plan.problem == "ojzj" and not 2 <= plan.k <= n // 4:
+            raise ValueError(f"k={plan.k} is invalid for n={n}")
+        if plan.problem == "nk":
             if not 0 <= plan.nk_k < n:
                 raise ValueError(f"nk_k={plan.nk_k} is invalid for n={n}")
             if n > ENUMERATION_LIMIT:
@@ -199,13 +199,14 @@ def validate_plan(plan: ExperimentPlan) -> None:
             if 2 * n * 2 ** (plan.nk_k + 1) > MAX_NK_TABLE:
                 raise ValueError(f"nk_k={plan.nk_k} at n={n} needs more than "
                                  f"{MAX_NK_TABLE} NK table entries")
-    for n in plan.n_values:
         if n < 1:
             raise ValueError("problem sizes must be positive")
         for variant in plan.variants:
             if resolve_pop_size(variant.pop_size, n, plan.k) * n > MAX_POPULATION_BITS:
                 raise ValueError(f"variant {variant.label!r} at n={n} holds more than "
                                  f"{MAX_POPULATION_BITS} population bits")
+    if len(set(plan.n_values)) != len(plan.n_values):
+        raise ValueError(f"problem sizes must be unique, got {list(plan.n_values)}")
 
 
 def build_problem(plan: ExperimentPlan, n: int) -> ProblemSpec:
@@ -254,23 +255,13 @@ def trial_seed(plan: ExperimentPlan, n: int, variant_index: int, trial: int) -> 
 
 def _run_trials(job):
     """Worker: execute a chunk of trials for one plan cell."""
-    problem, config, meta, chunk = job
+    problem, config, template, chunk = job
     records = []
     for trial, seed in chunk:
         result = run(problem, config, seed)
         evaluations = result.evaluations_to_hit if result.hit else result.evaluations
-        records.append(TrialRecord(
-            problem=meta["problem"],
-            n=meta["n"],
-            k=meta["k"],
-            variant=meta["variant"],
-            policy=meta["policy"],
-            pop_size=config.pop_size,
-            seed=seed,
-            trial=trial,
-            evaluations=evaluations,
-            hit=result.hit,
-        ))
+        records.append(replace(template, seed=seed, trial=trial,
+                               evaluations=evaluations, hit=result.hit))
     return records
 
 
@@ -283,34 +274,24 @@ def run_experiment(plan: ExperimentPlan, parallelism: int = 1) -> list:
     validate_plan(plan)
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
+    chunk_size = math.ceil(plan.runs_per_cell / (parallelism * 4))
     jobs = []
     for n in plan.n_values:
         problem = build_problem(plan, n)
         reference = reference_for(plan, n, problem)
         for variant_index, variant in enumerate(plan.variants):
             config = algorithm_config(plan, variant, n, reference)
-            meta = {
-                "problem": plan.problem,
-                "n": n,
-                "k": plan.k,
-                "variant": variant.label,
-                "policy": variant.policy,
-            }
+            template = TrialRecord(plan.problem, n, plan.k, variant.label, variant.policy,
+                                   config.pop_size, seed=0, trial=0, evaluations=0, hit=False)
             trials = [(t, trial_seed(plan, n, variant_index, t))
                       for t in range(plan.runs_per_cell)]
-            chunk_size = max(1, math.ceil(len(trials) / max(parallelism * 4, 1)))
-            for start in range(0, len(trials), chunk_size):
-                jobs.append((problem, config, meta, trials[start:start + chunk_size]))
-    records = []
-    if parallelism == 1:
-        for job in jobs:
-            records.extend(_run_trials(job))
-    else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            for chunk_records in pool.map(_run_trials, jobs):
-                records.extend(chunk_records)
-    records.sort(key=lambda r: (r.problem, r.n, r.variant, r.trial))
-    return records
+            jobs += [(problem, config, template, trials[start:start + chunk_size])
+                     for start in range(0, len(trials), chunk_size)]
+    with ExitStack() as stack:
+        chunk_map = (map if parallelism == 1 else
+                     stack.enter_context(ProcessPoolExecutor(max_workers=parallelism)).map)
+        records = [record for chunk in chunk_map(_run_trials, jobs) for record in chunk]
+    return sorted(records, key=lambda r: (r.problem, r.n, r.variant, r.trial))
 
 
 def summarize(records: Sequence[TrialRecord]) -> list:
@@ -335,22 +316,6 @@ def summarize(records: Sequence[TrialRecord]) -> list:
     return rows
 
 
-def _fractional_ranks(values) -> list:
-    """Ascending ranks with ties sharing the average rank."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2 + 1
-        for pos in range(i, j + 1):
-            ranks[order[pos]] = avg
-        i = j + 1
-    return ranks
-
-
 def rank_sum_test(a: Sequence[float], b: Sequence[float]) -> StatTestResult:
     """Two-sided Mann-Whitney U test, normal approximation with tie correction.
 
@@ -361,10 +326,11 @@ def rank_sum_test(a: Sequence[float], b: Sequence[float]) -> StatTestResult:
     if len(a) < 2 or len(b) < 2:
         raise ValueError("both samples need at least 2 observations")
     n1, n2 = len(a), len(b)
-    combined = list(a) + list(b)
-    ranks = _fractional_ranks(combined)
-    r1 = sum(ranks[:n1])
-    u1 = r1 - n1 * (n1 + 1) / 2
+    _, inverse, counts = np.unique(np.concatenate((a, b)), return_inverse=True,
+                                   return_counts=True)
+    # ties share their average rank; ranks are half-integers, so the sum is exact
+    ranks = np.cumsum(counts) - (counts - 1) / 2
+    u1 = float(ranks[inverse[:n1]].sum()) - n1 * (n1 + 1) / 2
     mean_u = n1 * n2 / 2
     if u1 < mean_u:
         direction = "a"
@@ -373,10 +339,7 @@ def rank_sum_test(a: Sequence[float], b: Sequence[float]) -> StatTestResult:
     else:
         direction = "none"
     total = n1 + n2
-    tie_counts = {}
-    for v in combined:
-        tie_counts[v] = tie_counts.get(v, 0) + 1
-    tie_term = sum(c ** 3 - c for c in tie_counts.values())
+    tie_term = sum(c ** 3 - c for c in counts.tolist())
     correction = 1.0 - tie_term / (total ** 3 - total)
     if correction <= 0.0:
         return StatTestResult(statistic=u1, p_value=1.0, direction="none")
@@ -465,25 +428,15 @@ def preset_plans() -> dict:
 
 
 def plan_to_json(plan: ExperimentPlan) -> str:
-    doc = {
-        "name": plan.name,
-        "problem": plan.problem,
-        "n_values": list(plan.n_values),
-        "variants": [
-            {"label": v.label, "policy": v.policy, "pop_size": v.pop_size}
-            for v in plan.variants
-        ],
-        "runs_per_cell": plan.runs_per_cell,
-        "master_seed": plan.master_seed,
-        "max_evaluations": plan.max_evaluations,
-        "k": plan.k,
-        "nk_k": plan.nk_k,
-    }
-    return json.dumps(doc, indent=2)
+    """The plan as a JSON document whose keys follow the dataclass field order."""
+    return json.dumps(asdict(plan), indent=2)
 
 
 def plan_from_json(text: str) -> ExperimentPlan:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("the plan is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("a plan must be a JSON object")
     for key in ("n_values", "variants"):
@@ -554,11 +507,15 @@ def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
 def read_summary_csv(path) -> list:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != SUMMARY_HEADER:
+        if reader.fieldnames != SUMMARY_HEADER:
             raise ValueError(f"unexpected summary header: {reader.fieldnames}")
         rows = []
         for line in reader:
-            rows.append(SummaryRow(
+            # DictReader keys surplus fields under None and fills missing ones with None
+            if None in line or None in line.values():
+                raise ValueError(f"line {reader.line_num} does not have "
+                                 f"{len(SUMMARY_HEADER)} fields")
+            row = SummaryRow(
                 problem=line["problem"],
                 n=int(line["n"]),
                 variant=line["variant"],
@@ -566,5 +523,8 @@ def read_summary_csv(path) -> list:
                 std_evals=float(line["std_evals"]),
                 success_rate=float(line["success_rate"]),
                 runs=int(line["runs"]),
-            ))
+            )
+            if not all(map(math.isfinite, (row.mean_evals, row.std_evals, row.success_rate))):
+                raise ValueError(f"line {reader.line_num} has a number that is not finite")
+            rows.append(row)
     return rows

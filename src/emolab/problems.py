@@ -17,7 +17,7 @@ pareto_front picks the closed form where there is one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -55,6 +55,8 @@ class NkLandscape:
     seed: int
     loci: np.ndarray          # shape (2, n, K), int
     contributions: np.ndarray  # shape (2, n, 2**(K+1)), float64 in [0, 1)
+    # the enumerated front, kept by the first pareto_front call on this landscape
+    _front: Optional[frozenset] = field(default=None, init=False, repr=False)
 
 
 def generate_nk_instance(n: int, K: int, seed: int) -> NkLandscape:
@@ -236,11 +238,15 @@ def enumerate_pareto_front(problem: ProblemSpec) -> dict:
 
 
 def pareto_front(problem: ProblemSpec) -> frozenset:
-    """The problem's Pareto front: the closed form where there is one, else enumerated."""
-    try:
+    """The problem's Pareto front: the closed form where there is one, else enumerated.
+
+    An NK landscape is enumerated once; later calls return the front kept on it.
+    """
+    if not isinstance(problem, NkLandscape):
         return pareto_front_closed_form(problem)
-    except ClosedFormUnavailableError:
-        return frozenset(enumerate_pareto_front(problem))
+    if problem._front is None:
+        problem._front = frozenset(enumerate_pareto_front(problem))
+    return problem._front
 
 
 def default_reference_point(problem: ProblemSpec, rng: Optional[RngStream] = None):
@@ -259,6 +265,6 @@ def default_reference_point(problem: ProblemSpec, rng: Optional[RngStream] = Non
     if isinstance(problem, NkLandscape):
         if rng is None:
             raise ValueError("an RNG stream is required to pick an NK reference point")
-        points = sorted(enumerate_pareto_front(problem))
+        points = sorted(pareto_front(problem))
         return points[int(rng.integers(len(points)))]
     raise TypeError(f"unknown problem spec: {problem!r}")

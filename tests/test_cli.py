@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from emolab import lab
+from emolab import lab, problems
 from emolab.cli import main
 from emolab.lab import ExperimentPlan, SummaryRow, Variant, write_summary_csv
 from emolab.problems import enumerate_pareto_front
@@ -171,6 +171,9 @@ MALFORMED_PLANS = {
         n_values=[50], variants=[{"label": "big", "policy": "crowding", "pop_size": "n*n*n"}]),
     "NK table above the bound": _plan_doc(problem="nk", nk_k=24, n_values=[25]),
     "trial count above the bound": _plan_doc(runs_per_cell=10 ** 12),
+    "duplicate sizes": _plan_doc(n_values=[6, 6]),
+    # raw text: nested past the JSON parser's recursion limit
+    "nested too deeply": "[" * 200_000 + "]" * 200_000,
 }
 
 # outside the population-rule grammar: attribute access, calls, **, unknown
@@ -184,8 +187,9 @@ def test_malformed_sweep_input_is_usage_error(tmp_path, capsys, case):
     if case == "parallelism 0":
         argv = ["sweep", "--preset", "omm", "--parallelism", "0"]
     else:
+        doc = MALFORMED_PLANS[case]
         plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps(MALFORMED_PLANS[case]), encoding="utf-8")
+        plan_path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
         argv = ["sweep", "--plan", str(plan_path)]
     out = tmp_path / "results"
     assert main([*argv, "--out", str(out)]) == 2
@@ -216,6 +220,20 @@ def test_non_integer_env_seed_is_usage_error(tmp_path, monkeypatch, capsys, comm
 ])
 def test_oversized_run_is_usage_error(capsys, flags):
     assert main(["run", *flags, "--algo", "nsga2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+# oracle is bounded like `run --pop 1`: n <= MAX_POPULATION_BITS, NK n <= 25
+@pytest.mark.parametrize("flags", [
+    ["--problem", "omm", "--n", str(lab.MAX_POPULATION_BITS + 1)],
+    ["--problem", "ommstar", "--n", "1000000000"],
+    ["--problem", "ojzj", "--n", "1000000000"],
+    ["--problem", "nk", "--n", "1000000000"],
+])
+def test_oversized_oracle_is_usage_error(capsys, flags):
+    assert main(["oracle", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
@@ -315,6 +333,15 @@ class TestNkCell:
             "hit=true evaluations_to_hit=305 evaluations=312 generations=5 seed=7",
         ]
 
+    def test_run_trace_enumerates_the_front_once(self, tmp_path, monkeypatch):
+        calls = []
+        enumerate_front = problems.enumerate_pareto_front
+        monkeypatch.setattr(problems, "enumerate_pareto_front",
+                            lambda problem: calls.append(problem.n) or enumerate_front(problem))
+        assert main(["run", "--problem", "nk", "--n", "12", "--algo", "rnsga2", "--seed", "3",
+                     "--cap", "500", "--trace", str(tmp_path / "trace.csv")]) == 0
+        assert calls == [12]  # the reference point and the trace share one enumeration
+
     def test_oracle_prints_the_lab_front(self, capsys):
         assert main(["oracle", "--problem", "nk", "--n", "10", "--seed", "7"]) == 0
         front = enumerate_pareto_front(lab.build_problem(self.cell(10, 7), 10))
@@ -368,3 +395,29 @@ class TestPlot:
         path.write_text("nope,really\n1,2\n", encoding="utf-8")
         rc = main(["plot", "--summary", str(path), "--out", str(tmp_path / "c.svg")])
         assert rc == 2
+
+    def test_header_must_match_exactly(self, tmp_path, capsys):
+        path = tmp_path / "summary.csv"
+        path.write_text("problem, n,variant,mean_evals,std_evals,success_rate,runs\n"
+                        "omm,10,v0,100.0,1.0,1.0,5\n", encoding="utf-8")
+        rc = main(["plot", "--summary", str(path), "--out", str(tmp_path / "c.svg")])
+        assert rc == 2
+        assert "unexpected summary header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [
+        "omm,10,v0,100.0",
+        "omm,10,v0,100.0,1.0,1.0,5,surplus",
+        "omm,10,v0,nan,1.0,1.0,5",
+        "omm,10,v0,inf,1.0,1.0,5",
+        "omm,10,v0,100.0,-inf,1.0,5",
+        "omm,10,v0,100.0,1.0,nan,5",
+    ], ids=["missing fields", "surplus field", "nan mean", "inf mean", "-inf std",
+            "nan success rate"])
+    def test_malformed_rows_are_usage_error(self, tmp_path, capsys, row):
+        path = tmp_path / "summary.csv"
+        path.write_text(",".join(lab.SUMMARY_HEADER) + "\nomm,20,v0,200.0,1.0,1.0,5\n"
+                        + row + "\n", encoding="utf-8")
+        out = tmp_path / "c.svg"
+        assert main(["plot", "--summary", str(path), "--out", str(out)]) == 2
+        assert "error: cannot read summary" in capsys.readouterr().err
+        assert not out.exists()

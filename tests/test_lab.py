@@ -1,7 +1,9 @@
 """Experiment plans, the seeded parallel runner, summaries, and statistics."""
 
+import hashlib
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +57,29 @@ def brute_force_u(a, b):
     return u
 
 
+def loop_reference_rank_sum(a, b):
+    """(U, p-value) with ties given their average rank by a Python loop."""
+    combined = list(a) + list(b)
+    order = sorted(range(len(combined)), key=combined.__getitem__)
+    ranks = [0.0] * len(combined)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and combined[order[j + 1]] == combined[order[i]]:
+            j += 1
+        for pos in range(i, j + 1):
+            ranks[order[pos]] = (i + j) / 2 + 1
+        i = j + 1
+    n1, n2, total = len(a), len(b), len(combined)
+    u1 = sum(ranks[:n1]) - n1 * (n1 + 1) / 2
+    ties = sum(c ** 3 - c for c in Counter(combined).values())
+    correction = 1.0 - ties / (total ** 3 - total)
+    if correction <= 0.0:
+        return u1, 1.0
+    z = (u1 - n1 * n2 / 2) / math.sqrt(correction * n1 * n2 * (total + 1) / 12.0)
+    return u1, min(1.0, math.erfc(abs(z) / math.sqrt(2)))
+
+
 class TestRankSumTest:
     def test_identical_samples_full_p(self):
         result = rank_sum_test([5.0] * 12, [5.0] * 12)
@@ -74,6 +99,17 @@ class TestRankSumTest:
             b = list(rng.integers(0, 12, size=rng.integers(2, 15)))
             assert rank_sum_test(a, b).statistic == brute_force_u(a, b)
 
+    def test_matches_loop_reference_exactly(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            a = rng.integers(0, 8, size=rng.integers(2, 30)).tolist()
+            b = rng.integers(0, 8, size=rng.integers(2, 30)).tolist()
+            result = rank_sum_test(a, b)
+            assert (result.statistic, result.p_value) == loop_reference_rank_sum(a, b)
+            a = np.round(rng.normal(size=len(a)), 1).tolist()
+            result = rank_sum_test(a, b)
+            assert (result.statistic, result.p_value) == loop_reference_rank_sum(a, b)
+
     def test_symmetry(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
@@ -87,6 +123,19 @@ class TestRankSumTest:
     def test_undersized_samples(self):
         with pytest.raises(ValueError):
             rank_sum_test([1.0], [2.0, 3.0])
+
+    # exact results recorded while ties were ranked by a Python loop: three
+    # tied integer pairs and one shifted pair
+    @pytest.mark.parametrize("a, b, expected", [
+        ([1, 2, 2, 3, 3, 3, 7], [2, 3, 3, 4, 4, 9, 9, 9], (12.0, 0.057232528191513976, "a")),
+        ([4, 4, 4, 5, 5], [4, 5, 5, 5, 6, 6], (6.5, 0.0940675201616804, "a")),
+        ([5] * 12, [5] * 12, (72.0, 1.0, "none")),
+        (list(range(1, 21)), list(range(100, 120)), (0.0, 6.301848221392315e-08, "a")),
+    ])
+    def test_matches_pinned_results(self, a, b, expected):
+        result = rank_sum_test(a, b)
+        assert (result.statistic, result.p_value, result.direction) == expected
+        assert type(result.statistic) is float and type(result.p_value) is float
 
 
 class TestSummarize:
@@ -326,6 +375,18 @@ class TestPlanJson:
         path = tmp_path / "plan.json"
         path.write_text(text, encoding="utf-8")
         assert lab.load_plan(path) == plan
+
+    # sha256 of plan_to_json for each preset, recorded while the document was
+    # built key by key
+    @pytest.mark.parametrize("name, digest", [
+        ("omm", "d9d10daf02b155251fb5bd6b6361014024d1e2504c88cccf3421902e9512c6a9"),
+        ("ojzj", "537ff10e6fb3c9d20f15ccd93f171a30fd7ed159884f03f5719bec9963538223"),
+        ("ommstar", "f26239f2630b7d91d190945718ec8b55ab8904d7bb591ae8e2ea6102bc1ee856"),
+        ("nk", "a40e4a600908710be077936672d44485de0a7cf5d899472d82f3c13a41634182"),
+    ])
+    def test_preset_text_matches_pins(self, name, digest):
+        text = plan_to_json(preset_plans()[name])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_rejects_invalid_document(self):
         with pytest.raises(ValueError):
