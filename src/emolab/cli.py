@@ -77,8 +77,8 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: invalid plan: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.parallelism < 1:
-        print("error: --parallelism must be at least 1", file=sys.stderr)
+    if not 1 <= args.parallelism <= lab.MAX_PARALLELISM:
+        print(f"error: --parallelism must lie in [1, {lab.MAX_PARALLELISM}]", file=sys.stderr)
         return EXIT_USAGE
     print(f"sweep plan={plan.name} problem={plan.problem} n_values={list(plan.n_values)} "
           f"variants={[v.label for v in plan.variants]} runs={plan.runs_per_cell} "
@@ -264,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True, help="output directory")
     sweep.add_argument("--runs", type=int, default=None, help="override runs per cell")
     sweep.add_argument("--seed", type=int, default=None, help="master seed override")
-    sweep.add_argument("--parallelism", type=int, default=os.cpu_count() or 1)
+    sweep.add_argument("--parallelism", type=int,
+                       default=min(os.cpu_count() or 1, lab.MAX_PARALLELISM))
     sweep.set_defaults(func=cmd_sweep)
 
     oracle = sub.add_parser("oracle", help="print a problem's Pareto front")

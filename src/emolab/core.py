@@ -1,4 +1,4 @@
-"""Bitstring and objective-space primitives shared by the benchmarks and algorithms.
+"""Bitstring and random-stream primitives shared by the benchmarks and algorithms.
 
 Bitstrings are fixed-length numpy uint8 arrays marked read-only after
 construction; a population is a (P, n) batch of them. Their text form uses
@@ -37,13 +37,6 @@ def child_seed(master_seed: int, *key) -> int:
         else:
             entropy.append(int(part) & _U64_MASK)
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
-
-
-def dominates(a, b) -> bool:
-    """True iff a is at least as good everywhere and strictly better somewhere."""
-    if len(a) != len(b):
-        raise ValueError(f"objective dimension mismatch: {len(a)} vs {len(b)}")
-    return all(x >= y for x, y in zip(a, b)) and any(x > y for x, y in zip(a, b))
 
 
 def random_bitstring(n: int, rng: RngStream) -> np.ndarray:

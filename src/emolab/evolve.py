@@ -23,8 +23,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import RngStream, bitwise_mutate, random_bitstring, stream
-from .problems import ProblemSpec, batch_evaluator, pareto_front
-from .survival import SurvivalPolicy, survival_select
+from .problems import NkLandscape, ProblemSpec, _ones_table, batch_evaluator, pareto_front
+from .survival import CrowdingDistance, ReferencePointDistance, SurvivalPolicy, survival_select
+
+# The N = 1 kernel draws the mutation uniforms of up to this many generations
+# at once, and never more than _BLOCK_UNIFORMS of them, so a block stays a
+# few MB at any n.
+_BLOCK_GENERATIONS = 256
+_BLOCK_UNIFORMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -43,6 +49,8 @@ class AlgorithmConfig:
     max_evaluations: Optional[int] = None
 
     def __post_init__(self):
+        if not isinstance(self.policy, (CrowdingDistance, ReferencePointDistance)):
+            raise TypeError(f"unknown survival policy: {self.policy!r}")
         if self.pop_size < 1:
             raise ValueError("population size must be at least 1")
         if len(self.reference_point) != 2:
@@ -155,8 +163,12 @@ def run(
 
     on_generation, when given, is called on the initialized state and after
     every completed generation; it is how traces and invariant checks
-    observe the population (see RunState for its arrays).
+    observe the population (see RunState for its arrays). An unobserved
+    run with N = 1 on a synthetic problem goes through _run_single, which
+    gives the same result.
     """
+    if config.pop_size == 1 and on_generation is None and not isinstance(problem, NkLandscape):
+        return _run_single(problem, config, seed)
     state = initialize(problem, config, seed)
     if on_generation is not None:
         on_generation(state)
@@ -172,6 +184,55 @@ def run(
         generations=state.generation,
         seed=int(seed),
     )
+
+
+def _run_single(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> RunResult:
+    """`run` at N = 1 on a synthetic problem: a (1+1) loop over Python ints.
+
+    The genome is an int (position 0 in the highest bit) and its objective
+    vector is the ones-table row of its bit count. Mutation draws the
+    uniforms of a block of generations as one (G, n) array, which row-major
+    order makes consume the stream exactly as G one-row draws; the stream
+    is private to the run, so uniforms drawn past its end are never seen.
+    survival_select at capacity 1 reduces to one rule: the child replaces
+    the parent if it dominates it, or, under the reference-point policy, if
+    neither dominates the other and the child is strictly closer to the
+    reference. Every other case, equal vectors included, keeps the parent,
+    which has the earlier birth.
+    """
+    n = problem.n
+    rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n
+    reference = (config.policy.reference
+                 if isinstance(config.policy, ReferencePointDistance) else None)
+    table = list(zip(*_ones_table(problem).T.tolist()))  # vector tuples by ones count
+    target = tuple(config.reference_point)
+    cap = config.max_evaluations
+    rng = stream(seed)
+    genome = int.from_bytes(np.packbits(random_bitstring(n, rng)).tobytes(), "big")
+    parent = table[genome.bit_count()]
+    evaluations = 1
+    hit = parent == target
+    block_rows = max(1, min(_BLOCK_GENERATIONS, _BLOCK_UNIFORMS // n))
+    while not hit and (cap is None or evaluations < cap):
+        rows = block_rows if cap is None else min(block_rows, cap - evaluations)
+        block = np.packbits(rng.random((rows, n)) < rate, axis=1)
+        width, masks = block.shape[1], block.tobytes()
+        for start in range(0, len(masks), width):
+            child_genome = genome ^ int.from_bytes(masks[start:start + width], "big")
+            child = table[child_genome.bit_count()]
+            evaluations += 1
+            if child == target:
+                hit = True
+                break
+            # dominance tested inline: a function call here halves the kernel's speed
+            if child[0] >= parent[0] and child[1] >= parent[1]:
+                if child != parent:
+                    genome, parent = child_genome, child
+            elif (reference is not None and (child[0] > parent[0] or child[1] > parent[1])
+                  and math.dist(child, reference) < math.dist(parent, reference)):
+                genome, parent = child_genome, child
+    return RunResult(hit=hit, evaluations_to_hit=evaluations if hit else None,
+                     evaluations=evaluations, generations=evaluations - 1, seed=int(seed))
 
 
 class GenerationTrace:

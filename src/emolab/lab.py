@@ -45,6 +45,8 @@ DEFAULT_MASTER_SEED = 1009
 MAX_POPULATION_BITS = 1_000_000  # pop_size * n: a generation peaks near 0.5 GB
 MAX_NK_TABLE = 1 << 24           # 2 * n * 2^(nk_k+1) float64 entries: 128 MiB
 MAX_TRIALS = 1_000_000           # runs_per_cell * |n_values| * |variants|: ~0.4 GB
+# Worker processes of one sweep: a fork pool starts all of them on its first task.
+MAX_PARALLELISM = 256
 
 PROBLEM_FAMILIES = ("omm", "ojzj", "ommstar", "nk")
 POLICY_KINDS = ("crowding", "refpoint")
@@ -272,8 +274,8 @@ def run_experiment(plan: ExperimentPlan, parallelism: int = 1) -> list:
     does not depend on parallelism or completion order.
     """
     validate_plan(plan)
-    if parallelism < 1:
-        raise ValueError("parallelism must be at least 1")
+    if not 1 <= parallelism <= MAX_PARALLELISM:
+        raise ValueError(f"parallelism must lie in [1, {MAX_PARALLELISM}], got {parallelism}")
     chunk_size = math.ceil(plan.runs_per_cell / (parallelism * 4))
     jobs = []
     for n in plan.n_values:
@@ -287,9 +289,10 @@ def run_experiment(plan: ExperimentPlan, parallelism: int = 1) -> list:
                       for t in range(plan.runs_per_cell)]
             jobs += [(problem, config, template, trials[start:start + chunk_size])
                      for start in range(0, len(trials), chunk_size)]
+    workers = min(parallelism, len(jobs))
     with ExitStack() as stack:
-        chunk_map = (map if parallelism == 1 else
-                     stack.enter_context(ProcessPoolExecutor(max_workers=parallelism)).map)
+        chunk_map = (map if workers == 1 else
+                     stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map)
         records = [record for chunk in chunk_map(_run_trials, jobs) for record in chunk]
     return sorted(records, key=lambda r: (r.problem, r.n, r.variant, r.trial))
 

@@ -182,10 +182,17 @@ BAD_RULES = ["().__class__.__mro__.__len__()", "n.bit_length()", "n.real", "abs(
              "9**9**9", "n**2", "m+1", "k+1", "__import__", "4.0*n", "1e3", "n/2"]
 
 
-@pytest.mark.parametrize("case", [*MALFORMED_PLANS, "parallelism 0"])
-def test_malformed_sweep_input_is_usage_error(tmp_path, capsys, case):
+@pytest.mark.parametrize("case", [*MALFORMED_PLANS, "parallelism 0",
+                                  "parallelism above the bound"])
+def test_malformed_sweep_input_is_usage_error(tmp_path, capsys, monkeypatch, case):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was created")
+
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", no_pool)
     if case == "parallelism 0":
         argv = ["sweep", "--preset", "omm", "--parallelism", "0"]
+    elif case == "parallelism above the bound":
+        argv = ["sweep", "--preset", "omm", "--parallelism", str(lab.MAX_PARALLELISM + 1)]
     else:
         doc = MALFORMED_PLANS[case]
         plan_path = tmp_path / "plan.json"

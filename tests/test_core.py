@@ -1,6 +1,5 @@
-"""Primitives: dominance relation, distances, bitstrings, mutation, streams."""
+"""Primitives: distances, bitstrings, mutation, streams."""
 
-import itertools
 import math
 
 import numpy as np
@@ -10,40 +9,10 @@ from emolab.core import (
     bits_from_str,
     bitwise_mutate,
     child_seed,
-    dominates,
     random_bitstring,
     stream,
 )
 from emolab.survival import reference_distances
-
-
-class TestDominance:
-    def test_componentwise_examples(self):
-        assert dominates((2, 3), (1, 3))
-        assert not dominates((1, 3), (2, 3))
-        assert not dominates((0, 4), (4, 0)) and not dominates((4, 0), (0, 4))
-        assert not dominates((5, 5), (5, 5))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dominates((1, 2), (1, 2, 3))
-
-    def test_strict_partial_order_by_brute_force(self):
-        # exhaustive check over all vectors with coordinates in [0..5]
-        vectors = list(itertools.product(range(6), repeat=2))
-        rel = {(a, b): dominates(a, b) for a in vectors for b in vectors}
-        for a in vectors:
-            assert not rel[(a, a)]  # irreflexive
-        for a in vectors:
-            for b in vectors:
-                assert not (rel[(a, b)] and rel[(b, a)])  # asymmetric
-        for a in vectors:
-            for b in vectors:
-                if not rel[(a, b)]:
-                    continue
-                for c in vectors:
-                    if rel[(b, c)]:
-                        assert rel[(a, c)]  # transitive
 
 
 class TestEuclideanDistance:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from emolab import evolve
 from emolab.core import random_bitstring, stream
 from emolab.evolve import (
     AlgorithmConfig,
@@ -13,7 +14,15 @@ from emolab.evolve import (
     run,
     step_generation,
 )
-from emolab.problems import OneJumpZeroJump, OneMinMax, evaluate, pareto_front_closed_form
+from emolab.problems import (
+    OneJumpZeroJump,
+    OneMinMax,
+    OneMinMaxStar,
+    default_reference_point,
+    evaluate,
+    generate_nk_instance,
+    pareto_front_closed_form,
+)
 from emolab.survival import CrowdingDistance, ReferencePointDistance
 
 
@@ -58,6 +67,8 @@ class TestInitialize:
         with pytest.raises(ValueError):
             AlgorithmConfig(policy=CrowdingDistance(), pop_size=1,
                             reference_point=(0.0, 1.0), mutation_rate=1.5)
+        with pytest.raises(TypeError):
+            AlgorithmConfig(policy="refpoint", pop_size=1, reference_point=(0.0, 1.0))
 
 
 class TestStepGeneration:
@@ -190,6 +201,95 @@ class TestRun:
             assert s.objectives.tolist() == [list(evaluate(problem, g)) for g in s.genomes]
             assert len(set(s.birth.tolist())) == len(s.birth) == 9
             assert s.birth.max() < s.evaluations
+
+
+def observe_nothing(state):
+    """An observer that forces run onto the array engine and changes nothing."""
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the runs that go through the N = 1 kernel."""
+    calls = []
+    kernel = evolve._run_single
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(evolve, "_run_single", counted)
+    return calls
+
+
+def assert_kernel_matches_array_engine(problem, config, seeds, kernel_calls):
+    results = []
+    for seed in seeds:
+        before = len(kernel_calls)
+        result = run(problem, config, seed)
+        assert len(kernel_calls) == before + 1
+        assert result == run(problem, config, seed, on_generation=observe_nothing)
+        assert len(kernel_calls) == before + 1
+        results.append(result)
+    return results
+
+
+class TestSingleParentKernel:
+    """An unobserved N = 1 run on a synthetic problem takes the (1+1) kernel;
+    the array engine, forced by an observer, is its oracle."""
+
+    @pytest.mark.parametrize("rate", [None, 0.0, 1.0], ids=["1/n", "0", "1"])
+    @pytest.mark.parametrize("policy", ["crowding", "refpoint", "refpoint-off-front"])
+    @pytest.mark.parametrize("problem", [OneMinMax(12), OneJumpZeroJump(12, 3),
+                                         OneMinMaxStar(10)], ids=["omm", "ojzj", "ommstar"])
+    def test_matches_array_engine(self, problem, policy, rate, kernel_calls):
+        reference = default_reference_point(problem)
+        if policy == "crowding":
+            survival = CrowdingDistance()
+        elif policy == "refpoint":
+            survival = ReferencePointDistance(reference)
+        else:
+            # a target no solution reaches: every run goes to its cap on distances
+            survival = ReferencePointDistance((reference[0] + 1.5, reference[1] - 0.5))
+        for cap in (1, 700):
+            config = AlgorithmConfig(policy=survival, pop_size=1, reference_point=reference,
+                                     mutation_rate=rate, max_evaluations=cap)
+            results = assert_kernel_matches_array_engine(problem, config, range(4),
+                                                         kernel_calls)
+            if cap == 1:
+                assert all(r.evaluations == 1 and r.generations == 0 for r in results)
+
+    def test_uncapped_onemax_reaches_the_target(self, kernel_calls):
+        config = omm_config(30, 1)
+        results = assert_kernel_matches_array_engine(OneMinMax(30), config, range(10),
+                                                     kernel_calls)
+        assert all(r.hit and r.evaluations_to_hit == r.evaluations for r in results)
+
+    def test_blocks_shorter_than_the_generation_limit(self, kernel_calls):
+        # at n = 2000 a block holds fewer generations than _BLOCK_GENERATIONS
+        n = 2000
+        assert evolve._BLOCK_UNIFORMS // n < evolve._BLOCK_GENERATIONS
+        config = omm_config(n, 1, max_evaluations=300)
+        assert_kernel_matches_array_engine(OneMinMax(n), config, range(2), kernel_calls)
+
+    def test_hit_during_initialization(self, kernel_calls):
+        results = assert_kernel_matches_array_engine(OneMinMax(1), omm_config(1, 1),
+                                                     range(10), kernel_calls)
+        # the single random bit is 1 in some seeds: a hit at evaluation 1
+        assert {(r.hit, r.evaluations_to_hit, r.evaluations, r.generations)
+                for r in results} == {(True, 1, 1, 0), (True, 2, 2, 1)}
+
+    def test_nk_observed_and_larger_runs_use_the_array_engine(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the N = 1 kernel ran")
+
+        monkeypatch.setattr(evolve, "_run_single", refuse)
+        nk = generate_nk_instance(8, 2, seed=3)
+        reference = default_reference_point(nk, stream(11))
+        run(nk, AlgorithmConfig(policy=ReferencePointDistance(reference), pop_size=1,
+                                reference_point=reference, max_evaluations=50), seed=0)
+        run(OneMinMax(8), omm_config(8, 1, max_evaluations=50), seed=0,
+            on_generation=observe_nothing)
+        run(OneMinMax(8), omm_config(8, 2, max_evaluations=50), seed=0)
 
 
 class TestGenerationTrace:

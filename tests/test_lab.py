@@ -327,6 +327,33 @@ class TestRunExperiment:
         parallel = run_experiment(tiny_plan(), parallelism=2)
         assert serial == parallel
 
+    def test_pool_has_at_most_one_worker_per_job(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Records the pool size and runs the jobs in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(lab, "ProcessPoolExecutor", SerialPool)
+        plan = tiny_plan(runs_per_cell=1)  # 2 sizes x 2 variants: 4 jobs
+        assert run_experiment(plan, parallelism=lab.MAX_PARALLELISM) == run_experiment(plan)
+        assert pools == [4]
+        run_experiment(tiny_plan(n_values=(6,), variants=tiny_plan().variants[:1],
+                                 runs_per_cell=1), parallelism=2)
+        assert pools == [4]  # a single job runs without a pool
+        with pytest.raises(ValueError, match="parallelism"):
+            run_experiment(plan, parallelism=lab.MAX_PARALLELISM + 1)
+
     def test_reproducible_bit_for_bit(self):
         first = summarize(run_experiment(tiny_plan()))
         second = summarize(run_experiment(tiny_plan()))

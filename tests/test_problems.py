@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from emolab import problems
-from emolab.core import bits_from_str, dominates, random_bitstring, stream
+from emolab.core import bits_from_str, random_bitstring, stream
 from emolab.problems import (
     ClosedFormUnavailableError,
     EnumerationLimitError,
@@ -20,6 +20,11 @@ from emolab.problems import (
     generate_nk_instance,
     pareto_front_closed_form,
 )
+
+
+def dominates(a, b):
+    """a is at least as good in both objectives and differs from b (maximization)."""
+    return a[0] >= b[0] and a[1] >= b[1] and tuple(a) != tuple(b)
 
 
 def all_bitstrings(n):

@@ -57,14 +57,18 @@ def grid():
                                rate=None, cap=None, seed=seed)
 
 
-def execute(cell):
+def observe_nothing(state):
+    """An observer that keeps an N = 1 run on the array engine."""
+
+
+def execute(cell, on_generation=None):
     problem, reference = problem_and_reference(cell["problem"])
     policy = (CrowdingDistance() if cell["policy"] == "crowding"
               else ReferencePointDistance(reference))
     config = AlgorithmConfig(policy=policy, pop_size=cell["pop_size"],
                              reference_point=reference, mutation_rate=cell["rate"],
                              max_evaluations=cell["cap"])
-    result = run(problem, config, cell["seed"])
+    result = run(problem, config, cell["seed"], on_generation=on_generation)
     return [result.hit, result.evaluations_to_hit, result.evaluations, result.generations]
 
 
@@ -73,11 +77,19 @@ def record():
 
 
 def test_runs_reproduce_golden_results():
+    # an unobserved synthetic N = 1 cell runs on the (1+1) kernel, so it is
+    # also run observed, on the array engine; both must give the golden result
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert [entry["cell"] for entry in golden] == list(grid())
+    observed = [entry for entry in golden
+                if entry["cell"]["pop_size"] == 1 and entry["cell"]["problem"] != "nk"]
+    assert len(observed) == 36
     mismatches = [(entry["cell"], entry["result"], got)
                   for entry in golden
                   if (got := execute(entry["cell"])) != entry["result"]]
+    mismatches += [(entry["cell"], entry["result"], got)
+                   for entry in observed
+                   if (got := execute(entry["cell"], observe_nothing)) != entry["result"]]
     assert not mismatches
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from emolab.core import dominates, random_bitstring, stream
+from emolab.core import random_bitstring, stream
 from emolab.problems import (
     OneJumpZeroJump,
     OneMinMax,
@@ -21,6 +21,11 @@ from emolab.survival import (
     reference_distances,
     survival_select,
 )
+
+
+def dominates(a, b):
+    """a is at least as good in both objectives and differs from b (maximization)."""
+    return a[0] >= b[0] and a[1] >= b[1] and tuple(a) != tuple(b)
 
 
 def individuals(objective_vectors):
