@@ -27,13 +27,8 @@ from .problems import (
     OneJumpZeroJump,
     OneMinMax,
     OneMinMaxStar,
-    batch_evaluator,
-    default_reference_point,
     enumerate_pareto_front,
-    evaluate,
     generate_nk_instance,
-    pareto_front,
-    pareto_front_closed_form,
 )
 from .survival import (
     CrowdingDistance,

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import lab
 from .evolve import GenerationTrace, run
-from .problems import pareto_front
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -102,10 +101,10 @@ def cmd_sweep(args) -> int:
 def cmd_oracle(args) -> int:
     try:
         master_seed = _resolve_seed(args.seed, lab.DEFAULT_MASTER_SEED)
-        # bounded like `run --pop 1`: the front of a one-individual cell
-        plan = _cell_plan(args, master_seed, lab.Variant("oracle", "crowding", 1))
+        # bounded like `run --algo rnsga2 --pop 1`: the front of a one-individual cell
+        plan = _cell_plan(args, master_seed, lab.Variant("oracle", "refpoint", 1))
         print(f"oracle problem={args.problem} n={args.n} k={args.k} seed={master_seed}")
-        front = pareto_front(lab.build_problem(plan, args.n))
+        front = lab.build_problem(plan, args.n).front()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -120,6 +119,8 @@ def cmd_run(args) -> int:
     try:
         seed = _resolve_seed(args.seed, lab.DEFAULT_MASTER_SEED)
         plan = _cell_plan(args, seed, variant, args.cap)
+        if args.rate == 0 and args.cap is None:
+            raise ValueError("--rate 0 never changes the population: set --cap")
         problem = lab.build_problem(plan, args.n)
         reference = lab.reference_for(plan, args.n, problem)
         config = replace(lab.algorithm_config(plan, variant, args.n, reference),

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import RngStream, bitwise_mutate, random_bitstring, stream
-from .problems import NkLandscape, ProblemSpec, _ones_table, batch_evaluator, pareto_front
+from .problems import NkLandscape, ProblemSpec
 from .survival import CrowdingDistance, ReferencePointDistance, SurvivalPolicy, survival_select
 
 # The N = 1 kernel draws the mutation uniforms of up to this many generations
@@ -106,7 +106,7 @@ def initialize(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> RunS
     consume the stream as N row draws do.
     """
     rng = stream(seed)
-    evaluator = batch_evaluator(problem)
+    evaluator = problem.evaluator()
     genomes = np.stack([random_bitstring(problem.n, rng) for _ in range(config.pop_size)])
     objectives = evaluator(genomes)
     first = _first_hit(objectives, config.reference_point)
@@ -204,7 +204,7 @@ def _run_single(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> Run
     rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n
     reference = (config.policy.reference
                  if isinstance(config.policy, ReferencePointDistance) else None)
-    table = list(zip(*_ones_table(problem).T.tolist()))  # vector tuples by ones count
+    table = list(zip(*problem.ones_table().T.tolist()))  # vector tuples by ones count
     target = tuple(config.reference_point)
     cap = config.max_evaluations
     rng = stream(seed)
@@ -245,7 +245,7 @@ class GenerationTrace:
 
     def __init__(self, problem: ProblemSpec, reference):
         self.reference = tuple(reference)
-        self.front = pareto_front(problem)
+        self.front = problem.front()
         self.rows = []
 
     def __call__(self, state: RunState) -> None:

@@ -33,7 +33,6 @@ from .problems import (
     OneMinMax,
     OneMinMaxStar,
     ProblemSpec,
-    default_reference_point,
     generate_nk_instance,
 )
 from .survival import CrowdingDistance, ReferencePointDistance
@@ -204,9 +203,14 @@ def validate_plan(plan: ExperimentPlan) -> None:
         if n < 1:
             raise ValueError("problem sizes must be positive")
         for variant in plan.variants:
-            if resolve_pop_size(variant.pop_size, n, plan.k) * n > MAX_POPULATION_BITS:
+            pop_size = resolve_pop_size(variant.pop_size, n, plan.k)
+            if pop_size * n > MAX_POPULATION_BITS:
                 raise ValueError(f"variant {variant.label!r} at n={n} holds more than "
                                  f"{MAX_POPULATION_BITS} population bits")
+            # at N=1 crowding keeps a child only if it dominates its parent: never on OneMinMax
+            if pop_size == 1 and variant.policy == "crowding" and plan.max_evaluations is None:
+                raise ValueError(f"variant {variant.label!r} runs crowding at N=1 at n={n}, "
+                                 "which may never end: set max_evaluations")
     if len(set(plan.n_values)) != len(plan.n_values):
         raise ValueError(f"problem sizes must be unique, got {list(plan.n_values)}")
 
@@ -232,8 +236,8 @@ def build_problem(plan: ExperimentPlan, n: int) -> ProblemSpec:
 def reference_for(plan: ExperimentPlan, n: int, problem: ProblemSpec):
     """The reference point shared by all variants of a plan cell."""
     if plan.problem == "nk":
-        return default_reference_point(problem, stream(child_seed(plan.master_seed, "nk-ref", n)))
-    return default_reference_point(problem)
+        return problem.reference_point(stream(child_seed(plan.master_seed, "nk-ref", n)))
+    return problem.reference_point()
 
 
 def algorithm_config(plan: ExperimentPlan, variant: Variant, n: int,
@@ -447,18 +451,11 @@ def plan_from_json(text: str) -> ExperimentPlan:
             raise ValueError(f"{key} must be a list, got {doc[key]!r}")
     if not all(isinstance(v, dict) for v in doc["variants"]):
         raise ValueError("every variant must be a JSON object")
-    plan = ExperimentPlan(
-        name=doc.get("name", "plan"),
-        problem=doc["problem"],
-        n_values=tuple(doc["n_values"]),
-        variants=tuple(Variant(v["label"], v["policy"], v["pop_size"])
-                       for v in doc["variants"]),
-        runs_per_cell=doc["runs_per_cell"],
-        master_seed=doc.get("master_seed", DEFAULT_MASTER_SEED),
-        max_evaluations=doc.get("max_evaluations"),
-        k=doc.get("k"),
-        nk_k=doc.get("nk_k"),
-    )
+    try:
+        plan = ExperimentPlan(**{"name": "plan", **doc, "n_values": tuple(doc["n_values"]),
+                                 "variants": tuple(Variant(**v) for v in doc["variants"])})
+    except TypeError as exc:  # an unknown or missing key
+        raise ValueError(str(exc)) from None
     validate_plan(plan)
     return plan
 

@@ -7,11 +7,13 @@ moving towards it in objective space moves away from it in decision space;
 the bi-objective NK landscape uses two independently generated epistatic
 contribution tables over the same bitstring.
 
-Two independent routes to the Pareto front are provided: closed-form
-construction for the synthetic problems, a frozenset of objective vectors,
-and exhaustive enumeration of {0,1}^n (guarded at n <= 25) for everything,
-a dict from each front vector to its numerically smallest witness.
-pareto_front picks the closed form where there is one.
+Every problem answers the same three calls: evaluator() returns its batch
+objective function, front() its Pareto front as a frozenset of objective
+vectors, and reference_point(rng=None) its standard target vector. The
+synthetic problems build their front in closed form; an NK landscape
+enumerates {0,1}^n once and keeps the result. enumerate_pareto_front is the
+independent oracle for everything (guarded at n <= 25), a dict from each
+front vector to its numerically smallest witness.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ class EnumerationLimitError(ValueError):
     """Raised when exhaustive enumeration is requested beyond the size guard."""
 
 
-class ClosedFormUnavailableError(ValueError):
-    """Raised when a closed-form Pareto front is requested for a problem without one."""
-
-
 @dataclass(eq=False)
 class NkLandscape:
     """A bi-objective NK landscape: per-objective loci and contribution tables.
@@ -55,8 +53,37 @@ class NkLandscape:
     seed: int
     loci: np.ndarray          # shape (2, n, K), int
     contributions: np.ndarray  # shape (2, n, 2**(K+1)), float64 in [0, 1)
-    # the enumerated front, kept by the first pareto_front call on this landscape
+    # the enumerated front, kept by the first front() call on this landscape
     _front: Optional[frozenset] = field(default=None, init=False, repr=False)
+
+    def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Mean contribution per objective for every row of a (P, n) batch."""
+        def objectives(x: np.ndarray) -> np.ndarray:
+            K = self.K
+            bits = x.astype(np.intp)
+            positions = np.arange(self.n)
+            out = np.empty((len(bits), 2))
+            for j in (0, 1):
+                # own bit highest, then the loci bits in listed order
+                index = bits << K
+                for t in range(K):
+                    index += bits[:, self.loci[j, :, t]] << (K - 1 - t)
+                out[:, j] = self.contributions[j, positions, index].mean(axis=1)
+            return out
+        return objectives
+
+    def front(self) -> frozenset:
+        """The enumerated Pareto front; later calls return the front kept here."""
+        if self._front is None:
+            self._front = frozenset(enumerate_pareto_front(self))
+        return self._front
+
+    def reference_point(self, rng: Optional[RngStream] = None):
+        """A uniformly random member of the front: a stream is required."""
+        if rng is None:
+            raise ValueError("an RNG stream is required to pick an NK reference point")
+        points = sorted(self.front())
+        return points[int(rng.integers(len(points)))]
 
 
 def generate_nk_instance(n: int, K: int, seed: int) -> NkLandscape:
@@ -85,113 +112,85 @@ def generate_nk_instance(n: int, K: int, seed: int) -> NkLandscape:
 
 @dataclass(frozen=True)
 class OneMinMax:
+    """OneMinMax: (number of 0-bits, number of 1-bits), both maximized.
+
+    Subclasses override ones_table, the objective vectors by number of ones,
+    and inherit the evaluator that looks rows up in it.
+    """
+
     n: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
 
+    def ones_table(self) -> np.ndarray:
+        """Objective vectors indexed by number of ones."""
+        ones = np.arange(self.n + 1, dtype=np.float64)
+        return np.column_stack((self.n - ones, ones))
+
+    def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Objective vectors of a (P, n) batch; builds the table, so make one per run."""
+        table = self.ones_table()
+        return lambda x: table[x.sum(axis=1)]
+
+    def front(self) -> frozenset:
+        return frozenset((float(i), float(self.n - i)) for i in range(self.n + 1))
+
+    def reference_point(self, rng: Optional[RngStream] = None):
+        return (0.0, float(self.n))
+
 
 @dataclass(frozen=True)
-class OneJumpZeroJump:
-    n: int
+class OneMinMaxStar(OneMinMax):
+    """OneMinMax with the all-zeros vector moved from (n, 0) to (-n, 2n)."""
+
+    def ones_table(self) -> np.ndarray:
+        table = super().ones_table()
+        table[0] = (-self.n, 2 * self.n)
+        return table
+
+    def front(self) -> frozenset:
+        n = self.n
+        points = {(float(i), float(n - i)) for i in range(n)}
+        return frozenset(points | {(float(-n), float(2 * n))})
+
+    def reference_point(self, rng: Optional[RngStream] = None):
+        return (float(-self.n), float(2 * self.n))
+
+
+@dataclass(frozen=True)
+class OneJumpZeroJump(OneMinMax):
+    """OneMinMax with a width-k valley before each extreme, k in [2, n//4]."""
+
     k: int
 
     def __post_init__(self):
+        # checked here, not through super(): building the problem is on a sweep's set-up path
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not 2 <= self.k <= self.n // 4:
             raise ValueError(
                 f"k must lie in [2, n//4] = [2, {self.n // 4}], got {self.k}")
 
-
-@dataclass(frozen=True)
-class OneMinMaxStar:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-
-
-ProblemSpec = Union[OneMinMax, OneJumpZeroJump, OneMinMaxStar, NkLandscape]
-
-
-def _nk_objectives(problem: NkLandscape, x: np.ndarray) -> np.ndarray:
-    """Mean contribution per objective for every row of x, a (P, n) batch."""
-    K = problem.K
-    bits = x.astype(np.intp)
-    positions = np.arange(problem.n)
-    out = np.empty((len(bits), 2))
-    for j in (0, 1):
-        # own bit highest, then the loci bits in listed order
-        index = bits << K
-        for t in range(K):
-            index += bits[:, problem.loci[j, :, t]] << (K - 1 - t)
-        out[:, j] = problem.contributions[j, positions, index].mean(axis=1)
-    return out
-
-
-def _ones_table(problem: ProblemSpec) -> np.ndarray:
-    """Objective vectors of the synthetic problems indexed by number of ones."""
-    n = problem.n
-    ones = np.arange(n + 1, dtype=np.float64)
-    zeros = n - ones
-    if isinstance(problem, (OneMinMax, OneMinMaxStar)):
-        table = np.column_stack((zeros, ones))
-        if isinstance(problem, OneMinMaxStar):
-            table[0] = (-n, 2 * n)
-        return table
-    if isinstance(problem, OneJumpZeroJump):
-        k = problem.k
+    def ones_table(self) -> np.ndarray:
+        n, k = self.n, self.k
+        ones = np.arange(n + 1, dtype=np.float64)
+        zeros = n - ones
         f1 = np.where((ones <= n - k) | (ones == n), k + ones, n - ones)
         f2 = np.where((zeros <= n - k) | (zeros == n), k + zeros, n - zeros)
         return np.column_stack((f1, f2))
-    raise TypeError(f"unknown problem spec: {problem!r}")
 
-
-def batch_evaluator(problem: ProblemSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The problem's objective function over a (P, n) batch of bitstrings.
-
-    The returned function maps the rows to a (P, 2) float64 array of their
-    objective vectors (maximization). The synthetic problems depend on a
-    bitstring only through its number of ones, so making the evaluator
-    builds their (n + 1)-row objective table: make one per run, not per batch.
-    """
-    if isinstance(problem, NkLandscape):
-        return lambda x: _nk_objectives(problem, x)
-    table = _ones_table(problem)
-    return lambda x: table[x.sum(axis=1)]
-
-
-def evaluate(problem: ProblemSpec, x: np.ndarray):
-    """Objective vector of bitstring x under the given problem (maximization)."""
-    n = problem.n
-    if len(x) != n:
-        raise ValueError(f"bitstring length {len(x)} does not match problem size {n}")
-    return tuple(batch_evaluator(problem)(x[None, :])[0].tolist())
-
-
-def pareto_front_closed_form(problem: ProblemSpec) -> frozenset:
-    """Exact Pareto front of a synthetic problem, as a set of objective vectors."""
-    if isinstance(problem, OneMinMax):
-        n = problem.n
-        points = {(float(i), float(n - i)) for i in range(n + 1)}
-    elif isinstance(problem, OneJumpZeroJump):
-        n, k = problem.n, problem.k
+    def front(self) -> frozenset:
+        n, k = self.n, self.k
         points = {(float(i), float(n + 2 * k - i)) for i in range(2 * k, n + 1)}
-        points.add((float(k), float(n + k)))
-        points.add((float(n + k), float(k)))
-    elif isinstance(problem, OneMinMaxStar):
-        n = problem.n
-        points = {(float(i), float(n - i)) for i in range(n)}
-        points.add((float(-n), float(2 * n)))
-    elif isinstance(problem, NkLandscape):
-        raise ClosedFormUnavailableError(
-            "NK landscapes have no closed-form front; use enumerate_pareto_front")
-    else:
-        raise TypeError(f"unknown problem spec: {problem!r}")
-    return frozenset(points)
+        return frozenset(points | {(float(k), float(n + k)), (float(n + k), float(k))})
+
+    def reference_point(self, rng: Optional[RngStream] = None):
+        return (float(self.n + self.k), float(self.k))
+
+
+ProblemSpec = Union[OneMinMax, NkLandscape]
 
 
 def _skyline(objectives: np.ndarray, values: np.ndarray):
@@ -224,7 +223,7 @@ def enumerate_pareto_front(problem: ProblemSpec) -> dict:
     if n > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"enumeration is limited to n <= {ENUMERATION_LIMIT}, got n={n}")
-    objectives_of = batch_evaluator(problem)
+    objectives_of = problem.evaluator()
     shifts = np.arange(n - 1, -1, -1)
     front, values = np.empty((0, 2)), np.empty(0, dtype=np.int64)
     for start in range(0, 1 << n, ENUMERATION_BLOCK):
@@ -235,36 +234,3 @@ def enumerate_pareto_front(problem: ProblemSpec) -> dict:
     witnesses = ((values[:, None] >> shifts) & 1).astype(np.uint8)
     witnesses.flags.writeable = False
     return dict(zip(map(tuple, front.tolist()), witnesses))
-
-
-def pareto_front(problem: ProblemSpec) -> frozenset:
-    """The problem's Pareto front: the closed form where there is one, else enumerated.
-
-    An NK landscape is enumerated once; later calls return the front kept on it.
-    """
-    if not isinstance(problem, NkLandscape):
-        return pareto_front_closed_form(problem)
-    if problem._front is None:
-        problem._front = frozenset(enumerate_pareto_front(problem))
-    return problem._front
-
-
-def default_reference_point(problem: ProblemSpec, rng: Optional[RngStream] = None):
-    """The standard target vector per problem.
-
-    OneMinMax: (0, n); OneJumpZeroJump: (n+k, k); OneMinMax*: (-n, 2n).
-    For an NK landscape the target is a uniformly random member of the
-    enumerated front, so a stream is required and the size guard applies.
-    """
-    if isinstance(problem, OneMinMax):
-        return (0.0, float(problem.n))
-    if isinstance(problem, OneJumpZeroJump):
-        return (float(problem.n + problem.k), float(problem.k))
-    if isinstance(problem, OneMinMaxStar):
-        return (float(-problem.n), float(2 * problem.n))
-    if isinstance(problem, NkLandscape):
-        if rng is None:
-            raise ValueError("an RNG stream is required to pick an NK reference point")
-        points = sorted(pareto_front(problem))
-        return points[int(rng.integers(len(points)))]
-    raise TypeError(f"unknown problem spec: {problem!r}")

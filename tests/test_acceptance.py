@@ -29,10 +29,8 @@ from emolab.problems import (
     OneJumpZeroJump,
     OneMinMax,
     OneMinMaxStar,
-    default_reference_point,
     enumerate_pareto_front,
     generate_nk_instance,
-    pareto_front_closed_form,
 )
 from emolab.survival import (
     CrowdingDistance,
@@ -77,7 +75,7 @@ def test_criterion_1_oracle_equivalence():
                 problems.append((OneJumpZeroJump(n, k), n - 2 * k + 3))
     for problem, expected_size in problems:
         enumerated = enumerate_pareto_front(problem)
-        closed = pareto_front_closed_form(problem)
+        closed = problem.front()
         assert set(enumerated) == closed, problem
         assert len(closed) == expected_size, problem
     elapsed = time.time() - started
@@ -257,8 +255,8 @@ def test_criterion_8_invariant_suite():
     details = []
     for label, problem, reference, pop_size, cap in cases:
         if reference is None:
-            reference = default_reference_point(
-                problem, stream(child_seed(ACCEPT_SEED, "c8-nk-ref")))
+            reference = problem.reference_point(
+                stream(child_seed(ACCEPT_SEED, "c8-nk-ref")))
         violations, generations = _reference_runs(
             problem, reference, pop_size, cap, 50, f"c8-{label}")
         total_violations += violations
@@ -267,7 +265,7 @@ def test_criterion_8_invariant_suite():
     # front retention: NSGA-II on OneMinMax, N = 4(n+1), n = 20
     n = 20
     problem = OneMinMax(n)
-    front = pareto_front_closed_form(problem)
+    front = problem.front()
     config = AlgorithmConfig(policy=CrowdingDistance(), pop_size=4 * (n + 1),
                              reference_point=(0.0, float(n)))
     retention_violations = 0

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from emolab import lab, problems
+from emolab import cli, lab, problems
 from emolab.cli import main
 from emolab.lab import ExperimentPlan, SummaryRow, Variant, write_summary_csv
 from emolab.problems import enumerate_pareto_front
@@ -172,6 +172,12 @@ MALFORMED_PLANS = {
     "NK table above the bound": _plan_doc(problem="nk", nk_k=24, n_values=[25]),
     "trial count above the bound": _plan_doc(runs_per_cell=10 ** 12),
     "duplicate sizes": _plan_doc(n_values=[6, 6]),
+    "unknown top-level key": _plan_doc(max_evaluation=100),
+    "unknown variant key": _plan_doc(
+        variants=[{"label": "a", "policy": "crowding", "pop_size": 4, "pop": 4}]),
+    # never ends on OneMinMax
+    "crowding at N=1 without a budget": _plan_doc(
+        variants=[{"label": "n1", "policy": "crowding", "pop_size": 1}]),
     # raw text: nested past the JSON parser's recursion limit
     "nested too deeply": "[" * 200_000 + "]" * 200_000,
 }
@@ -189,6 +195,7 @@ def test_malformed_sweep_input_is_usage_error(tmp_path, capsys, monkeypatch, cas
         raise AssertionError("a worker pool was created")
 
     monkeypatch.setattr(lab, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(lab, "run", no_pool)
     if case == "parallelism 0":
         argv = ["sweep", "--preset", "omm", "--parallelism", "0"]
     elif case == "parallelism above the bound":
@@ -232,7 +239,24 @@ def test_oversized_run_is_usage_error(capsys, flags):
     assert captured.err.startswith("error: ")
 
 
-# oracle is bounded like `run --pop 1`: n <= MAX_POPULATION_BITS, NK n <= 25
+# runs that never end on OneMinMax: crowding at N=1, and a zero mutation rate
+@pytest.mark.parametrize("flags", [
+    ["--algo", "nsga2", "--pop", "1"],
+    ["--algo", "rnsga2", "--rate", "0"],
+    ["--algo", "nsga2", "--rate", "0"],
+])
+def test_unbounded_run_without_cap_is_usage_error(capsys, monkeypatch, flags):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    assert main(["run", "--problem", "omm", "--n", "50", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+# oracle is bounded like `run --algo rnsga2 --pop 1`: n <= MAX_POPULATION_BITS, NK n <= 25
 @pytest.mark.parametrize("flags", [
     ["--problem", "omm", "--n", str(lab.MAX_POPULATION_BITS + 1)],
     ["--problem", "ommstar", "--n", "1000000000"],

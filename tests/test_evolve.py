@@ -18,10 +18,7 @@ from emolab.problems import (
     OneJumpZeroJump,
     OneMinMax,
     OneMinMaxStar,
-    default_reference_point,
-    evaluate,
     generate_nk_instance,
-    pareto_front_closed_form,
 )
 from emolab.survival import CrowdingDistance, ReferencePointDistance
 
@@ -178,7 +175,7 @@ class TestRun:
     def test_front_coverage_never_shrinks_with_large_population(self):
         n = 10
         problem = OneMinMax(n)
-        front = pareto_front_closed_form(problem)
+        front = problem.front()
         config = omm_config(n, 4 * (n + 1), policy=CrowdingDistance())
         for seed in range(5):
             covered = []
@@ -198,7 +195,7 @@ class TestRun:
         states = []
         run(problem, config, seed=13, on_generation=states.append)
         for s in states:
-            assert s.objectives.tolist() == [list(evaluate(problem, g)) for g in s.genomes]
+            assert s.objectives.tolist() == problem.evaluator()(s.genomes).tolist()
             assert len(set(s.birth.tolist())) == len(s.birth) == 9
             assert s.birth.max() < s.evaluations
 
@@ -242,7 +239,7 @@ class TestSingleParentKernel:
     @pytest.mark.parametrize("problem", [OneMinMax(12), OneJumpZeroJump(12, 3),
                                          OneMinMaxStar(10)], ids=["omm", "ojzj", "ommstar"])
     def test_matches_array_engine(self, problem, policy, rate, kernel_calls):
-        reference = default_reference_point(problem)
+        reference = problem.reference_point()
         if policy == "crowding":
             survival = CrowdingDistance()
         elif policy == "refpoint":
@@ -284,7 +281,7 @@ class TestSingleParentKernel:
 
         monkeypatch.setattr(evolve, "_run_single", refuse)
         nk = generate_nk_instance(8, 2, seed=3)
-        reference = default_reference_point(nk, stream(11))
+        reference = nk.reference_point(stream(11))
         run(nk, AlgorithmConfig(policy=ReferencePointDistance(reference), pop_size=1,
                                 reference_point=reference, max_evaluations=50), seed=0)
         run(OneMinMax(8), omm_config(8, 1, max_evaluations=50), seed=0,

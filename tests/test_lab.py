@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,17 @@ class TestSizeBounds:
         lab.load_plan(path)
 
 
+class TestNeverEndingCells:
+    def test_crowding_at_one_needs_a_budget(self):
+        # "n-5" resolves to 1 at n=6 only
+        plan = tiny_plan(variants=(Variant("a", "crowding", "n-5"),))
+        with pytest.raises(ValueError, match="max_evaluations"):
+            validate_plan(plan)
+        validate_plan(replace(plan, max_evaluations=100))
+        validate_plan(replace(plan, n_values=(8,)))
+        validate_plan(tiny_plan(variants=(Variant("a", "refpoint", 1),)))
+
+
 class TestRunExperiment:
     def test_record_cardinality(self):
         records = run_experiment(tiny_plan())
@@ -435,6 +447,16 @@ class TestPlanJson:
         doc = json.loads(plan_to_json(tiny_plan()))
         doc.update(changes)
         with pytest.raises(ValueError):
+            plan_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("changes, key", [
+        ({"max_evaluation": 100}, "max_evaluation"),
+        ({"variants": [{"label": "a", "policy": "refpoint", "pop_size": 4, "pop": 4}]}, "pop"),
+    ])
+    def test_unknown_keys_are_named(self, changes, key):
+        doc = json.loads(plan_to_json(tiny_plan()))
+        doc.update(changes)
+        with pytest.raises(ValueError, match=f"'{key}'"):
             plan_from_json(json.dumps(doc))
 
 

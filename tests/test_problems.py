@@ -1,24 +1,20 @@
 """Benchmarks, closed-form fronts, the enumeration oracle, and NK instances."""
 
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from emolab import problems
+from emolab import lab, problems
 from emolab.core import bits_from_str, random_bitstring, stream
 from emolab.problems import (
-    ClosedFormUnavailableError,
     EnumerationLimitError,
     OneJumpZeroJump,
     OneMinMax,
     OneMinMaxStar,
-    batch_evaluator,
-    default_reference_point,
     enumerate_pareto_front,
-    evaluate,
     generate_nk_instance,
-    pareto_front_closed_form,
 )
 
 
@@ -28,8 +24,17 @@ def dominates(a, b):
 
 
 def all_bitstrings(n):
-    for value in range(1 << n):
-        yield bits_from_str(format(value, f"0{n}b"))
+    """Every bitstring of length n as the rows of a (2^n, n) array, in numeric order."""
+    return np.stack([bits_from_str(format(value, f"0{n}b")) for value in range(1 << n)])
+
+
+def rows(problem, bitstrings):
+    """The objective vectors of the bitstrings, as tuples, from the problem's evaluator."""
+    return [tuple(v) for v in problem.evaluator()(np.stack(bitstrings)).tolist()]
+
+
+def bits(*texts):
+    return [bits_from_str(text) for text in texts]
 
 
 def nk_reference(instance, x):
@@ -47,98 +52,85 @@ def nk_reference(instance, x):
 
 class TestEvaluate:
     def test_oneminmax(self):
-        assert evaluate(OneMinMax(10), bits_from_str("1" * 10)) == (0.0, 10.0)
-        assert evaluate(OneMinMax(10), bits_from_str("0" * 10)) == (10.0, 0.0)
-        assert evaluate(OneMinMax(4), bits_from_str("0110")) == (2.0, 2.0)
+        assert rows(OneMinMax(10), bits("1" * 10, "0" * 10)) == [(0.0, 10.0), (10.0, 0.0)]
+        assert rows(OneMinMax(4), bits("0110")) == [(2.0, 2.0)]
 
     def test_ojzj_extremes_and_valley(self):
         problem = OneJumpZeroJump(12, 2)
-        assert evaluate(problem, bits_from_str("1" * 12)) == (14.0, 2.0)
-        assert evaluate(problem, bits_from_str("0" * 12)) == (2.0, 14.0)
+        assert rows(problem, bits("1" * 12, "0" * 12)) == [(14.0, 2.0), (2.0, 14.0)]
         # 11 ones: f1 falls into the valley, f2 = k + zeros
-        assert evaluate(problem, bits_from_str("1" * 11 + "0")) == (1.0, 3.0)
+        assert rows(problem, bits("1" * 11 + "0")) == [(1.0, 3.0)]
         # single one: f2 falls into the valley
-        assert evaluate(problem, bits_from_str("1" + "0" * 11)) == (3.0, 1.0)
-        assert evaluate(problem, bits_from_str("1" * 6 + "0" * 6)) == (8.0, 8.0)
+        assert rows(problem, bits("1" + "0" * 11)) == [(3.0, 1.0)]
+        assert rows(problem, bits("1" * 6 + "0" * 6)) == [(8.0, 8.0)]
 
     def test_oneminmax_star(self):
         problem = OneMinMaxStar(10)
-        assert evaluate(problem, bits_from_str("0" * 10)) == (-10.0, 20.0)
-        assert evaluate(problem, bits_from_str("1" * 10)) == (0.0, 10.0)
-        assert evaluate(problem, bits_from_str("1" + "0" * 9)) == (9.0, 1.0)
+        assert rows(problem, bits("0" * 10, "1" * 10, "1" + "0" * 9)) == [
+            (-10.0, 20.0), (0.0, 10.0), (9.0, 1.0)]
 
     def test_constant_nk_tables_give_constant_objectives(self):
         problem = generate_nk_instance(6, 2, seed=5)
         problem.contributions = np.full_like(problem.contributions, 0.375)
-        for x in (bits_from_str("000000"), bits_from_str("101011")):
-            assert evaluate(problem, x) == (0.375, 0.375)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            evaluate(OneMinMax(5), bits_from_str("0101"))
+        assert rows(problem, bits("000000", "101011")) == [(0.375, 0.375)] * 2
 
     def test_omm_objectives_sum_to_n(self):
         rng = stream(3)
         for n in (1, 5, 13):
             problem = OneMinMax(n)
-            for _ in range(50):
-                f = evaluate(problem, random_bitstring(n, rng))
+            for f in rows(problem, [random_bitstring(n, rng) for _ in range(50)]):
                 assert f[0] + f[1] == n
 
 
 class TestBatchEvaluator:
     def test_rows_match_evaluate_for_every_problem(self):
+        # a batch's rows are the rows of one-bitstring batches
         rng = stream(8)
         for problem in (OneMinMax(11), OneMinMaxStar(11), OneJumpZeroJump(11, 2),
                         generate_nk_instance(11, 3, seed=4)):
             batch = np.stack([random_bitstring(11, rng) for _ in range(40)])
             batch[0], batch[1] = 0, 1
-            got = batch_evaluator(problem)(batch)
+            got = problem.evaluator()(batch)
             assert got.shape == (40, 2) and got.dtype == np.float64
-            assert [tuple(v) for v in got.tolist()] == [evaluate(problem, x) for x in batch]
+            assert [tuple(v) for v in got.tolist()] == [rows(problem, [x])[0] for x in batch]
 
     def test_nk_matches_per_bitstring_reference_exactly(self):
         rng = stream(19)
         for n, K in ((5, 0), (9, 1), (16, 3), (25, 3), (20, 7), (13, 12)):
             instance = generate_nk_instance(n, K, seed=n * 31 + K)
             batch = (rng.random((300, n)) < rng.random((300, 1))).astype(np.uint8)
-            got = batch_evaluator(instance)(batch)
+            got = instance.evaluator()(batch)
             assert [tuple(v) for v in got.tolist()] == [nk_reference(instance, x) for x in batch]
 
 
 class TestClosedFormFronts:
     def test_oneminmax_front(self):
-        front = pareto_front_closed_form(OneMinMax(4))
+        front = OneMinMax(4).front()
         assert front == {(0.0, 4.0), (1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (4.0, 0.0)}
 
     def test_ojzj_front(self):
-        front = pareto_front_closed_form(OneJumpZeroJump(8, 2))
+        front = OneJumpZeroJump(8, 2).front()
         expected = {(4.0, 8.0), (5.0, 7.0), (6.0, 6.0), (7.0, 5.0), (8.0, 4.0),
                     (2.0, 10.0), (10.0, 2.0)}
         assert front == expected
         assert len(front) == 8 - 2 * 2 + 3
 
     def test_oneminmax_star_front(self):
-        front = pareto_front_closed_form(OneMinMaxStar(4))
+        front = OneMinMaxStar(4).front()
         assert front == {(0.0, 4.0), (1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (-4.0, 8.0)}
-
-    def test_nk_has_no_closed_form(self):
-        problem = generate_nk_instance(5, 2, seed=1)
-        with pytest.raises(ClosedFormUnavailableError):
-            pareto_front_closed_form(problem)
 
 
 class TestEnumerationOracle:
     def test_matches_closed_form_oneminmax(self):
         for n in range(1, 13):
-            assert set(enumerate_pareto_front(OneMinMax(n))) == pareto_front_closed_form(OneMinMax(n))
+            assert set(enumerate_pareto_front(OneMinMax(n))) == OneMinMax(n).front()
 
     def test_matches_closed_form_everywhere_small(self):
         problems = [OneMinMaxStar(n) for n in range(1, 13)]
         problems += [OneJumpZeroJump(n, 2) for n in range(8, 13)]
         problems += [OneJumpZeroJump(12, 3)]
         for problem in problems:
-            assert set(enumerate_pareto_front(problem)) == pareto_front_closed_form(problem)
+            assert set(enumerate_pareto_front(problem)) == problem.front()
 
     def test_ojzj_front_size(self):
         front = enumerate_pareto_front(OneJumpZeroJump(12, 3))
@@ -151,7 +143,7 @@ class TestEnumerationOracle:
     def test_nk_points_nondominated_against_full_space(self):
         problem = generate_nk_instance(5, 2, seed=9)
         front = enumerate_pareto_front(problem)
-        everything = [evaluate(problem, x) for x in all_bitstrings(5)]
+        everything = rows(problem, all_bitstrings(5))
         for point in front:
             assert not any(dominates(other, point) for other in everything)
         # and nothing non-dominated is missing
@@ -164,14 +156,13 @@ class TestEnumerationOracle:
         front = enumerate_pareto_front(problem)
         for point, witness in front.items():
             assert not witness.flags.writeable
-            assert evaluate(problem, witness) == point
+        assert rows(problem, list(front.values())) == list(front)
 
     def test_every_omm_solution_is_pareto_optimal(self):
         for n in (5, 9, 12):
             for problem in (OneMinMax(n), OneMinMaxStar(n)):
-                front = pareto_front_closed_form(problem)
-                for x in all_bitstrings(n):
-                    assert evaluate(problem, x) in front
+                front = problem.front()
+                assert set(rows(problem, all_bitstrings(n))) <= front
 
 
     def test_blocks_merge_to_the_single_block_front(self, monkeypatch):
@@ -189,8 +180,9 @@ class TestEnumerationOracle:
         problem = generate_nk_instance(8, 2, seed=40)
         front = enumerate_pareto_front(problem)
         first = {}
-        for x in all_bitstrings(8):
-            first.setdefault(evaluate(problem, x), x)
+        everything = all_bitstrings(8)
+        for f, x in zip(rows(problem, everything), everything):
+            first.setdefault(f, x)
         for point, witness in front.items():
             assert np.array_equal(witness, first[point])
 
@@ -226,10 +218,7 @@ class TestNkInstances:
         assert problem.contributions.shape == (2, 5, 2)
         # objectives are linear in bits: flipping one bit changes each
         # objective by exactly that position's table delta / n
-        base = bits_from_str("00000")
-        f0 = evaluate(problem, base)
-        flipped = bits_from_str("10000")
-        f1 = evaluate(problem, flipped)
+        f0, f1 = rows(problem, bits("00000", "10000"))
         for j in range(2):
             delta = (problem.contributions[j, 0, 1] - problem.contributions[j, 0, 0]) / 5
             assert f1[j] - f0[j] == pytest.approx(delta)
@@ -249,11 +238,11 @@ class TestNkInstances:
     def test_nk_objectives_in_unit_interval_and_pure(self):
         problem = generate_nk_instance(9, 3, seed=6)
         rng = stream(2)
-        for _ in range(100):
-            x = random_bitstring(9, rng)
-            f = evaluate(problem, x)
+        batch = [random_bitstring(9, rng) for _ in range(100)]
+        first = rows(problem, batch)
+        for f in first:
             assert 0.0 <= f[0] < 1.0 and 0.0 <= f[1] < 1.0
-            assert evaluate(problem, x) == f
+        assert rows(problem, batch) == first
 
 
 class TestClassifyOjzj:
@@ -262,9 +251,9 @@ class TestClassifyOjzj:
     def test_sum_property_iff_pareto_optimal(self):
         for n, k in ((8, 2), (12, 2), (12, 3)):
             problem = OneJumpZeroJump(n, k)
-            front = pareto_front_closed_form(problem)
-            for x in all_bitstrings(n):
-                f = evaluate(problem, x)
+            front = problem.front()
+            everything = all_bitstrings(n)
+            for f, x in zip(rows(problem, everything), everything):
                 ones = int(x.sum())
                 # the Pareto set: the inner part k..n-k ones, and the two extremes
                 optimal = k <= ones <= n - k or ones in (0, n)
@@ -273,30 +262,29 @@ class TestClassifyOjzj:
     def test_not_optimal_iff_dominated_by_front(self):
         for n, k in ((8, 2), (12, 2)):
             problem = OneJumpZeroJump(n, k)
-            front = pareto_front_closed_form(problem)
-            for x in all_bitstrings(n):
-                f = evaluate(problem, x)
+            front = problem.front()
+            for f in rows(problem, all_bitstrings(n)):
                 dominated = any(dominates(p, f) for p in front)
                 assert dominated == (f not in front)
 
 
 class TestDefaultReferencePoints:
     def test_synthetic(self):
-        assert default_reference_point(OneMinMax(50)) == (0.0, 50.0)
-        assert default_reference_point(OneJumpZeroJump(30, 2)) == (32.0, 2.0)
-        assert default_reference_point(OneMinMaxStar(30)) == (-30.0, 60.0)
+        assert OneMinMax(50).reference_point() == (0.0, 50.0)
+        assert OneJumpZeroJump(30, 2).reference_point() == (32.0, 2.0)
+        assert OneMinMaxStar(30).reference_point() == (-30.0, 60.0)
 
     def test_nk_reference_is_front_member(self):
         problem = generate_nk_instance(6, 2, seed=12)
         front = enumerate_pareto_front(problem)
-        ref = default_reference_point(problem, stream(5))
+        ref = problem.reference_point(stream(5))
         assert ref in front
-        assert default_reference_point(problem, stream(5)) == ref
+        assert problem.reference_point(stream(5)) == ref
 
     def test_nk_requires_stream(self):
         problem = generate_nk_instance(6, 2, seed=12)
         with pytest.raises(ValueError):
-            default_reference_point(problem)
+            problem.reference_point()
 
 
 class TestProblemValidation:
@@ -312,3 +300,17 @@ class TestProblemValidation:
             OneMinMax(0)
         with pytest.raises(ValueError):
             OneMinMaxStar(0)
+
+
+class TestProblemTypes:
+    def test_subclasses_stay_distinct_types(self):
+        assert OneMinMax(8) != OneMinMaxStar(8)
+        assert OneMinMax(8) == OneMinMax(8) and OneMinMaxStar(8) == OneMinMaxStar(8)
+        # sweep workers receive the problems pickled
+        for problem in (OneMinMax(8), OneMinMaxStar(8), OneJumpZeroJump(8, 2)):
+            copy = pickle.loads(pickle.dumps(problem))
+            assert type(copy) is type(problem) and copy == problem
+        expected = {"omm": OneMinMax, "ojzj": OneJumpZeroJump, "ommstar": OneMinMaxStar,
+                    "nk": problems.NkLandscape}
+        for family, plan in lab.preset_plans().items():
+            assert type(lab.build_problem(plan, plan.n_values[0])) is expected[family]

@@ -20,7 +20,6 @@ from emolab.problems import (
     OneJumpZeroJump,
     OneMinMax,
     OneMinMaxStar,
-    default_reference_point,
     generate_nk_instance,
 )
 from emolab.survival import CrowdingDistance, ReferencePointDistance
@@ -38,8 +37,8 @@ def problem_and_reference(label):
         problem = OneMinMaxStar(8)
     else:
         problem = generate_nk_instance(8, 2, seed=3)
-        return problem, default_reference_point(problem, stream(11))
-    return problem, default_reference_point(problem)
+        return problem, problem.reference_point(stream(11))
+    return problem, problem.reference_point()
 
 
 def grid():

@@ -10,7 +10,6 @@ from emolab.problems import (
     OneJumpZeroJump,
     OneMinMax,
     OneMinMaxStar,
-    evaluate,
     generate_nk_instance,
 )
 from emolab.survival import (
@@ -107,8 +106,8 @@ def random_population(rng):
     else:
         problem = generate_nk_instance(6, 2, seed=int(rng.integers(1000)))
     size = int(rng.integers(1, 33))
-    objectives = [evaluate(problem, random_bitstring(problem.n, rng)) for _ in range(size)]
-    return individuals(objectives)
+    genomes = np.stack([random_bitstring(problem.n, rng) for _ in range(size)])
+    return individuals(problem.evaluator()(genomes).tolist())
 
 
 class TestFastNondominatedSort:
@@ -288,8 +287,8 @@ class TestSurvivalSelect:
         reference = (0.0, 9.0)
         for _ in range(60):
             size = int(rng.integers(1, 25))
-            objectives, birth = individuals(
-                [evaluate(problem, random_bitstring(9, rng)) for _ in range(size)])
+            genomes = np.stack([random_bitstring(9, rng) for _ in range(size)])
+            objectives, birth = individuals(problem.evaluator()(genomes).tolist())
             capacity = int(rng.integers(1, size + 1))
             kept = survival_select(objectives, birth, capacity, ReferencePointDistance(reference))
             dist = [math.dist(v, reference) for v in objectives.tolist()]
