@@ -67,7 +67,7 @@ def cmd_sweep(args) -> int:
     else:
         try:
             plan = lab.load_plan(args.plan)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: cannot load plan {args.plan!r}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     try:
@@ -101,8 +101,8 @@ def cmd_sweep(args) -> int:
 def cmd_oracle(args) -> int:
     try:
         master_seed = _resolve_seed(args.seed, lab.DEFAULT_MASTER_SEED)
-        # bounded like `run --algo rnsga2 --pop 1`: the front of a one-individual cell
-        plan = _cell_plan(args, master_seed, lab.Variant("oracle", "refpoint", 1))
+        # bounded like `run --algo rnsga2 --pop 1 --cap 1`, a cell valid on every problem
+        plan = _cell_plan(args, master_seed, lab.Variant("oracle", "refpoint", 1), 1)
         print(f"oracle problem={args.problem} n={args.n} k={args.k} seed={master_seed}")
         front = lab.build_problem(plan, args.n).front()
     except ValueError as exc:
@@ -118,23 +118,23 @@ def cmd_run(args) -> int:
     variant = lab.Variant(args.algo, ALGORITHM_POLICIES[args.algo], args.pop)
     try:
         seed = _resolve_seed(args.seed, lab.DEFAULT_MASTER_SEED)
+        if seed < 0:  # used as the run's stream seed, unlike the masked seeds of a sweep
+            raise ValueError(f"the run seed must be non-negative, got {seed}")
         plan = _cell_plan(args, seed, variant, args.cap)
         if args.rate == 0 and args.cap is None:
             raise ValueError("--rate 0 never changes the population: set --cap")
-        problem = lab.build_problem(plan, args.n)
-        reference = lab.reference_for(plan, args.n, problem)
-        config = replace(lab.algorithm_config(plan, variant, args.n, reference),
-                         mutation_rate=args.rate)
+        _, _, _, problem, config = next(lab.cells(plan))
+        config = replace(config, mutation_rate=args.rate)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"run problem={args.problem} n={args.n} k={args.k} algo={args.algo} "
           f"pop_size={config.pop_size} rate={args.rate if args.rate is not None else f'1/{args.n}'} "
           f"cap={args.cap} seed={seed} "
-          f"reference={tuple(round(v, 6) for v in reference)}")
+          f"reference={tuple(round(v, 6) for v in config.reference_point)}")
     trace = None
     if args.trace is not None:
-        trace = GenerationTrace(problem, reference)
+        trace = GenerationTrace(problem, config.reference_point)
     result = run(problem, config, seed, on_generation=trace)
     if args.trace is not None:
         try:
@@ -226,7 +226,7 @@ def cmd_plot(args) -> int:
     print(f"plot summary={args.summary} out={args.out} log_y={args.log_y}")
     try:
         rows = lab.read_summary_csv(args.summary)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read summary {args.summary!r}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not rows:

@@ -3,7 +3,9 @@ and the statistics used to compare the algorithms.
 
 A plan names a problem family, the sizes to sweep, the algorithm variants
 (label, survival policy, population-size rule), the number of runs per
-cell, and a master seed. Every trial seed is a pure function of
+cell, and a master seed. `cells` turns a plan into its (size, variant)
+cells, each with its problem and run settings; sweeps and `emolab run` both
+go through it. Every trial seed is a pure function of
 (master_seed, n, variant index, trial index), so results are byte-for-byte
 reproducible and independent of the degree of parallelism. Capped runs
 (misses) contribute their cap-truncated evaluation totals to the means and
@@ -20,7 +22,8 @@ import operator
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
+from itertools import groupby
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -207,10 +210,12 @@ def validate_plan(plan: ExperimentPlan) -> None:
             if pop_size * n > MAX_POPULATION_BITS:
                 raise ValueError(f"variant {variant.label!r} at n={n} holds more than "
                                  f"{MAX_POPULATION_BITS} population bits")
-            # at N=1 crowding keeps a child only if it dominates its parent: never on OneMinMax
-            if pop_size == 1 and variant.policy == "crowding" and plan.max_evaluations is None:
-                raise ValueError(f"variant {variant.label!r} runs crowding at N=1 at n={n}, "
-                                 "which may never end: set max_evaluations")
+            # the paper bounds N=1 runs only for refpoint on OneMinMax and OneJumpZeroJump
+            if (pop_size == 1 and plan.max_evaluations is None
+                    and not (variant.policy == "refpoint" and plan.problem in ("omm", "ojzj"))):
+                raise ValueError(f"variant {variant.label!r} runs {variant.policy} at N=1 on "
+                                 f"{plan.problem} at n={n}, which may never end: "
+                                 "set max_evaluations")
     if len(set(plan.n_values)) != len(plan.n_values):
         raise ValueError(f"problem sizes must be unique, got {list(plan.n_values)}")
 
@@ -240,19 +245,21 @@ def reference_for(plan: ExperimentPlan, n: int, problem: ProblemSpec):
     return problem.reference_point()
 
 
-def algorithm_config(plan: ExperimentPlan, variant: Variant, n: int,
-                     reference) -> AlgorithmConfig:
-    """The run settings of one variant at size n: population, survival policy, budget."""
-    if variant.policy == "crowding":
-        policy = CrowdingDistance()
-    else:
-        policy = ReferencePointDistance(reference)
-    return AlgorithmConfig(
-        policy=policy,
-        pop_size=resolve_pop_size(variant.pop_size, n, plan.k),
-        reference_point=reference,
-        max_evaluations=plan.max_evaluations,
-    )
+def cells(plan: ExperimentPlan):
+    """Yield (n, variant index, variant, problem, config) for every cell, sizes outermost.
+
+    A size's problem and reference point are built once and shared by its
+    variants; config holds the variant's population, survival policy and budget.
+    """
+    for n in plan.n_values:
+        problem = build_problem(plan, n)
+        reference = reference_for(plan, n, problem)
+        for variant_index, variant in enumerate(plan.variants):
+            policy = (CrowdingDistance() if variant.policy == "crowding"
+                      else ReferencePointDistance(reference))
+            yield n, variant_index, variant, problem, AlgorithmConfig(
+                policy=policy, pop_size=resolve_pop_size(variant.pop_size, n, plan.k),
+                reference_point=reference, max_evaluations=plan.max_evaluations)
 
 
 def trial_seed(plan: ExperimentPlan, n: int, variant_index: int, trial: int) -> int:
@@ -282,17 +289,12 @@ def run_experiment(plan: ExperimentPlan, parallelism: int = 1) -> list:
         raise ValueError(f"parallelism must lie in [1, {MAX_PARALLELISM}], got {parallelism}")
     chunk_size = math.ceil(plan.runs_per_cell / (parallelism * 4))
     jobs = []
-    for n in plan.n_values:
-        problem = build_problem(plan, n)
-        reference = reference_for(plan, n, problem)
-        for variant_index, variant in enumerate(plan.variants):
-            config = algorithm_config(plan, variant, n, reference)
-            template = TrialRecord(plan.problem, n, plan.k, variant.label, variant.policy,
-                                   config.pop_size, seed=0, trial=0, evaluations=0, hit=False)
-            trials = [(t, trial_seed(plan, n, variant_index, t))
-                      for t in range(plan.runs_per_cell)]
-            jobs += [(problem, config, template, trials[start:start + chunk_size])
-                     for start in range(0, len(trials), chunk_size)]
+    for n, variant_index, variant, problem, config in cells(plan):
+        template = TrialRecord(plan.problem, n, plan.k, variant.label, variant.policy,
+                               config.pop_size, seed=0, trial=0, evaluations=0, hit=False)
+        trials = [(t, trial_seed(plan, n, variant_index, t)) for t in range(plan.runs_per_cell)]
+        jobs += [(problem, config, template, trials[start:start + chunk_size])
+                 for start in range(0, len(trials), chunk_size)]
     workers = min(parallelism, len(jobs))
     with ExitStack() as stack:
         chunk_map = (map if workers == 1 else
@@ -305,20 +307,16 @@ def summarize(records: Sequence[TrialRecord]) -> list:
     """Mean, sample standard deviation, and success rate per (problem, n, variant)."""
     if not records:
         raise ValueError("cannot summarize an empty record set")
-    groups = {}
-    for record in records:
-        groups.setdefault((record.problem, record.n, record.variant), []).append(record)
+    key = operator.attrgetter("problem", "n", "variant")
     rows = []
-    for (problem, n, variant) in sorted(groups):
-        cell = groups[(problem, n, variant)]
+    for (problem, n, variant), group in groupby(sorted(records, key=key), key):
+        cell = list(group)
         evals = [r.evaluations for r in cell]
-        mean = statistics.fmean(evals)
-        std = statistics.stdev(evals) if len(evals) > 1 else 0.0
-        success = sum(1 for r in cell if r.hit) / len(cell)
         rows.append(SummaryRow(
             problem=problem, n=n, variant=variant,
-            mean_evals=mean, std_evals=std,
-            success_rate=success, runs=len(cell),
+            mean_evals=statistics.fmean(evals),
+            std_evals=statistics.stdev(evals) if len(evals) > 1 else 0.0,
+            success_rate=sum(r.hit for r in cell) / len(cell), runs=len(cell),
         ))
     return rows
 
@@ -447,6 +445,8 @@ def plan_from_json(text: str) -> ExperimentPlan:
     if not isinstance(doc, dict):
         raise ValueError("a plan must be a JSON object")
     for key in ("n_values", "variants"):
+        if key not in doc:
+            raise ValueError(f"the plan has no {key!r} key")
         if not isinstance(doc[key], list):
             raise ValueError(f"{key} must be a list, got {doc[key]!r}")
     if not all(isinstance(v, dict) for v in doc["variants"]):
@@ -476,8 +476,7 @@ def with_overrides(plan: ExperimentPlan, runs: Optional[int] = None,
 
 TRIALS_HEADER = ["problem", "n", "k", "variant", "policy", "pop_size",
                  "seed", "evaluations", "hit"]
-SUMMARY_HEADER = ["problem", "n", "variant", "mean_evals", "std_evals",
-                  "success_rate", "runs"]
+SUMMARY_HEADER = [f.name for f in fields(SummaryRow)]
 
 
 def write_trials_csv(records: Sequence[TrialRecord], path) -> None:
@@ -496,12 +495,8 @@ def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_HEADER)
-        for row in rows:
-            writer.writerow([
-                row.problem, row.n, row.variant,
-                repr(row.mean_evals), repr(row.std_evals),
-                repr(row.success_rate), row.runs,
-            ])
+        # csv writes a float by repr, so the summary keeps every digit
+        writer.writerows(map(astuple, rows))
 
 
 def read_summary_csv(path) -> list:

@@ -178,6 +178,20 @@ MALFORMED_PLANS = {
     # never ends on OneMinMax
     "crowding at N=1 without a budget": _plan_doc(
         variants=[{"label": "n1", "policy": "crowding", "pop_size": 1}]),
+    # the paper bounds refpoint at N=1 only on OneMinMax and OneJumpZeroJump
+    "refpoint at N=1 on ommstar without a budget": _plan_doc(
+        problem="ommstar", variants=[{"label": "n1", "policy": "refpoint", "pop_size": 1}]),
+    "refpoint at N=1 on nk without a budget": _plan_doc(
+        problem="nk", nk_k=3, variants=[{"label": "n1", "policy": "refpoint", "pop_size": 1}]),
+    "missing n_values": {key: value for key, value in _plan_doc().items()
+                         if key != "n_values"},
+    "unknown problem family": _plan_doc(problem="zdt1"),
+    "unknown policy": _plan_doc(
+        variants=[{"label": "a", "policy": "greedy", "pop_size": 4}]),
+    "ojzj without k": _plan_doc(problem="ojzj", n_values=[8]),
+    "nk without nk_k": _plan_doc(problem="nk"),
+    "nk_k not below n": _plan_doc(problem="nk", nk_k=6),
+    "size 0": _plan_doc(n_values=[0]),
     # raw text: nested past the JSON parser's recursion limit
     "nested too deeply": "[" * 200_000 + "]" * 200_000,
 }
@@ -231,6 +245,8 @@ def test_non_integer_env_seed_is_usage_error(tmp_path, monkeypatch, capsys, comm
     ["--problem", "omm", "--n", "50", "--pop", "20001"],
     ["--problem", "omm", "--n", "1000000000", "--pop", "1"],
     ["--problem", "nk", "--n", "1000000000"],
+    # the run seed seeds the stream directly, so it cannot be negative
+    ["--problem", "omm", "--n", "10", "--seed", "-1"],
 ])
 def test_oversized_run_is_usage_error(capsys, flags):
     assert main(["run", *flags, "--algo", "nsga2"]) == 2
@@ -239,18 +255,21 @@ def test_oversized_run_is_usage_error(capsys, flags):
     assert captured.err.startswith("error: ")
 
 
-# runs that never end on OneMinMax: crowding at N=1, and a zero mutation rate
+# runs that may never end: crowding at N=1 and a zero mutation rate on OneMinMax,
+# and refpoint at N=1 on OneMinMax* and NK
 @pytest.mark.parametrize("flags", [
-    ["--algo", "nsga2", "--pop", "1"],
-    ["--algo", "rnsga2", "--rate", "0"],
-    ["--algo", "nsga2", "--rate", "0"],
+    ["--problem", "omm", "--n", "50", "--algo", "nsga2", "--pop", "1"],
+    ["--problem", "omm", "--n", "50", "--algo", "rnsga2", "--rate", "0"],
+    ["--problem", "omm", "--n", "50", "--algo", "nsga2", "--rate", "0"],
+    ["--problem", "ommstar", "--n", "30", "--algo", "rnsga2", "--pop", "1"],
+    ["--problem", "nk", "--n", "20", "--algo", "rnsga2", "--pop", "1"],
 ])
 def test_unbounded_run_without_cap_is_usage_error(capsys, monkeypatch, flags):
     def refuse(*args, **kwargs):
         raise AssertionError("the run started")
 
     monkeypatch.setattr(cli, "run", refuse)
-    assert main(["run", "--problem", "omm", "--n", "50", *flags]) == 2
+    assert main(["run", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

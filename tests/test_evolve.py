@@ -64,6 +64,9 @@ class TestInitialize:
         with pytest.raises(ValueError):
             AlgorithmConfig(policy=CrowdingDistance(), pop_size=1,
                             reference_point=(0.0, 1.0), mutation_rate=1.5)
+        with pytest.raises(ValueError):
+            AlgorithmConfig(policy=CrowdingDistance(), pop_size=1,
+                            reference_point=(0.0, 1.0), max_evaluations=0)
         with pytest.raises(TypeError):
             AlgorithmConfig(policy="refpoint", pop_size=1, reference_point=(0.0, 1.0))
 
@@ -230,6 +233,10 @@ def assert_kernel_matches_array_engine(problem, config, seeds, kernel_calls):
     return results
 
 
+# OneJumpZeroJump(12, 3) starts inside a valley at these seeds (3 of the first 200)
+VALLEY_SEEDS = (5, 81, 140)
+
+
 class TestSingleParentKernel:
     """An unobserved N = 1 run on a synthetic problem takes the (1+1) kernel;
     the array engine, forced by an observer, is its oracle."""
@@ -247,10 +254,17 @@ class TestSingleParentKernel:
         else:
             # a target no solution reaches: every run goes to its cap on distances
             survival = ReferencePointDistance((reference[0] + 1.5, reference[1] - 0.5))
+        seeds = range(4)
+        if isinstance(problem, OneJumpZeroJump):
+            # only a parent inside a valley can be dominated by its child
+            n, k = problem.n, problem.k
+            starts = [int(random_bitstring(n, stream(s)).sum()) for s in VALLEY_SEEDS]
+            assert all(0 < ones < k or n - k < ones < n for ones in starts)
+            seeds = [*seeds, *VALLEY_SEEDS]
         for cap in (1, 700):
             config = AlgorithmConfig(policy=survival, pop_size=1, reference_point=reference,
                                      mutation_rate=rate, max_evaluations=cap)
-            results = assert_kernel_matches_array_engine(problem, config, range(4),
+            results = assert_kernel_matches_array_engine(problem, config, seeds,
                                                          kernel_calls)
             if cap == 1:
                 assert all(r.evaluations == 1 and r.generations == 0 for r in results)

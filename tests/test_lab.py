@@ -285,10 +285,11 @@ class TestSizeBounds:
     @pytest.mark.parametrize("fits, beyond", [
         ({"n_values": (50,), "variants": (Variant("a", "crowding", 20_000),)},
          {"n_values": (50,), "variants": (Variant("a", "crowding", 20_001),)}),
-        ({"problem": "nk", "n_values": (25,), "nk_k": 17},
-         {"problem": "nk", "n_values": (25,), "nk_k": 18}),
-        ({"problem": "nk", "n_values": (25,), "nk_k": 3},
-         {"problem": "nk", "n_values": (26,), "nk_k": 3}),
+        # NK plans set a budget: refpoint at N=1 on NK needs one
+        ({"problem": "nk", "n_values": (25,), "nk_k": 17, "max_evaluations": 100},
+         {"problem": "nk", "n_values": (25,), "nk_k": 18, "max_evaluations": 100}),
+        ({"problem": "nk", "n_values": (25,), "nk_k": 3, "max_evaluations": 100},
+         {"problem": "nk", "n_values": (26,), "nk_k": 3, "max_evaluations": 100}),
         ({"runs_per_cell": 250_000}, {"runs_per_cell": 250_001}),
     ], ids=["population bits", "NK table", "NK enumeration", "trials"])
     def test_limit_accepted_and_beyond_rejected(self, fits, beyond):
