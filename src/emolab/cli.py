@@ -121,8 +121,8 @@ def cmd_run(args) -> int:
         if seed < 0:  # used as the run's stream seed, unlike the masked seeds of a sweep
             raise ValueError(f"the run seed must be non-negative, got {seed}")
         plan = _cell_plan(args, seed, variant, args.cap)
-        if args.rate == 0 and args.cap is None:
-            raise ValueError("--rate 0 never changes the population: set --cap")
+        if args.rate is not None and args.cap is None:
+            raise ValueError("--rate needs --cap: runs are bounded only at the default 1/n")
         _, _, _, problem, config = next(lab.cells(plan))
         config = replace(config, mutation_rate=args.rate)
     except ValueError as exc:
@@ -306,3 +306,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

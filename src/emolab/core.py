@@ -48,6 +48,21 @@ def random_bitstring(n: int, rng: RngStream) -> np.ndarray:
     return bits
 
 
+def random_population(size: int, n: int, rng: RngStream) -> np.ndarray:
+    """Draw a (size, n) batch of uniform bits as `size` random_bitstring calls would.
+
+    numpy draws each uint8 bit from a fresh 32-bit word per call, one byte
+    per bit, least significant byte first, and keeps the byte's top bit. So
+    one draw of ceil(n/4) words per row consumes the stream exactly as the
+    row calls do, and bit b of a row is bit 7 of byte b of its words, read
+    with shifts so the result does not depend on the machine's byte order.
+    """
+    words = rng.integers(0, 1 << 32, size=(size, -(-n // 4)), dtype=np.uint32)
+    top_bits = np.array([7, 15, 23, 31], dtype=np.uint32)
+    bits = (words[:, :, None] >> top_bits) & 1
+    return bits.astype(np.uint8).reshape(size, -1)[:, :n]
+
+
 def bitwise_mutate(x: np.ndarray, rate: float, rng: RngStream) -> np.ndarray:
     """Flip each bit of x independently with the given probability.
 

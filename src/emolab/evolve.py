@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import RngStream, bitwise_mutate, random_bitstring, stream
+from .core import RngStream, bitwise_mutate, random_bitstring, random_population, stream
 from .problems import NkLandscape, ProblemSpec
 from .survival import CrowdingDistance, ReferencePointDistance, SurvivalPolicy, survival_select
 
@@ -102,12 +102,12 @@ def _first_hit(objectives: np.ndarray, reference) -> Optional[int]:
 def initialize(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> RunState:
     """Draw and evaluate the N uniform random starting solutions.
 
-    Rows are drawn one at a time: a single (N, n) integer draw would not
-    consume the stream as N row draws do.
+    The population is one random_population draw, which leaves the stream
+    and the rows exactly as N random_bitstring calls would.
     """
     rng = stream(seed)
     evaluator = problem.evaluator()
-    genomes = np.stack([random_bitstring(problem.n, rng) for _ in range(config.pop_size)])
+    genomes = random_population(config.pop_size, problem.n, rng)
     objectives = evaluator(genomes)
     first = _first_hit(objectives, config.reference_point)
     return RunState(

@@ -55,21 +55,47 @@ class NkLandscape:
     contributions: np.ndarray  # shape (2, n, 2**(K+1)), float64 in [0, 1)
     # the enumerated front, kept by the first front() call on this landscape
     _front: Optional[frozenset] = field(default=None, init=False, repr=False)
+    # the evaluator's byte tables, kept by the first evaluator() call
+    _tables: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    def _byte_tables(self) -> np.ndarray:
+        """Flat `contributions` indices by genome byte: a (ceil(n/8), 256, 2n) array.
+
+        Column j*n + i stands for objective j at position i. Row v of table c
+        holds what byte c of a genome, packed by np.packbits (position 8c in
+        the high bit), adds to each column's table index when the byte is v:
+        2^K for the column's own bit and 2^(K-1-t) for its t-th locus. Table
+        0 also holds each column's flat offset, so the sum of a genome's
+        byte rows is its 2n flat indices into contributions.reshape(-1).
+        """
+        if self._tables is None:
+            n, K = self.n, self.K
+            objective, column = np.arange(2)[:, None], np.arange(n)
+            weights = np.zeros((2, n, -(-n // 8) * 8), dtype=np.intp)  # column x position
+            weights[:, column, column] = 1 << K
+            for t in range(K):
+                weights[objective, column, self.loci[:, :, t]] = 1 << (K - 1 - t)
+            byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+            tables = byte_bits @ weights.reshape(2 * n, -1, 8).transpose(1, 2, 0)
+            tables[0] += np.arange(2 * n) << (K + 1)
+            self._tables = tables
+        return self._tables
 
     def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Mean contribution per objective for every row of a (P, n) batch."""
+        """Mean contribution per objective for every row of a (P, n) batch.
+
+        Each row's 2n contributions are read with one take through the byte
+        tables, then averaged per objective in position order.
+        """
+        tables = self._byte_tables()
+        values = self.contributions.reshape(-1)
+
         def objectives(x: np.ndarray) -> np.ndarray:
-            K = self.K
-            bits = x.astype(np.intp)
-            positions = np.arange(self.n)
-            out = np.empty((len(bits), 2))
-            for j in (0, 1):
-                # own bit highest, then the loci bits in listed order
-                index = bits << K
-                for t in range(K):
-                    index += bits[:, self.loci[j, :, t]] << (K - 1 - t)
-                out[:, j] = self.contributions[j, positions, index].mean(axis=1)
-            return out
+            packed = np.packbits(x, axis=1)
+            flat = tables[0].take(packed[:, 0], axis=0)
+            for c in range(1, len(tables)):
+                flat += tables[c].take(packed[:, c], axis=0)
+            return values.take(flat).reshape(len(x), 2, self.n).mean(axis=2)
         return objectives
 
     def front(self) -> frozenset:

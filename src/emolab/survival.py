@@ -44,11 +44,14 @@ def fast_nondominated_sort(objectives) -> np.ndarray:
     non-dominated once the earlier fronts are removed. Equal objective
     vectors always share a front. An empty input gives an empty array.
 
-    Rows are swept in decreasing (f1, f2) order, so every distinct vector
-    already seen dominates the current one iff its f2 is at least as large.
-    Each front keeps the largest f2 it holds; these maxima decrease with
-    the front index, so the current vector's front is found by bisection:
-    O(P log P) instead of a P x P dominance matrix.
+    Rows are sorted by (f1, f2), and a neighbour comparison marks the first
+    row of each run of equal vectors, so only the distinct vectors are swept,
+    in decreasing order: every one already seen dominates the current one
+    iff its f2 is at least as large. Each front keeps the largest f2 it
+    holds; these maxima decrease with the front index, so the current
+    vector's front is found by bisection, O(D log D) for D distinct vectors
+    instead of a P x P dominance matrix. Each run of duplicates then takes
+    its vector's front.
     """
     objectives = np.asarray(objectives, dtype=np.float64)
     if objectives.size == 0:
@@ -56,25 +59,21 @@ def fast_nondominated_sort(objectives) -> np.ndarray:
     if objectives.ndim != 2 or objectives.shape[1] != 2:
         raise ValueError(f"expected a P x 2 objective array, got shape {objectives.shape}")
     order = np.lexsort((objectives[:, 1], objectives[:, 0]))
-    rows = objectives.take(order, axis=0).tolist()
-    sorted_ranks = [0] * len(rows)
+    ordered = objectives.take(order, axis=0)
+    first = np.empty(len(ordered), dtype=bool)
+    first[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
     negated_best = []  # -(largest f2) per front, non-decreasing
-    previous = None
-    rank = 0
-    for i in range(len(rows) - 1, -1, -1):
-        row = rows[i]
-        if row != previous:
-            previous = row
-            negated = -row[1]
-            front = bisect_right(negated_best, negated)
-            if front == len(negated_best):
-                negated_best.append(negated)
-            else:
-                negated_best[front] = negated
-            rank = front + 1
-        sorted_ranks[i] = rank
-    ranks = np.empty(len(rows), dtype=np.int64)
-    ranks[order] = sorted_ranks
+    distinct_ranks = []
+    for negated in (-ordered[first, 1])[::-1].tolist():
+        front = bisect_right(negated_best, negated)
+        if front == len(negated_best):
+            negated_best.append(negated)
+        else:
+            negated_best[front] = negated
+        distinct_ranks.append(front + 1)
+    ranks = np.empty(len(ordered), dtype=np.int64)
+    ranks[order] = np.array(distinct_ranks[::-1]).take(np.cumsum(first) - 1)
     return ranks
 
 

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +145,18 @@ def test_oracle_output_matches_pins(capsys, problem):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("module", ["emolab", "emolab.cli"])
+def test_module_forms_print_the_pinned_oracle(module):
+    flags, digest = ORACLE_PINS["omm"]
+    env = {key: value for key, value in os.environ.items() if key != "EMO_LAB_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    result = subprocess.run([sys.executable, "-m", module, "oracle", "--problem", "omm", *flags],
+                            capture_output=True, env=env, timeout=60, check=False)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
+
+
 @pytest.mark.parametrize("problem", sorted(TRACE_PINS))
 def test_run_trace_matches_pins(tmp_path, problem):
     flags, digest = TRACE_PINS[problem]
@@ -255,12 +271,15 @@ def test_oversized_run_is_usage_error(capsys, flags):
     assert captured.err.startswith("error: ")
 
 
-# runs that may never end: crowding at N=1 and a zero mutation rate on OneMinMax,
+# runs that may never end: crowding at N=1 and any explicit mutation rate on
+# OneMinMax (at 1e-300 no bit flips; at 1 an N=1 run cycles between complements),
 # and refpoint at N=1 on OneMinMax* and NK
 @pytest.mark.parametrize("flags", [
     ["--problem", "omm", "--n", "50", "--algo", "nsga2", "--pop", "1"],
     ["--problem", "omm", "--n", "50", "--algo", "rnsga2", "--rate", "0"],
     ["--problem", "omm", "--n", "50", "--algo", "nsga2", "--rate", "0"],
+    ["--problem", "omm", "--n", "10", "--algo", "rnsga2", "--pop", "1", "--rate", "1e-300"],
+    ["--problem", "omm", "--n", "10", "--algo", "rnsga2", "--pop", "1", "--rate", "1"],
     ["--problem", "ommstar", "--n", "30", "--algo", "rnsga2", "--pop", "1"],
     ["--problem", "nk", "--n", "20", "--algo", "rnsga2", "--pop", "1"],
 ])

@@ -10,6 +10,7 @@ from emolab.core import (
     bitwise_mutate,
     child_seed,
     random_bitstring,
+    random_population,
     stream,
 )
 from emolab.survival import reference_distances
@@ -54,6 +55,22 @@ class TestRandomBitstring:
         bits = random_bitstring(8, stream(0))
         with pytest.raises(ValueError):
             bits[0] = 1
+
+
+class TestRandomPopulation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 14, 50, 101])
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 204])
+    def test_one_draw_matches_row_calls(self, n, size):
+        # the next draws cover PCG64's buffered half of a 64-bit output too
+        for seed in (0, 1, 77):
+            draw_rng, rows_rng = stream(seed), stream(seed)
+            population = random_population(size, n, draw_rng)
+            rows = np.stack([random_bitstring(n, rows_rng) for _ in range(size)])
+            assert population.dtype == np.uint8 and population.shape == (size, n)
+            assert np.array_equal(population, rows)
+            assert draw_rng.random(3).tolist() == rows_rng.random(3).tolist()
+            assert (draw_rng.integers(0, 1 << 32, 3, dtype=np.uint32).tolist()
+                    == rows_rng.integers(0, 1 << 32, 3, dtype=np.uint32).tolist())
 
 
 class TestBitwiseMutate:

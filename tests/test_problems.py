@@ -95,12 +95,16 @@ class TestBatchEvaluator:
             assert [tuple(v) for v in got.tolist()] == [rows(problem, [x])[0] for x in batch]
 
     def test_nk_matches_per_bitstring_reference_exactly(self):
+        # n = 8 and 24 end on a byte boundary of the evaluator's packed genomes
         rng = stream(19)
-        for n, K in ((5, 0), (9, 1), (16, 3), (25, 3), (20, 7), (13, 12)):
-            instance = generate_nk_instance(n, K, seed=n * 31 + K)
-            batch = (rng.random((300, n)) < rng.random((300, 1))).astype(np.uint8)
-            got = instance.evaluator()(batch)
-            assert [tuple(v) for v in got.tolist()] == [nk_reference(instance, x) for x in batch]
+        for size in (300, 1):
+            for n, K in ((5, 0), (9, 1), (16, 3), (25, 3), (20, 7), (13, 12), (8, 3), (24, 5)):
+                instance = generate_nk_instance(n, K, seed=n * 31 + K)
+                batch = (rng.random((size, n)) < rng.random((size, 1))).astype(np.uint8)
+                got = instance.evaluator()(batch)
+                assert got.shape == (size, 2)
+                assert [tuple(v) for v in got.tolist()] == \
+                       [nk_reference(instance, x) for x in batch]
 
 
 class TestClosedFormFronts:

@@ -110,6 +110,16 @@ def random_population(rng):
     return individuals(problem.evaluator()(genomes).tolist())
 
 
+def duplicate_population(rng):
+    """A pool with many rows per distinct vector: OneMinMax vectors or small integers."""
+    size = int(rng.integers(1, 121))
+    if rng.integers(2):
+        problem = OneMinMax(int(rng.integers(1, 51)))
+        genomes = np.stack([random_bitstring(problem.n, rng) for _ in range(size)])
+        return individuals(problem.evaluator()(genomes).tolist())
+    return individuals(rng.integers(0, 4, size=(size, 2)).tolist())
+
+
 class TestFastNondominatedSort:
     def test_three_vector_example(self):
         objectives, _ = individuals([(2, 2), (1, 1), (0, 3)])
@@ -133,15 +143,16 @@ class TestFastNondominatedSort:
 
     def test_matches_strip_oracle_on_random_populations(self):
         rng = stream(20_240)
-        for _ in range(200):
-            objectives, birth = random_population(rng)
-            ranks = fast_nondominated_sort(objectives)
-            oracle = strip_partition(objectives)
-            assert [sorted(birth[f].tolist()) for f in fronts_of(ranks)] == \
-                   [sorted(birth[f].tolist()) for f in oracle]
-            # ranks are the 1-based front indices
-            for index, front in enumerate(oracle, start=1):
-                assert all(ranks[i] == index for i in front)
+        for make in (random_population, duplicate_population):
+            for _ in range(200):
+                objectives, birth = make(rng)
+                ranks = fast_nondominated_sort(objectives)
+                oracle = strip_partition(objectives)
+                assert [sorted(birth[f].tolist()) for f in fronts_of(ranks)] == \
+                       [sorted(birth[f].tolist()) for f in oracle]
+                # ranks are the 1-based front indices
+                for index, front in enumerate(oracle, start=1):
+                    assert all(ranks[i] == index for i in front)
 
 
 class TestCrowdingDistance:
@@ -172,12 +183,13 @@ class TestCrowdingDistance:
 
     def test_matches_loop_reference_exactly(self):
         rng = stream(4_242)
-        for _ in range(200):
-            objectives, birth = random_population(rng)
-            birth = rng.permutation(len(birth))
-            front = np.flatnonzero(fast_nondominated_sort(objectives) == 1)
-            got = crowding_distance_assign(objectives[front], birth[front])
-            assert got.tolist() == crowding_reference(objectives[front], birth[front])
+        for make in (random_population, duplicate_population):
+            for _ in range(200):
+                objectives, birth = make(rng)
+                birth = rng.permutation(len(birth))
+                front = np.flatnonzero(fast_nondominated_sort(objectives) == 1)
+                got = crowding_distance_assign(objectives[front], birth[front])
+                assert got.tolist() == crowding_reference(objectives[front], birth[front])
 
 
 class TestReferenceDistances:
