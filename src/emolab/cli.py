@@ -43,6 +43,12 @@ def _resolve_seed(value, default=None):
         raise ValueError(f"EMO_LAB_SEED must be an integer, got {env!r}") from None
 
 
+def _fail(code: int, message: str) -> int:
+    """Report an error on stderr and return the exit code for it."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def _cell_plan(args, master_seed: int, variant: lab.Variant,
                max_evaluations=None) -> lab.ExperimentPlan:
     """The one (problem, n) cell that the flags of `run` and `oracle` describe, validated."""
@@ -62,23 +68,20 @@ def _cell_plan(args, master_seed: int, variant: lab.Variant,
 
 
 def cmd_sweep(args) -> int:
-    if args.preset is not None:
-        plan = lab.preset_plans()[args.preset]
-    else:
-        try:
-            plan = lab.load_plan(args.plan)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load plan {args.plan!r}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    if not 1 <= args.parallelism <= lab.MAX_PARALLELISM:
+        return _fail(EXIT_USAGE, f"--parallelism must lie in [1, {lab.MAX_PARALLELISM}]")
+    source = args.preset or args.plan
     try:
+        plan = lab.preset_plans()[args.preset] if args.preset else lab.load_plan(args.plan)
         plan = lab.with_overrides(plan, runs=args.runs, master_seed=_resolve_seed(args.seed))
         lab.validate_plan(plan)
-    except ValueError as exc:
-        print(f"error: invalid plan: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not 1 <= args.parallelism <= lab.MAX_PARALLELISM:
-        print(f"error: --parallelism must lie in [1, {lab.MAX_PARALLELISM}]", file=sys.stderr)
-        return EXIT_USAGE
+    except (OSError, ValueError) as exc:
+        return _fail(EXIT_USAGE, f"cannot load plan {source!r}: {exc}")
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(EXIT_IO, f"cannot write results: {exc}")
     print(f"sweep plan={plan.name} problem={plan.problem} n_values={list(plan.n_values)} "
           f"variants={[v.label for v in plan.variants]} runs={plan.runs_per_cell} "
           f"master_seed={plan.master_seed} cap={plan.max_evaluations} "
@@ -86,13 +89,10 @@ def cmd_sweep(args) -> int:
     records = lab.run_experiment(plan, parallelism=args.parallelism)
     summary = lab.summarize(records)
     try:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         lab.write_trials_csv(records, out_dir / "trials.csv")
         lab.write_summary_csv(summary, out_dir / "summary.csv")
     except OSError as exc:
-        print(f"error: cannot write results: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(EXIT_IO, f"cannot write results: {exc}")
     print(f"wrote {len(records)} trials to {out_dir / 'trials.csv'} "
           f"and {len(summary)} summary rows to {out_dir / 'summary.csv'}")
     return EXIT_OK
@@ -106,8 +106,7 @@ def cmd_oracle(args) -> int:
         print(f"oracle problem={args.problem} n={args.n} k={args.k} seed={master_seed}")
         front = lab.build_problem(plan, args.n).front()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, str(exc))
     for point in sorted(front):
         print(" ".join(f"{v:g}" for v in point))
     print(f"size {len(front)}")
@@ -126,22 +125,23 @@ def cmd_run(args) -> int:
         _, _, _, problem, config = next(lab.cells(plan))
         config = replace(config, mutation_rate=args.rate)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, str(exc))
+    if args.trace is not None:
+        try:
+            open(args.trace, "a").close()  # fail before the run, not after it
+        except OSError as exc:
+            return _fail(EXIT_IO, f"cannot write trace: {exc}")
     print(f"run problem={args.problem} n={args.n} k={args.k} algo={args.algo} "
           f"pop_size={config.pop_size} rate={args.rate if args.rate is not None else f'1/{args.n}'} "
           f"cap={args.cap} seed={seed} "
           f"reference={tuple(round(v, 6) for v in config.reference_point)}")
-    trace = None
-    if args.trace is not None:
-        trace = GenerationTrace(problem, config.reference_point)
+    trace = None if args.trace is None else GenerationTrace(problem, config.reference_point)
     result = run(problem, config, seed, on_generation=trace)
-    if args.trace is not None:
+    if trace is not None:
         try:
             trace.write_csv(args.trace)
         except OSError as exc:
-            print(f"error: cannot write trace: {exc}", file=sys.stderr)
-            return EXIT_IO
+            return _fail(EXIT_IO, f"cannot write trace: {exc}")
         print(f"wrote trace with {len(trace.rows)} rows to {args.trace}")
     print(f"hit={'true' if result.hit else 'false'} "
           f"evaluations_to_hit={result.evaluations_to_hit} "
@@ -154,8 +154,11 @@ def render_line_chart(series, log_y: bool = False, title: str = "") -> str:
     """Build an SVG line chart: one polyline and one marker set per series.
 
     series maps a label to a list of (x, y) pairs. With log_y the y axis is
-    log10-scaled; callers must guard against non-positive values first.
+    log10-scaled; callers must guard against non-positive values first. The
+    title and labels are escaped, so any text gives well-formed XML.
     """
+    from html import escape  # imported here: a module-level import adds to every sweep's RSS
+
     width, height = 720, 440
     left, right, top, bottom = 80, 200, 40, 60
     plot_w = width - left - right
@@ -186,7 +189,8 @@ def render_line_chart(series, log_y: bool = False, title: str = "") -> str:
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
     ]
     if title:
-        parts.append(f'<text x="{left}" y="{top - 14}" font-size="15">{title}</text>')
+        parts.append(f'<text x="{left}" y="{top - 14}" font-size="15">'
+                     f'{escape(title, quote=False)}</text>')
 
     for x in xs:
         parts.append(f'<line x1="{sx(x):.2f}" y1="{top + plot_h}" x2="{sx(x):.2f}" '
@@ -216,7 +220,8 @@ def render_line_chart(series, log_y: bool = False, title: str = "") -> str:
         lx = left + plot_w + 16
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{lx + 28}" y="{ly}" font-size="13">{label}</text>')
+        parts.append(f'<text x="{lx + 28}" y="{ly}" font-size="13">'
+                     f'{escape(label, quote=False)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts)
@@ -227,14 +232,11 @@ def cmd_plot(args) -> int:
     try:
         rows = lab.read_summary_csv(args.summary)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read summary {args.summary!r}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"cannot read summary {args.summary!r}: {exc}")
     if not rows:
-        print("error: summary contains no data rows", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, "summary contains no data rows")
     if args.log_y and any(row.mean_evals <= 0 for row in rows):
-        print("error: --log-y requires every mean to be positive", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, "--log-y requires every mean to be positive")
     series = {}
     multi_problem = len({row.problem for row in rows}) > 1
     for row in rows:
@@ -245,8 +247,7 @@ def cmd_plot(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(svg + "\n")
     except OSError as exc:
-        print(f"error: cannot write SVG: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(EXIT_IO, f"cannot write SVG: {exc}")
     print(f"wrote chart with {len(series)} series to {args.out}")
     return EXIT_OK
 
@@ -269,23 +270,23 @@ def build_parser() -> argparse.ArgumentParser:
                        default=min(os.cpu_count() or 1, lab.MAX_PARALLELISM))
     sweep.set_defaults(func=cmd_sweep)
 
-    oracle = sub.add_parser("oracle", help="print a problem's Pareto front")
-    oracle.add_argument("--problem", required=True, choices=lab.PROBLEM_FAMILIES)
-    oracle.add_argument("--n", type=int, required=True)
-    oracle.add_argument("--k", type=int, default=2, help="valley width for ojzj")
-    oracle.add_argument("--seed", type=int, default=None, help="master seed (NK instance)")
+    # the one (problem, n) cell that `oracle` and `run` act on
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument("--problem", required=True, choices=lab.PROBLEM_FAMILIES)
+    cell.add_argument("--n", type=int, required=True)
+    cell.add_argument("--k", type=int, default=2, help="valley width for ojzj")
+    cell.add_argument("--seed", type=int, default=None,
+                      help="master seed: picks the NK instance and seeds a run")
+
+    oracle = sub.add_parser("oracle", parents=[cell], help="print a problem's Pareto front")
     oracle.set_defaults(func=cmd_oracle)
 
-    runner = sub.add_parser("run", help="execute a single seeded run")
-    runner.add_argument("--problem", required=True, choices=lab.PROBLEM_FAMILIES)
-    runner.add_argument("--n", type=int, required=True)
-    runner.add_argument("--k", type=int, default=2, help="valley width for ojzj")
+    runner = sub.add_parser("run", parents=[cell], help="execute a single seeded run")
     runner.add_argument("--algo", required=True, choices=tuple(ALGORITHM_POLICIES))
     runner.add_argument("--pop", default="4*(n+1)",
                         help="population size, an integer or a rule over n (and k)")
     runner.add_argument("--rate", type=float, default=None, help="mutation rate (default 1/n)")
     runner.add_argument("--cap", type=int, default=None, help="evaluation budget")
-    runner.add_argument("--seed", type=int, default=None)
     runner.add_argument("--trace", default=None, help="write a per-generation trace CSV here")
     runner.set_defaults(func=cmd_run)
 

@@ -187,10 +187,10 @@ def validate_plan(plan: ExperimentPlan) -> None:
     for variant in plan.variants:
         if variant.policy not in POLICY_KINDS:
             raise ValueError(f"unknown policy {variant.policy!r} in variant {variant.label!r}")
-    if plan.problem == "ojzj" and plan.k is None:
-        raise ValueError("OneJumpZeroJump plans must set k")
-    if plan.problem == "nk" and plan.nk_k is None:
-        raise ValueError("NK plans must set nk_k")
+    if (plan.k is None) == (plan.problem == "ojzj"):
+        raise ValueError("k must be set on ojzj plans and only on them")
+    if (plan.nk_k is None) == (plan.problem == "nk"):
+        raise ValueError("nk_k must be set on nk plans and only on them")
     for n in plan.n_values:
         _check_int("every problem size", n)
         if plan.problem == "ojzj" and not 2 <= plan.k <= n // 4:
@@ -483,9 +483,9 @@ def write_trials_csv(records: Sequence[TrialRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRIALS_HEADER)
-        for r in records:
+        for r in records:  # csv writes k=None as an empty field
             writer.writerow([
-                r.problem, r.n, "" if r.k is None else r.k, r.variant,
+                r.problem, r.n, r.k, r.variant,
                 r.policy, r.pop_size, r.seed, r.evaluations,
                 "true" if r.hit else "false",
             ])
@@ -501,25 +501,18 @@ def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
 
 def read_summary_csv(path) -> list:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SUMMARY_HEADER:
-            raise ValueError(f"unexpected summary header: {reader.fieldnames}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != SUMMARY_HEADER:
+            raise ValueError(f"unexpected summary header: {header}")
         rows = []
-        for line in reader:
-            # DictReader keys surplus fields under None and fills missing ones with None
-            if None in line or None in line.values():
+        for line in filter(None, reader):  # skips empty lines
+            if len(line) != len(SUMMARY_HEADER):
                 raise ValueError(f"line {reader.line_num} does not have "
                                  f"{len(SUMMARY_HEADER)} fields")
-            row = SummaryRow(
-                problem=line["problem"],
-                n=int(line["n"]),
-                variant=line["variant"],
-                mean_evals=float(line["mean_evals"]),
-                std_evals=float(line["std_evals"]),
-                success_rate=float(line["success_rate"]),
-                runs=int(line["runs"]),
-            )
-            if not all(map(math.isfinite, (row.mean_evals, row.std_evals, row.success_rate))):
+            problem, n, variant, *numbers, runs = line
+            numbers = [float(v) for v in numbers]
+            if not all(map(math.isfinite, numbers)):
                 raise ValueError(f"line {reader.line_num} has a number that is not finite")
-            rows.append(row)
+            rows.append(SummaryRow(problem, int(n), variant, *numbers, int(runs)))
     return rows

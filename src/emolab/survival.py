@@ -15,7 +15,7 @@ birth (P int64), one row per solution; selection returns row indices.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Union
 
@@ -125,14 +125,12 @@ def survival_select(objectives, birth, capacity: int, policy: SurvivalPolicy) ->
             f"need at least {capacity} individuals to select from, got {len(objectives)}")
     ranks = fast_nondominated_sort(objectives)
     order = ranks.argsort(kind="stable")
-    if capacity == len(order):
-        return order
-    sorted_ranks = ranks[order].tolist()
-    critical = sorted_ranks[capacity]
-    if sorted_ranks[capacity - 1] != critical:
+    critical = ranks[order[capacity - 1]]
+    start = np.count_nonzero(ranks < critical)
+    end = np.count_nonzero(ranks <= critical)
+    if end == capacity:
         return order[:capacity]
-    start = bisect_left(sorted_ranks, critical)
-    front = order[start:bisect_right(sorted_ranks, critical)]
+    front = order[start:end]
     front_birth = birth.take(front)
     if isinstance(policy, CrowdingDistance):
         key = -crowding_distance_assign(objectives.take(front, axis=0), front_birth)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -206,6 +207,10 @@ MALFORMED_PLANS = {
         variants=[{"label": "a", "policy": "greedy", "pop_size": 4}]),
     "ojzj without k": _plan_doc(problem="ojzj", n_values=[8]),
     "nk without nk_k": _plan_doc(problem="nk"),
+    # k and nk_k belong to one family each: elsewhere they would fill the k column or be ignored
+    "k on omm": _plan_doc(k=3, variants=[{"label": "a", "policy": "crowding",
+                                          "pop_size": "4*(n+k)"}]),
+    "nk_k on ojzj": _plan_doc(problem="ojzj", n_values=[8], k=2, nk_k=2),
     "nk_k not below n": _plan_doc(problem="nk", nk_k=6),
     "size 0": _plan_doc(n_values=[0]),
     # raw text: nested past the JSON parser's recursion limit
@@ -322,6 +327,33 @@ def test_population_rule_outside_grammar_is_rejected(tmp_path, capsys, rule):
     assert len(errors) == 2 and all(line.startswith("error: ") for line in errors)
 
 
+# every output path sits under a regular file, so it can never be created
+@pytest.mark.parametrize("command", ["sweep", "run", "plot"])
+def test_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the output was checked")
+
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(lab, "run", refuse)
+    monkeypatch.setattr(cli, "run", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    target = str(blocker / "out")
+    summary = tmp_path / "summary.csv"
+    write_summary_csv([SummaryRow("omm", 10, "a", 100.0, 1.0, 1.0, 5)], summary)
+    argv = {"sweep": ["sweep", "--preset", "omm", "--runs", "30", "--parallelism", "2",
+                      "--out", target],
+            "run": ["run", "--problem", "nk", "--n", "12", "--algo", "rnsga2", "--cap", "500",
+                    "--seed", "3", "--trace", target],
+            "plot": ["plot", "--summary", str(summary), "--out", target]}[command]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write ")
+    if command != "plot":  # sweep and run check their output before the config line
+        assert captured.out == ""
+    assert blocker.read_text(encoding="utf-8") == ""
+
+
 class TestOracle:
     def test_oneminmax_front(self, capsys):
         assert main(["oracle", "--problem", "omm", "--n", "4"]) == 0
@@ -420,6 +452,9 @@ class TestNkCell:
         assert lines[-1] == f"size {len(front)}" == "size 5"
 
 
+SVG_TEXT = "{http://www.w3.org/2000/svg}text"
+
+
 class TestPlot:
     def write_summary(self, tmp_path, variants=3, sizes=(10, 20, 30, 40, 50),
                       mean=lambda n, v: 100.0 * n + v):
@@ -472,6 +507,20 @@ class TestPlot:
         rc = main(["plot", "--summary", str(path), "--out", str(tmp_path / "c.svg")])
         assert rc == 2
         assert "unexpected summary header" in capsys.readouterr().err
+
+    def test_text_is_escaped_into_well_formed_xml(self, tmp_path):
+        rows = [SummaryRow("omm", n, variant, 10.0 * n, 1.0, 1.0, 5)
+                for variant in ("a<b&c", "plain 'quoted' \"label\"") for n in (10, 20)]
+        summary = tmp_path / "summary.csv"
+        write_summary_csv(rows, summary)
+        out = tmp_path / "chart.svg"
+        assert main(["plot", "--summary", str(summary), "--out", str(out),
+                     "--title", "x < y & z"]) == 0
+        svg = out.read_text(encoding="utf-8")
+        texts = [el.text for el in ElementTree.fromstring(svg).iter(SVG_TEXT)]
+        assert "x < y & z" in texts and "a<b&c" in texts
+        # text without &, < or > keeps its bytes
+        assert '>plain \'quoted\' "label"</text>' in svg
 
     @pytest.mark.parametrize("row", [
         "omm,10,v0,100.0",

@@ -478,6 +478,14 @@ class TestCsvRoundTrip:
         parsed = read_summary_csv(summary_path)
         assert parsed == rows
 
+    def test_summary_reader_skips_empty_lines(self, tmp_path):
+        rows = summarize(run_experiment(tiny_plan()))
+        path = tmp_path / "summary.csv"
+        write_summary_csv(rows, path)
+        path.write_text(path.read_text(encoding="utf-8").replace("\n", "\n\n"),
+                        encoding="utf-8")
+        assert read_summary_csv(path) == rows
+
     def test_lf_line_endings(self, tmp_path):
         records = run_experiment(tiny_plan(n_values=(6,), runs_per_cell=1))
         path = tmp_path / "trials.csv"
