@@ -6,7 +6,6 @@ from .core import (
     bits_from_str,
     bitwise_mutate,
     child_seed,
-    random_bitstring,
     stream,
 )
 from .evolve import AlgorithmConfig, GenerationTrace, RunResult, RunState, run

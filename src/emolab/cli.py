@@ -60,7 +60,7 @@ def _cell_plan(args, master_seed: int, variant: lab.Variant,
         runs_per_cell=1,
         master_seed=master_seed,
         max_evaluations=max_evaluations,
-        k=args.k if args.problem == "ojzj" else None,
+        k=args.k,
         nk_k=NK_K if args.problem == "nk" else None,
     )
     lab.validate_plan(plan)
@@ -80,6 +80,8 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        for name in ("trials.csv", "summary.csv"):
+            open(out_dir / name, "a").close()  # fail before the sweep, not after it
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write results: {exc}")
     print(f"sweep plan={plan.name} problem={plan.problem} n_values={list(plan.n_values)} "
@@ -274,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     cell = argparse.ArgumentParser(add_help=False)
     cell.add_argument("--problem", required=True, choices=lab.PROBLEM_FAMILIES)
     cell.add_argument("--n", type=int, required=True)
-    cell.add_argument("--k", type=int, default=2, help="valley width for ojzj")
+    cell.add_argument("--k", type=int, help="valley width: required on ojzj, rejected elsewhere")
     cell.add_argument("--seed", type=int, default=None,
                       help="master seed: picks the NK instance and seeds a run")
 

@@ -1,8 +1,8 @@
 """Bitstring and random-stream primitives shared by the benchmarks and algorithms.
 
-Bitstrings are fixed-length numpy uint8 arrays marked read-only after
-construction; a population is a (P, n) batch of them. Their text form uses
-'0'/'1' characters with position 0 leftmost. All randomness flows through
+Bitstrings are fixed-length numpy uint8 arrays; a population is a (P, n)
+batch of them, drawn by random_population. Their text form uses '0'/'1'
+characters with position 0 leftmost. All randomness flows through
 numpy's PCG64 generator (seeded via SeedSequence), so every seeded
 trajectory is reproducible bit for bit and child streams derived from
 (master seed, key...) are mutually independent.
@@ -39,23 +39,16 @@ def child_seed(master_seed: int, *key) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
-def random_bitstring(n: int, rng: RngStream) -> np.ndarray:
-    """Draw n bits, each independently 0 or 1 with probability 1/2."""
-    if n < 1:
-        raise ValueError("bitstring length must be at least 1")
-    bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-    bits.flags.writeable = False
-    return bits
-
-
 def random_population(size: int, n: int, rng: RngStream) -> np.ndarray:
-    """Draw a (size, n) batch of uniform bits as `size` random_bitstring calls would.
+    """Draw a (size, n) batch of bits, each independently 0 or 1 with probability 1/2.
 
-    numpy draws each uint8 bit from a fresh 32-bit word per call, one byte
-    per bit, least significant byte first, and keeps the byte's top bit. So
-    one draw of ceil(n/4) words per row consumes the stream exactly as the
-    row calls do, and bit b of a row is bit 7 of byte b of its words, read
-    with shifts so the result does not depend on the machine's byte order.
+    The rows, and the stream after them, are those of `size` row draws
+    rng.integers(0, 2, size=n, dtype=np.uint8). numpy draws each of their
+    bits from a fresh 32-bit word per call, one byte per bit, least
+    significant byte first, and keeps the byte's top bit. So one draw of
+    ceil(n/4) words per row consumes the stream as the row draws do, and bit
+    b of a row is bit 7 of byte b of its words, read with shifts so the
+    result does not depend on the machine's byte order.
     """
     words = rng.integers(0, 1 << 32, size=(size, -(-n // 4)), dtype=np.uint32)
     top_bits = np.array([7, 15, 23, 31], dtype=np.uint32)

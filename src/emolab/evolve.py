@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import RngStream, bitwise_mutate, random_bitstring, random_population, stream
+from .core import RngStream, bitwise_mutate, random_population, stream
 from .problems import NkLandscape, ProblemSpec
 from .survival import CrowdingDistance, ReferencePointDistance, SurvivalPolicy, survival_select
 
@@ -100,11 +100,7 @@ def _first_hit(objectives: np.ndarray, reference) -> Optional[int]:
 
 
 def initialize(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> RunState:
-    """Draw and evaluate the N uniform random starting solutions.
-
-    The population is one random_population draw, which leaves the stream
-    and the rows exactly as N random_bitstring calls would.
-    """
+    """Draw the N uniform random starting solutions in one draw and evaluate them."""
     rng = stream(seed)
     evaluator = problem.evaluator()
     genomes = random_population(config.pop_size, problem.n, rng)
@@ -202,13 +198,12 @@ def _run_single(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> Run
     """
     n = problem.n
     rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n
-    reference = (config.policy.reference
-                 if isinstance(config.policy, ReferencePointDistance) else None)
+    reference = config.policy.reference  # None under crowding
     table = list(zip(*problem.ones_table().T.tolist()))  # vector tuples by ones count
     target = tuple(config.reference_point)
     cap = config.max_evaluations
     rng = stream(seed)
-    genome = int.from_bytes(np.packbits(random_bitstring(n, rng)).tobytes(), "big")
+    genome = int.from_bytes(np.packbits(random_population(1, n, rng)[0]).tobytes(), "big")
     parent = table[genome.bit_count()]
     evaluations = 1
     hit = parent == target

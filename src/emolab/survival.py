@@ -1,12 +1,13 @@
 """Environmental selection: non-dominated sorting, crowding distance, and
 reference-point distance, plus the capacity-N truncation built on them.
 
-The two survival policies differ only in how the critical front is ordered:
-crowding distance keeps the most isolated solutions (descending), the
-reference-point policy keeps the solutions closest to the target vector
-(ascending). Whole fronts are admitted as long as they fit; only the first
-front that does not fit is truncated, and its key is computed exactly once.
-All ties break on birth index, so selection is fully deterministic.
+The two survival policies differ only in how the critical front is ordered,
+and a policy's `reference` picks the key: None orders by crowding distance,
+keeping the most isolated solutions (descending); a point orders by distance
+to it, keeping the closest (ascending). Whole fronts are admitted as long as
+they fit; only the first front that does not fit is truncated, and its key
+is computed exactly once. Ties break on birth index, so selection is fully
+deterministic.
 
 A population is a set of parallel arrays: objectives (P x 2 float64) and
 birth (P int64), one row per solution; selection returns row indices.
@@ -16,8 +17,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Sized
 from dataclasses import dataclass
-from typing import Union
+from numbers import Real
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -26,12 +29,19 @@ import numpy as np
 class CrowdingDistance:
     """Order the critical front by crowding distance, descending."""
 
+    reference: ClassVar[None] = None
+
 
 @dataclass(frozen=True)
 class ReferencePointDistance:
     """Order the critical front by Euclidean distance to a reference point, ascending."""
 
     reference: tuple
+
+    def __post_init__(self):
+        if not (isinstance(self.reference, Sized) and len(self.reference) == 2
+                and all(isinstance(v, Real) for v in self.reference)):
+            raise ValueError(f"the reference point must be two numbers, got {self.reference!r}")
 
 
 SurvivalPolicy = Union[CrowdingDistance, ReferencePointDistance]
@@ -131,12 +141,10 @@ def survival_select(objectives, birth, capacity: int, policy: SurvivalPolicy) ->
     if end == capacity:
         return order[:capacity]
     front = order[start:end]
-    front_birth = birth.take(front)
-    if isinstance(policy, CrowdingDistance):
-        key = -crowding_distance_assign(objectives.take(front, axis=0), front_birth)
-    elif isinstance(policy, ReferencePointDistance):
-        key = reference_distances(objectives.take(front, axis=0), policy.reference)
+    front_objectives, front_birth = objectives.take(front, axis=0), birth.take(front)
+    if policy.reference is None:
+        key = -crowding_distance_assign(front_objectives, front_birth)
     else:
-        raise TypeError(f"unknown survival policy: {policy!r}")
+        key = reference_distances(front_objectives, policy.reference)
     picks = front.take(np.lexsort((front_birth, key))[:capacity - start])
     return np.concatenate((order[:start], picks)) if start else picks

@@ -116,21 +116,23 @@ def test_sweep_outputs_match_pins(tmp_path, preset):
 
 
 # sha256 of `oracle` stdout and of the `run --trace` CSV, recorded while fronts
-# were still wrapped in a ParetoFront type
+# were still wrapped in a ParetoFront type; the omm, ommstar and nk oracle pins
+# were re-recorded when their config line began to print k=None, with the
+# lines after it unchanged
 ORACLE_PINS = {
     "omm": (["--n", "10"],
-            "f658b2abd75208e9d73852b4a9ad832dba8facee80919bac5f75a5b34256ae44"),
+            "08b41aada5664cabc0188f55e7fbdc51d2273d210567c230137eb26998e415dc"),
     "ojzj": (["--n", "12", "--k", "2"],
              "2b482ba4f40f12c349efd7018f7ee5893efff714e06df83025c76845327746fa"),
     "ommstar": (["--n", "10"],
-                "dbe4cb5c87b18176fecdf0901fe924f20b60cf2a37fa991729a7257764563d5a"),
+                "8fae18ae781880a4666ec7eb898613b7eb8936925665a6f600d83da8af762b16"),
     "nk": (["--n", "12", "--seed", "7"],
-           "c13a38c65877c08fd85974d468b2ec43fc9a2cc81ed3aa27cef8b4b288febc7c"),
+           "349d5c2361aecb34ed42c76b6db1bd28bde5bf76f18101767cf7a9fb4c3a41eb"),
 }
 TRACE_PINS = {
     "omm": (["--n", "12", "--algo", "nsga2"],
             "7f8089edd4d0f0e6b181e5a226e6e7fe08daad21ed1d43a75791ba03e7525186"),
-    "ojzj": (["--n", "12", "--algo", "rnsga2"],
+    "ojzj": (["--n", "12", "--k", "2", "--algo", "rnsga2"],
              "63a70f143ed4a4a01f4e0b6d719481607b6f1e43b0e6c1984a2b73d343da9b60"),
     "ommstar": (["--n", "12", "--algo", "nsga2", "--cap", "2000"],
                 "80ede25a2321f612140fcdedd092f6f0ce8c6f9ecf79e2baf536da76b640b72b"),
@@ -303,7 +305,7 @@ def test_unbounded_run_without_cap_is_usage_error(capsys, monkeypatch, flags):
 @pytest.mark.parametrize("flags", [
     ["--problem", "omm", "--n", str(lab.MAX_POPULATION_BITS + 1)],
     ["--problem", "ommstar", "--n", "1000000000"],
-    ["--problem", "ojzj", "--n", "1000000000"],
+    ["--problem", "ojzj", "--n", "1000000000", "--k", "2"],
     ["--problem", "nk", "--n", "1000000000"],
 ])
 def test_oversized_oracle_is_usage_error(capsys, flags):
@@ -311,6 +313,24 @@ def test_oversized_oracle_is_usage_error(capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+# --k follows the plan rule: required on ojzj and rejected on every other problem
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--problem", "omm", "--n", "3", "--k", "9"],
+    ["run", "--problem", "nk", "--n", "12", "--algo", "rnsga2", "--cap", "500", "--k", "3"],
+    ["oracle", "--problem", "ojzj", "--n", "8"],
+    ["run", "--problem", "ojzj", "--n", "8", "--algo", "rnsga2"],
+], ids=["oracle k on omm", "run k on nk", "oracle ojzj without k", "run ojzj without k"])
+def test_k_outside_the_plan_rule_is_usage_error(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: k must be set on ojzj")
 
 
 @pytest.mark.parametrize("rule", BAD_RULES)
@@ -352,6 +372,22 @@ def test_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch, command):
     if command != "plot":  # sweep and run check their output before the config line
         assert captured.out == ""
     assert blocker.read_text(encoding="utf-8") == ""
+
+
+# a sweep opens both result files before its first trial, so a bad path loses no work
+@pytest.mark.parametrize("name", ["trials.csv", "summary.csv"])
+def test_unwritable_result_file_fails_before_the_sweep(tmp_path, capsys, monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep started before its result files were checked")
+
+    monkeypatch.setattr(lab, "run_experiment", refuse)
+    out = tmp_path / "results"
+    (out / name).mkdir(parents=True)
+    assert main(["sweep", "--preset", "omm", "--runs", "10", "--parallelism", "2",
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write results")
 
 
 class TestOracle:
@@ -427,9 +463,10 @@ class TestNkCell:
         reference = lab.reference_for(plan, 12, lab.build_problem(plan, 12))
         lines = capsys.readouterr().out.splitlines()
         assert f"reference={tuple(round(v, 6) for v in reference)}" in lines[0]
-        # the output recorded before run was routed through lab
+        # the output recorded before run was routed through lab, but for k=None:
+        # --k belongs to ojzj alone
         assert lines == [
-            "run problem=nk n=12 k=2 algo=rnsga2 pop_size=52 rate=1/12 cap=500 seed=7 "
+            "run problem=nk n=12 k=None algo=rnsga2 pop_size=52 rate=1/12 cap=500 seed=7 "
             "reference=(0.719758, 0.611944)",
             "hit=true evaluations_to_hit=305 evaluations=312 generations=5 seed=7",
         ]

@@ -9,11 +9,15 @@ from emolab.core import (
     bits_from_str,
     bitwise_mutate,
     child_seed,
-    random_bitstring,
     random_population,
     stream,
 )
 from emolab.survival import reference_distances
+
+
+def row_draw(n, rng):
+    """One row of n uniform bits as numpy draws it: the row-by-row reference."""
+    return rng.integers(0, 2, size=n, dtype=np.uint8)
 
 
 class TestEuclideanDistance:
@@ -32,29 +36,20 @@ class TestEuclideanDistance:
 
 
 class TestRandomBitstring:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            random_bitstring(0, stream(1))
+    """The rows random_population draws are uniform random bitstrings."""
 
     def test_single_bit_uniform(self):
-        rng = stream(7)
-        draws = sum(int(random_bitstring(1, rng)[0]) for _ in range(10_000))
-        assert abs(draws / 10_000 - 0.5) < 0.02
+        draws = random_population(10_000, 1, stream(7))
+        assert abs(int(draws.sum()) / 10_000 - 0.5) < 0.02
 
     def test_binomial_mean(self):
-        rng = stream(11)
-        total = sum(int(random_bitstring(20, rng).sum()) for _ in range(10_000))
+        total = int(random_population(10_000, 20, stream(11)).sum())
         assert abs(total / 10_000 - 10.0) < 0.3
 
     def test_deterministic_given_seed(self):
-        a = random_bitstring(64, stream(123))
-        b = random_bitstring(64, stream(123))
+        a = random_population(3, 64, stream(123))
+        b = random_population(3, 64, stream(123))
         assert np.array_equal(a, b)
-
-    def test_result_is_read_only(self):
-        bits = random_bitstring(8, stream(0))
-        with pytest.raises(ValueError):
-            bits[0] = 1
 
 
 class TestRandomPopulation:
@@ -65,7 +60,7 @@ class TestRandomPopulation:
         for seed in (0, 1, 77):
             draw_rng, rows_rng = stream(seed), stream(seed)
             population = random_population(size, n, draw_rng)
-            rows = np.stack([random_bitstring(n, rows_rng) for _ in range(size)])
+            rows = np.stack([row_draw(n, rows_rng) for _ in range(size)])
             assert population.dtype == np.uint8 and population.shape == (size, n)
             assert np.array_equal(population, rows)
             assert draw_rng.random(3).tolist() == rows_rng.random(3).tolist()
@@ -93,7 +88,7 @@ class TestBitwiseMutate:
     def test_batch_matches_row_calls_from_one_stream(self):
         # one (P, n) draw consumes the stream exactly as P row draws do
         rng = stream(21)
-        batch = np.stack([random_bitstring(13, rng) for _ in range(7)])
+        batch = np.stack([row_draw(13, rng) for _ in range(7)])
         for rate in (0.0, 1 / 13, 0.5, 1.0):
             rows_rng, batch_rng = stream(99), stream(99)
             rows = np.stack([bitwise_mutate(x, rate, rows_rng) for x in batch])
@@ -107,7 +102,7 @@ class TestBitwiseMutate:
     def test_expected_flip_count_at_rate_one_over_n(self):
         n = 20
         rng = stream(13)
-        x = random_bitstring(n, rng)
+        x = row_draw(n, rng)
         total = 0
         for _ in range(10_000):
             total += int(np.count_nonzero(bitwise_mutate(x, 1.0 / n, rng) != x))
@@ -117,7 +112,7 @@ class TestBitwiseMutate:
         # each position flips with probability p, within 5 standard errors
         n, p, trials = 10, 0.15, 100_000
         rng = stream(17)
-        x = random_bitstring(n, rng)
+        x = row_draw(n, rng)
         counts = np.zeros(n, dtype=np.int64)
         for _ in range(trials):
             counts += bitwise_mutate(x, p, rng) != x

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from emolab import evolve
-from emolab.core import random_bitstring, stream
+from emolab.core import stream
 from emolab.evolve import (
     AlgorithmConfig,
     GenerationTrace,
@@ -21,6 +21,11 @@ from emolab.problems import (
     generate_nk_instance,
 )
 from emolab.survival import CrowdingDistance, ReferencePointDistance
+
+
+def row_draw(n, rng):
+    """One row of n uniform bits as numpy draws it; random_population matches it row by row."""
+    return rng.integers(0, 2, size=n, dtype=np.uint8)
 
 
 def omm_config(n, pop_size, policy=None, **kwargs):
@@ -44,7 +49,7 @@ class TestInitialize:
         # find a seed whose single random bit is 1, giving objectives (0, 1)
         problem = OneMinMax(1)
         config = omm_config(1, 1)
-        seed = next(s for s in range(100) if random_bitstring(1, stream(s))[0] == 1)
+        seed = next(s for s in range(100) if row_draw(1, stream(s))[0] == 1)
         state = initialize(problem, config, seed)
         assert state.hit and state.evaluations_to_hit == 1
 
@@ -258,7 +263,7 @@ class TestSingleParentKernel:
         if isinstance(problem, OneJumpZeroJump):
             # only a parent inside a valley can be dominated by its child
             n, k = problem.n, problem.k
-            starts = [int(random_bitstring(n, stream(s)).sum()) for s in VALLEY_SEEDS]
+            starts = [int(row_draw(n, stream(s)).sum()) for s in VALLEY_SEEDS]
             assert all(0 < ones < k or n - k < ones < n for ones in starts)
             seeds = [*seeds, *VALLEY_SEEDS]
         for cap in (1, 700):

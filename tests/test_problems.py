@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from emolab import lab, problems
-from emolab.core import bits_from_str, random_bitstring, stream
+from emolab.core import bits_from_str, random_population, stream
 from emolab.problems import (
     EnumerationLimitError,
     OneJumpZeroJump,
@@ -78,7 +78,7 @@ class TestEvaluate:
         rng = stream(3)
         for n in (1, 5, 13):
             problem = OneMinMax(n)
-            for f in rows(problem, [random_bitstring(n, rng) for _ in range(50)]):
+            for f in rows(problem, random_population(50, n, rng)):
                 assert f[0] + f[1] == n
 
 
@@ -88,7 +88,7 @@ class TestBatchEvaluator:
         rng = stream(8)
         for problem in (OneMinMax(11), OneMinMaxStar(11), OneJumpZeroJump(11, 2),
                         generate_nk_instance(11, 3, seed=4)):
-            batch = np.stack([random_bitstring(11, rng) for _ in range(40)])
+            batch = random_population(40, 11, rng)
             batch[0], batch[1] = 0, 1
             got = problem.evaluator()(batch)
             assert got.shape == (40, 2) and got.dtype == np.float64
@@ -242,7 +242,7 @@ class TestNkInstances:
     def test_nk_objectives_in_unit_interval_and_pure(self):
         problem = generate_nk_instance(9, 3, seed=6)
         rng = stream(2)
-        batch = [random_bitstring(9, rng) for _ in range(100)]
+        batch = random_population(100, 9, rng)
         first = rows(problem, batch)
         for f in first:
             assert 0.0 <= f[0] < 1.0 and 0.0 <= f[1] < 1.0

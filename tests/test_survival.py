@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from emolab.core import random_bitstring, stream
+from emolab import core
+from emolab.core import stream
 from emolab.problems import (
     OneJumpZeroJump,
     OneMinMax,
@@ -106,7 +107,7 @@ def random_population(rng):
     else:
         problem = generate_nk_instance(6, 2, seed=int(rng.integers(1000)))
     size = int(rng.integers(1, 33))
-    genomes = np.stack([random_bitstring(problem.n, rng) for _ in range(size)])
+    genomes = core.random_population(size, problem.n, rng)
     return individuals(problem.evaluator()(genomes).tolist())
 
 
@@ -115,7 +116,7 @@ def duplicate_population(rng):
     size = int(rng.integers(1, 121))
     if rng.integers(2):
         problem = OneMinMax(int(rng.integers(1, 51)))
-        genomes = np.stack([random_bitstring(problem.n, rng) for _ in range(size)])
+        genomes = core.random_population(size, problem.n, rng)
         return individuals(problem.evaluator()(genomes).tolist())
     return individuals(rng.integers(0, 4, size=(size, 2)).tolist())
 
@@ -211,6 +212,18 @@ class TestReferenceDistances:
             reference_distances(individuals([(1, 2)])[0], (1.0, 2.0, 3.0))
 
 
+class TestPolicies:
+    """A policy's reference picks the critical-front key: None only for crowding."""
+
+    def test_crowding_has_no_reference(self):
+        assert CrowdingDistance().reference is None
+
+    @pytest.mark.parametrize("reference", [None, (1.0, 2.0, 3.0)], ids=["None", "3-vector"])
+    def test_reference_must_be_two_numbers(self, reference):
+        with pytest.raises(ValueError):
+            ReferencePointDistance(reference)
+
+
 class TestSurvivalSelect:
     def test_reference_policy_keeps_closest(self):
         objectives, birth = individuals([(5, 5), (3, 7)])
@@ -299,7 +312,7 @@ class TestSurvivalSelect:
         reference = (0.0, 9.0)
         for _ in range(60):
             size = int(rng.integers(1, 25))
-            genomes = np.stack([random_bitstring(9, rng) for _ in range(size)])
+            genomes = core.random_population(size, 9, rng)
             objectives, birth = individuals(problem.evaluator()(genomes).tolist())
             capacity = int(rng.integers(1, size + 1))
             kept = survival_select(objectives, birth, capacity, ReferencePointDistance(reference))
