@@ -3,8 +3,9 @@
 Every subcommand prints its fully resolved configuration (including seeds)
 before doing any work, so any output can be reproduced from the printed
 line alone. Exit codes: 0 success, 2 usage or validation problem, 3 I/O
-failure. The EMO_LAB_SEED environment variable supplies a master seed when
---seed is not given.
+failure, a closed stdout included (`emolab oracle ... | head -1`). The
+EMO_LAB_SEED environment variable supplies a master seed when --seed is
+not given.
 """
 
 from __future__ import annotations
@@ -49,6 +50,22 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _check_writable(*paths) -> None:
+    """Raise OSError unless every path can be written, before any work.
+
+    A file that exists already is opened for appending and left as it was;
+    one that this check creates is removed again, so a command that stops
+    before writing its results leaves no empty file behind.
+    """
+    for path in paths:
+        try:
+            open(path, "x").close()
+        except FileExistsError:
+            open(path, "a").close()
+        else:
+            os.unlink(path)
+
+
 def _cell_plan(args, master_seed: int, variant: lab.Variant,
                max_evaluations=None) -> lab.ExperimentPlan:
     """The one (problem, n) cell that the flags of `run` and `oracle` describe, validated."""
@@ -80,8 +97,7 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name in ("trials.csv", "summary.csv"):
-            open(out_dir / name, "a").close()  # fail before the sweep, not after it
+        _check_writable(out_dir / "trials.csv", out_dir / "summary.csv")
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write results: {exc}")
     print(f"sweep plan={plan.name} problem={plan.problem} n_values={list(plan.n_values)} "
@@ -130,7 +146,7 @@ def cmd_run(args) -> int:
         return _fail(EXIT_USAGE, str(exc))
     if args.trace is not None:
         try:
-            open(args.trace, "a").close()  # fail before the run, not after it
+            _check_writable(args.trace)
         except OSError as exc:
             return _fail(EXIT_IO, f"cannot write trace: {exc}")
     print(f"run problem={args.problem} n={args.n} k={args.k} algo={args.algo} "
@@ -308,7 +324,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone; point stdout at devnull, as the
+        # Python docs advise, so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -94,9 +94,9 @@ class RunResult:
 
 def _first_hit(objectives: np.ndarray, reference) -> Optional[int]:
     """Index of the first row equal to the reference point, or None."""
-    rows = objectives.tolist()
-    target = list(reference)
-    return rows.index(target) if target in rows else None
+    hits = (objectives[:, 0] == reference[0]) & (objectives[:, 1] == reference[1])
+    first = int(hits.argmax())
+    return first if hits[first] else None
 
 
 def initialize(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> RunState:

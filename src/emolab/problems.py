@@ -156,9 +156,12 @@ class OneMinMax:
         return np.column_stack((self.n - ones, ones))
 
     def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Objective vectors of a (P, n) batch; builds the table, so make one per run."""
-        table = self.ones_table()
-        return lambda x: table[x.sum(axis=1)]
+        """Objective vectors of a (P, n) batch; builds the table, so make one per run.
+
+        The ones are counted in the smallest unsigned type that holds n.
+        """
+        table, count = self.ones_table(), np.min_scalar_type(self.n)
+        return lambda x: table.take(np.add.reduce(x, axis=1, dtype=count), axis=0)
 
     def front(self) -> frozenset:
         return frozenset((float(i), float(self.n - i)) for i in range(self.n + 1))

@@ -11,6 +11,12 @@ deterministic.
 
 A population is a set of parallel arrays: objectives (P x 2 float64) and
 birth (P int64), one row per solution; selection returns row indices.
+
+A selection sorts its pool by (f1, f2) once, and that one sort serves every
+step: it marks the runs of equal vectors, shows whether the pool is a single
+front (the distinct f2 values then fall strictly, as on every OneMinMax
+pool), gives the ranks when it is not, and lets the reference key be
+computed once per distinct vector of the critical front.
 """
 
 from __future__ import annotations
@@ -47,7 +53,25 @@ class ReferencePointDistance:
 SurvivalPolicy = Union[CrowdingDistance, ReferencePointDistance]
 
 
-def fast_nondominated_sort(objectives) -> np.ndarray:
+def _sorted_runs(objectives, order=None):
+    """The (f1, f2) sort of a P x 2 float64 array's rows: the order, the rows
+    in it as complex numbers f1 + f2*1j, and a mark on the first row of each
+    run of equal vectors. NumPy orders complex numbers lexicographically,
+    real part first, so their stable argsort is np.lexsort((f2, f1)), and
+    one comparison tells equal vectors apart."""
+    if objectives.ndim != 2 or objectives.shape[1] != 2:
+        raise ValueError(f"expected a P x 2 objective array, got shape {objectives.shape}")
+    vectors = np.ascontiguousarray(objectives).view(np.complex128).ravel()
+    if order is None:
+        order = vectors.argsort(kind="stable")
+    ordered = vectors.take(order)
+    first = np.empty(len(ordered), dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return order, ordered, first
+
+
+def fast_nondominated_sort(objectives, order=None) -> np.ndarray:
     """1-based front index of every row of a P x 2 objective array.
 
     Front 1 holds everything non-dominated in the input; each later front is
@@ -61,28 +85,24 @@ def fast_nondominated_sort(objectives) -> np.ndarray:
     holds; these maxima decrease with the front index, so the current
     vector's front is found by bisection, O(D log D) for D distinct vectors
     instead of a P x P dominance matrix. Each run of duplicates then takes
-    its vector's front.
+    its vector's front. `order`, when given, is that sort already made:
+    survival_select passes its own, and calls this only on a pool of more
+    than one front, so a selection sorts its pool once.
     """
     objectives = np.asarray(objectives, dtype=np.float64)
     if objectives.size == 0:
         return np.zeros(0, dtype=np.int64)
-    if objectives.ndim != 2 or objectives.shape[1] != 2:
-        raise ValueError(f"expected a P x 2 objective array, got shape {objectives.shape}")
-    order = np.lexsort((objectives[:, 1], objectives[:, 0]))
-    ordered = objectives.take(order, axis=0)
-    first = np.empty(len(ordered), dtype=bool)
-    first[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    order, ordered, first = _sorted_runs(objectives, order)
     negated_best = []  # -(largest f2) per front, non-decreasing
     distinct_ranks = []
-    for negated in (-ordered[first, 1])[::-1].tolist():
+    for negated in (-ordered.imag[first])[::-1].tolist():
         front = bisect_right(negated_best, negated)
         if front == len(negated_best):
             negated_best.append(negated)
         else:
             negated_best[front] = negated
         distinct_ranks.append(front + 1)
-    ranks = np.empty(len(ordered), dtype=np.int64)
+    ranks = np.empty(len(order), dtype=np.int64)
     ranks[order] = np.array(distinct_ranks[::-1]).take(np.cumsum(first) - 1)
     return ranks
 
@@ -118,6 +138,17 @@ def reference_distances(objectives, reference) -> np.ndarray:
     return np.array([math.dist(v, reference) for v in np.asarray(objectives).tolist()])
 
 
+def _reference_key(order, ordered, first, size, reference) -> np.ndarray:
+    """Distance to the reference point of the rows that `order` lists, put
+    at their places in a size-row array. `ordered` and `first` are those rows
+    and their run marks as _sorted_runs gives them: math.dist is called once
+    per run of equal vectors, and the run shares its value."""
+    distinct = ordered[first].view(np.float64).reshape(-1, 2)
+    key = np.empty(size)
+    key[order] = reference_distances(distinct, reference).take(np.cumsum(first) - 1)
+    return key
+
+
 def survival_select(objectives, birth, capacity: int, policy: SurvivalPolicy) -> np.ndarray:
     """Row indices of the next population of exactly `capacity` from the pool.
 
@@ -133,18 +164,31 @@ def survival_select(objectives, birth, capacity: int, policy: SurvivalPolicy) ->
     if len(objectives) < capacity:
         raise ValueError(
             f"need at least {capacity} individuals to select from, got {len(objectives)}")
-    ranks = fast_nondominated_sort(objectives)
-    order = ranks.argsort(kind="stable")
-    critical = ranks[order[capacity - 1]]
+    order, ordered, first = _sorted_runs(objectives)
+    distinct_f2 = ordered.imag[first]
+    if (distinct_f2[:-1] > distinct_f2[1:]).all():  # one front, so no ranks are needed
+        if len(order) == capacity:
+            return np.arange(capacity)
+        if policy.reference is None:
+            key = -crowding_distance_assign(objectives, birth)
+        else:
+            key = _reference_key(order, ordered, first, len(order), policy.reference)
+        return np.lexsort((birth, key))[:capacity]
+    ranks = fast_nondominated_sort(objectives, order)
+    by_rank = ranks.argsort(kind="stable")
+    critical = ranks[by_rank[capacity - 1]]
     start = np.count_nonzero(ranks < critical)
     end = np.count_nonzero(ranks <= critical)
     if end == capacity:
-        return order[:capacity]
-    front = order[start:end]
-    front_objectives, front_birth = objectives.take(front, axis=0), birth.take(front)
+        return by_rank[:capacity]
+    front = by_rank[start:end]
+    front_birth = birth.take(front)
     if policy.reference is None:
-        key = -crowding_distance_assign(front_objectives, front_birth)
+        key = -crowding_distance_assign(objectives.take(front, axis=0), front_birth)
     else:
-        key = reference_distances(front_objectives, policy.reference)
+        # equal vectors share a front, so the front's rows keep their runs
+        in_front = ranks.take(order) == critical
+        key = _reference_key(order[in_front], ordered[in_front], first[in_front],
+                             len(order), policy.reference).take(front)
     picks = front.take(np.lexsort((front_birth, key))[:capacity - start])
-    return np.concatenate((order[:start], picks)) if start else picks
+    return np.concatenate((by_rank[:start], picks)) if start else picks

@@ -148,14 +148,19 @@ def test_oracle_output_matches_pins(capsys, problem):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("module", ["emolab", "emolab.cli"])
-def test_module_forms_print_the_pinned_oracle(module):
-    flags, digest = ORACLE_PINS["omm"]
+def package_env():
+    """The environment for a child Python that imports this emolab, with no EMO_LAB_SEED."""
     env = {key: value for key, value in os.environ.items() if key != "EMO_LAB_SEED"}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+@pytest.mark.parametrize("module", ["emolab", "emolab.cli"])
+def test_module_forms_print_the_pinned_oracle(module):
+    flags, digest = ORACLE_PINS["omm"]
     result = subprocess.run([sys.executable, "-m", module, "oracle", "--problem", "omm", *flags],
-                            capture_output=True, env=env, timeout=60, check=False)
+                            capture_output=True, env=package_env(), timeout=60, check=False)
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(result.stdout).hexdigest() == digest
 
@@ -388,6 +393,42 @@ def test_unwritable_result_file_fails_before_the_sweep(tmp_path, capsys, monkeyp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write results")
+
+
+# the check that the results can be written leaves nothing behind, so a sweep
+# stopped before its end writes no empty CSV for `plot` to trip on
+def test_stopped_sweep_leaves_no_result_files(tmp_path, capsys, monkeypatch):
+    def stop(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(lab, "run_experiment", stop)
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    kept.mkdir()
+    (kept / "trials.csv").write_text("earlier\n", encoding="utf-8")
+    for out in (fresh, kept):
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--preset", "omm", "--runs", "2", "--parallelism", "1",
+                  "--out", str(out)])
+    assert list(fresh.iterdir()) == []
+    assert [path.name for path in kept.iterdir()] == ["trials.csv"]
+    assert (kept / "trials.csv").read_text(encoding="utf-8") == "earlier\n"
+
+
+def test_closed_stdout_exits_3_without_traceback(tmp_path):
+    # about 1.3 MB of front, far more than a pipe holds, so printing must meet the closed pipe
+    with open(tmp_path / "stderr", "w+b") as stderr:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "emolab", "oracle", "--problem", "omm", "--n", "100000"],
+            stdout=subprocess.PIPE, stderr=stderr, env=package_env())
+        try:
+            assert process.stdout.readline().startswith(b"oracle problem=omm")
+            process.stdout.close()
+            assert process.wait(timeout=60) == 3
+        finally:
+            process.kill()
+            process.wait()
+        stderr.seek(0)
+        assert b"Traceback" not in stderr.read()
 
 
 class TestOracle:

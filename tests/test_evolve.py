@@ -36,6 +36,39 @@ def omm_config(n, pop_size, policy=None, **kwargs):
                            reference_point=reference, **kwargs)
 
 
+def first_hit_reference(objectives, reference):
+    """The list search _first_hit replaced: the first row equal to the reference wins."""
+    rows = objectives.tolist()
+    return rows.index(list(reference)) if list(reference) in rows else None
+
+
+class TestFirstHit:
+    @pytest.mark.parametrize("rows, expected", [
+        ([(1, 4), (0, 5), (2, 3), (0, 5)], 1),
+        ([(0, 5), (0, 5), (1, 4)], 0),
+        ([(1, 4), (2, 3), (5, 0)], None),
+        ([(0, 4), (5, 5), (1, 5)], None),  # one coordinate matching is not a hit
+    ], ids=["several hits", "hit at row 0", "no hit", "half matches"])
+    def test_first_matching_row_wins(self, rows, expected):
+        objectives = np.array(rows, dtype=np.float64)
+        assert evolve._first_hit(objectives, (0.0, 5.0)) == expected
+        assert first_hit_reference(objectives, (0.0, 5.0)) == expected
+
+    def test_float_vectors_match_the_list_search(self):
+        rng = stream(606)
+        instance = generate_nk_instance(10, 3, seed=4)
+        evaluate = instance.evaluator()
+        for size in (1, 7, 64):
+            objectives = evaluate(rng.integers(0, 2, size=(size, 10), dtype=np.uint8))
+            for row in sorted({0, size // 2, size - 1}):
+                reference = tuple(objectives[row].tolist())
+                assert evolve._first_hit(objectives, reference) == \
+                    first_hit_reference(objectives, reference)
+            nearby = tuple(np.nextafter(objectives[0], 2.0).tolist())
+            assert evolve._first_hit(objectives, nearby) == \
+                first_hit_reference(objectives, nearby)
+
+
 class TestInitialize:
     def test_counts_initial_evaluations(self):
         state = initialize(OneMinMax(6), omm_config(6, 4), seed=1)

@@ -94,6 +94,15 @@ class TestBatchEvaluator:
             assert got.shape == (40, 2) and got.dtype == np.float64
             assert [tuple(v) for v in got.tolist()] == [rows(problem, [x])[0] for x in batch]
 
+    def test_ones_counts_past_a_byte(self):
+        # the counts are kept in the smallest type that holds n: n = 255 fits a byte, 256 does not
+        for n in (255, 256, 300, 70_000):
+            batch = np.zeros((4, n), dtype=np.uint8)
+            batch[1], batch[2, :n - 1], batch[3, ::2] = 1, 1, 1
+            ones = [0, n, n - 1, (n + 1) // 2]
+            for problem in (OneMinMax(n), OneMinMaxStar(n), OneJumpZeroJump(n, 2)):
+                assert problem.evaluator()(batch).tolist() == problem.ones_table()[ones].tolist()
+
     def test_nk_matches_per_bitstring_reference_exactly(self):
         # n = 8 and 24 end on a byte boundary of the evaluator's packed genomes
         rng = stream(19)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from emolab import core
+from emolab import core, survival
 from emolab.core import stream
 from emolab.problems import (
     OneJumpZeroJump,
@@ -325,3 +325,84 @@ class TestSurvivalSelect:
         a = survival_select(*individuals(pop_objs), 7, CrowdingDistance())
         b = survival_select(*individuals(pop_objs), 7, CrowdingDistance())
         assert a.tolist() == b.tolist()
+
+
+def oneminmax_pool(rng, n=50, size=408):
+    """A pool of OneMinMax vectors with heavy duplication: one front, as
+    every pool of N = 4(n+1) parents and offspring on OneMinMax is."""
+    genomes = (rng.random((size, n)) < rng.uniform(0.3, 0.7)).view(np.uint8)
+    return individuals(OneMinMax(n).evaluator()(genomes).tolist())
+
+
+def layered_pool(rng, size=408):
+    """A pool of several fronts: integer vectors with ties within and across fronts."""
+    return individuals(rng.integers(0, 12, size=(size, 2)).tolist())
+
+
+class TestSharedSort:
+    """survival_select sorts the pool once: a one-front pool skips the ranks,
+    a layered one is ranked from the same sort; both must pick as the
+    per-individual engine does."""
+
+    POLICIES = (CrowdingDistance(), ReferencePointDistance((0.0, 50.0)),
+                ReferencePointDistance((17.5, 20.25)))
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=["crowding", "corner", "interior"])
+    @pytest.mark.parametrize("make", [oneminmax_pool, layered_pool], ids=["one-front", "layered"])
+    def test_matches_loop_reference(self, make, policy):
+        rng = stream(4_080)
+        for _ in range(8):
+            objectives, birth = make(rng)
+            birth = rng.permutation(len(birth))
+            assert (len(strip_partition(objectives)) == 1) == (make is oneminmax_pool)
+            for capacity in (204, 1, int(rng.integers(2, len(birth)))):
+                kept = survival_select(objectives, birth, capacity, policy)
+                assert kept.tolist() == select_reference(objectives, birth, capacity, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=["crowding", "corner", "interior"])
+    @pytest.mark.parametrize("make", [oneminmax_pool, layered_pool], ids=["one-front", "layered"])
+    def test_pool_at_capacity_is_kept_in_front_order(self, make, policy):
+        objectives, birth = make(stream(4_081), size=60)
+        kept = survival_select(objectives, birth, 60, policy)
+        assert kept.tolist() == select_reference(objectives, birth, 60, policy)
+        assert sorted(kept.tolist()) == list(range(60))
+
+    def test_ranks_from_a_given_order_match_a_fresh_sort(self):
+        rng = stream(4_082)
+        for make in (oneminmax_pool, layered_pool):
+            objectives, _ = make(rng)
+            order = np.lexsort((objectives[:, 1], objectives[:, 0]))
+            assert fast_nondominated_sort(objectives, order).tolist() == \
+                fast_nondominated_sort(objectives).tolist()
+
+    def test_sort_is_the_lexicographic_sort(self):
+        rng = stream(4_083)
+        for make in (oneminmax_pool, layered_pool, random_population, duplicate_population):
+            objectives, _ = make(rng)
+            objectives[::7] *= -1.0  # negative values, and -0.0 next to 0.0
+            order, ordered, first = survival._sorted_runs(objectives)
+            assert order.tolist() == np.lexsort((objectives[:, 1], objectives[:, 0])).tolist()
+            rows = objectives[order].tolist()
+            assert first.tolist() == [i == 0 or rows[i] != rows[i - 1] for i in range(len(rows))]
+
+    @pytest.mark.parametrize("reference", [(0.0, 50.0), (17.5, 20.25), (-0.3, 1e9)])
+    def test_reference_key_is_bit_equal_to_math_dist_per_row(self, reference):
+        rng = stream(4_084)
+        for make in (oneminmax_pool, layered_pool, random_population):
+            objectives, _ = make(rng)
+            order, ordered, first = survival._sorted_runs(objectives)
+            key = survival._reference_key(order, ordered, first, len(order), reference)
+            assert key.tolist() == [math.dist(v, reference) for v in objectives.tolist()]
+
+    def test_reference_key_is_computed_once_per_distinct_vector(self, monkeypatch):
+        objectives, birth = oneminmax_pool(stream(4_085))
+        seen = []
+
+        def counted(front, reference):
+            seen.append(len(front))
+            return reference_distances(front, reference)
+
+        monkeypatch.setattr(survival, "reference_distances", counted)
+        survival_select(objectives, birth, 204, ReferencePointDistance((0.0, 50.0)))
+        assert seen == [len(set(map(tuple, objectives.tolist())))]
+        assert seen[0] <= 51
