@@ -3,7 +3,8 @@
 Every subcommand prints its fully resolved configuration (including seeds)
 before doing any work, so any output can be reproduced from the printed
 line alone. Exit codes: 0 success, 2 usage or validation problem, 3 I/O
-failure, a closed stdout included (`emolab oracle ... | head -1`). The
+failure, a closed stdout included (`emolab oracle ... | head -1`), or a
+sweep whose trial raised or whose pool worker died. The
 EMO_LAB_SEED environment variable supplies a master seed when --seed is
 not given.
 """
@@ -104,7 +105,10 @@ def cmd_sweep(args) -> int:
           f"variants={[v.label for v in plan.variants]} runs={plan.runs_per_cell} "
           f"master_seed={plan.master_seed} cap={plan.max_evaluations} "
           f"parallelism={args.parallelism} out={args.out}")
-    records = lab.run_experiment(plan, parallelism=args.parallelism)
+    try:
+        records = lab.run_experiment(plan, parallelism=args.parallelism)
+    except Exception as exc:  # a trial that raised, or a pool worker that died
+        return _fail(EXIT_IO, f"sweep stopped, no results written: {type(exc).__name__}: {exc}")
     summary = lab.summarize(records)
     try:
         lab.write_trials_csv(records, out_dir / "trials.csv")

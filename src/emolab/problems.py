@@ -29,6 +29,7 @@ from .core import RngStream, stream
 ENUMERATION_LIMIT = 25
 # Rows per enumeration block: large enough to amortize numpy's per-call cost,
 # small enough that a block's NK index arrays stay in the tens of MB at n=25.
+# A power of two, so that the bitstrings of an NK block share their high bits.
 ENUMERATION_BLOCK = 1 << 16
 
 
@@ -91,10 +92,7 @@ class NkLandscape:
         values = self.contributions.reshape(-1)
 
         def objectives(x: np.ndarray) -> np.ndarray:
-            packed = np.packbits(x, axis=1)
-            flat = tables[0].take(packed[:, 0], axis=0)
-            for c in range(1, len(tables)):
-                flat += tables[c].take(packed[:, c], axis=0)
+            flat = _flat_indices(tables, np.packbits(x, axis=1))
             return values.take(flat).reshape(len(x), 2, self.n).mean(axis=2)
         return objectives
 
@@ -222,6 +220,25 @@ class OneJumpZeroJump(OneMinMax):
 ProblemSpec = Union[OneMinMax, NkLandscape]
 
 
+def _flat_indices(tables: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """Each packed genome's 2n flat `contributions` indices: the sum of its byte rows."""
+    flat = tables[0].take(packed[:, 0], axis=0)
+    for c in range(1, len(tables)):
+        flat += tables[c].take(packed[:, c], axis=0)
+    return flat
+
+
+def _packed(values: np.ndarray, n: int) -> np.ndarray:
+    """np.packbits rows of the n-bit bitstrings whose numeric values these are.
+
+    Position 0 is the most significant bit, so shifted left to a whole
+    number of bytes a value's big-endian bytes are its packed genome.
+    """
+    size = -(-n // 8)
+    shifted = (values << (8 * size - n)).astype(">u8")
+    return shifted.view(np.uint8).reshape(len(values), 8)[:, 8 - size:]
+
+
 def _skyline(objectives: np.ndarray, values: np.ndarray):
     """Distinct non-dominated rows under maximization, each with its smallest value."""
     f1, f2 = objectives[:, 0], objectives[:, 1]
@@ -238,6 +255,51 @@ def _skyline(objectives: np.ndarray, values: np.ndarray):
     return objectives[keep], values[keep]
 
 
+def _undominated_by_pivot(objectives: np.ndarray, values: np.ndarray):
+    """The rows that the row with the largest f1 + f2 does not strictly dominate.
+
+    Such a row cannot be on the front. Rows equal to the pivot stay, so the
+    skyline still picks the smallest witness among them.
+    """
+    f1, f2 = objectives[:, 0], objectives[:, 1]
+    p1, p2 = objectives[np.argmax(f1 + f2)]
+    keep = (f1 > p1) | (f2 > p2) | ((f1 == p1) & (f2 == p2))
+    return objectives[keep], values[keep]
+
+
+def _nk_blocks(problem: NkLandscape):
+    """(objectives, values) of all 2^n bitstrings, ENUMERATION_BLOCK at a time.
+
+    A table index is a sum of per-bit terms, and a block's bitstrings share
+    their high bits. So the first block's indices are computed once, and
+    each later block adds, in place, what its high bits change. The gather
+    and the mean are the evaluator's, so every objective keeps its bits.
+    """
+    n, tables = problem.n, problem._byte_tables()
+    values = problem.contributions.reshape(-1)
+    size = min(ENUMERATION_BLOCK, 1 << n)
+    block = np.arange(size, dtype=np.int64)
+    flat = _flat_indices(tables, _packed(block, n))
+    # one buffer for every block's gather: a fresh one each block would fragment the heap
+    gathered = np.empty((size, 2, n))
+    for start in range(0, 1 << n, size):
+        if start:  # flat[0] holds the indices of the previous block's first bitstring
+            flat += _flat_indices(tables, _packed(np.array([start]), n))[0] - flat[0]
+        # every index is in range by construction, and "clip" skips the bounds
+        # check, about half the gather's cost
+        values.take(flat, out=gathered.reshape(size, -1), mode="clip")
+        yield gathered.mean(axis=2), block + start
+
+
+def _evaluated_blocks(problem: OneMinMax):
+    """(objectives, values) of all 2^n bitstrings through the problem's evaluator."""
+    n, objectives_of = problem.n, problem.evaluator()
+    shifts = np.arange(n - 1, -1, -1)
+    for start in range(0, 1 << n, ENUMERATION_BLOCK):
+        block = np.arange(start, min(start + ENUMERATION_BLOCK, 1 << n), dtype=np.int64)
+        yield objectives_of(((block[:, None] >> shifts) & 1).astype(np.uint8)), block
+
+
 def enumerate_pareto_front(problem: ProblemSpec) -> dict:
     """Pareto front by brute-force evaluation of all 2^n bitstrings.
 
@@ -252,14 +314,15 @@ def enumerate_pareto_front(problem: ProblemSpec) -> dict:
     if n > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"enumeration is limited to n <= {ENUMERATION_LIMIT}, got n={n}")
-    objectives_of = problem.evaluator()
-    shifts = np.arange(n - 1, -1, -1)
     front, values = np.empty((0, 2)), np.empty(0, dtype=np.int64)
-    for start in range(0, 1 << n, ENUMERATION_BLOCK):
-        block = np.arange(start, min(start + ENUMERATION_BLOCK, 1 << n), dtype=np.int64)
-        bits = ((block[:, None] >> shifts) & 1).astype(np.uint8)
-        front, values = _skyline(np.concatenate((front, objectives_of(bits))),
-                                 np.concatenate((values, block)))
+    nk = isinstance(problem, NkLandscape)
+    for objectives, block in (_nk_blocks if nk else _evaluated_blocks)(problem):
+        objectives = np.concatenate((front, objectives))
+        block = np.concatenate((values, block))
+        if nk:  # a ones-count block keeps nearly every row, so there it would only cost
+            objectives, block = _undominated_by_pivot(objectives, block)
+        front, values = _skyline(objectives, block)
+    shifts = np.arange(n - 1, -1, -1)
     witnesses = ((values[:, None] >> shifts) & 1).astype(np.uint8)
     witnesses.flags.writeable = False
     return dict(zip(map(tuple, front.tolist()), witnesses))

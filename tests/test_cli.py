@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -141,10 +142,22 @@ TRACE_PINS = {
 }
 
 
+# NK n=18 enumerates four blocks of 2^16, where ORACLE_PINS["nk"] is one;
+# recorded while every block was still evaluated through evaluator()
+NK_MULTI_BLOCK_ORACLE_PIN = (["--n", "18", "--seed", "7"],
+                             "5f8444f5b07a0f4f3517d425eee677f8ccbb3ac732bf0e6ed98bb637a56abc05")
+
+
 @pytest.mark.parametrize("problem", sorted(ORACLE_PINS))
 def test_oracle_output_matches_pins(capsys, problem):
     flags, digest = ORACLE_PINS[problem]
     assert main(["oracle", "--problem", problem, *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_multi_block_nk_oracle_matches_pin(capsys):
+    flags, digest = NK_MULTI_BLOCK_ORACLE_PIN
+    assert main(["oracle", "--problem", "nk", *flags]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
@@ -412,6 +425,49 @@ def test_stopped_sweep_leaves_no_result_files(tmp_path, capsys, monkeypatch):
     assert list(fresh.iterdir()) == []
     assert [path.name for path in kept.iterdir()] == ["trials.csv"]
     assert (kept / "trials.csv").read_text(encoding="utf-8") == "earlier\n"
+
+
+class RaisingOneMinMax(problems.OneMinMax):
+    """OneMinMax whose evaluator raises, as a trial with a bug would."""
+
+    def evaluator(self):
+        raise RuntimeError("injected trial fault")
+
+
+class DyingOneMinMax(problems.OneMinMax):
+    """OneMinMax whose evaluator ends its pool worker, as an OOM kill would."""
+
+    def evaluator(self):
+        if multiprocessing.parent_process() is None:  # never end the test process itself
+            raise RuntimeError("expected to run in a pool worker")
+        os._exit(9)
+
+
+# a trial that raises, or a pool worker that dies, ends the sweep with one
+# error line and exit 3, not a traceback, and leaves no result file behind
+@pytest.mark.parametrize("faulty", [RaisingOneMinMax, DyingOneMinMax])
+def test_failed_trial_exits_3_without_results(tmp_path, capsys, monkeypatch, faulty):
+    build_problem = lab.build_problem
+    monkeypatch.setattr(lab, "build_problem",
+                        lambda plan, n: faulty(n) if n == 8 else build_problem(plan, n))
+    pools = []
+
+    class CountingPool(lab.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", CountingPool)
+    # at parallelism 2 each cell is eight one-trial chunks: n=6's run, n=8's fail
+    plan_path = tiny_plan_file(tmp_path, n_values=(6, 8), runs_per_cell=8,
+                               variants=(Variant("nsga2", "crowding", "4*(n+1)"),))
+    out = tmp_path / "fresh"
+    assert main(["sweep", "--plan", str(plan_path), "--out", str(out),
+                 "--parallelism", "2"]) == 3
+    assert pools == [2]
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: sweep stopped, no results written")
+    assert list(out.iterdir()) == []
 
 
 def test_closed_stdout_exits_3_without_traceback(tmp_path):

@@ -133,6 +133,28 @@ class TestClosedFormFronts:
         assert front == {(0.0, 4.0), (1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (-4.0, 8.0)}
 
 
+def evaluator_path_front(problem):
+    """The enumeration loop that evaluated every block through evaluator(), kept as the reference."""
+    n = problem.n
+    objectives_of = problem.evaluator()
+    shifts = np.arange(n - 1, -1, -1)
+    front, values = np.empty((0, 2)), np.empty(0, dtype=np.int64)
+    for start in range(0, 1 << n, 1 << 16):
+        block = np.arange(start, min(start + (1 << 16), 1 << n), dtype=np.int64)
+        bits = ((block[:, None] >> shifts) & 1).astype(np.uint8)
+        front, values = problems._skyline(np.concatenate((front, objectives_of(bits))),
+                                          np.concatenate((values, block)))
+    witnesses = ((values[:, None] >> shifts) & 1).astype(np.uint8)
+    return dict(zip(map(tuple, front.tolist()), witnesses))
+
+
+def assert_same_front(front, expected):
+    """Same vectors in the same order, each with the same witness."""
+    assert list(front) == list(expected)
+    for point, witness in front.items():
+        assert np.array_equal(witness, expected[point])
+
+
 class TestEnumerationOracle:
     def test_matches_closed_form_oneminmax(self):
         for n in range(1, 13):
@@ -198,6 +220,32 @@ class TestEnumerationOracle:
             first.setdefault(f, x)
         for point, witness in front.items():
             assert np.array_equal(witness, first[point])
+
+    @pytest.mark.parametrize("block", [problems.ENUMERATION_BLOCK, 1 << 5])
+    @pytest.mark.parametrize("n", [8, 10, 13, 17])
+    def test_nk_front_matches_the_evaluator_path(self, monkeypatch, n, block):
+        monkeypatch.setattr(problems, "ENUMERATION_BLOCK", block)
+        for K in (0, 1, 3):
+            for seed in (n, n + 100):
+                problem = generate_nk_instance(n, K, seed=seed)
+                assert_same_front(enumerate_pareto_front(problem), evaluator_path_front(problem))
+
+    @pytest.mark.parametrize("block", [problems.ENUMERATION_BLOCK, 1 << 5])
+    def test_constant_nk_front_keeps_the_all_zeros_witness(self, monkeypatch, block):
+        # every row equals the prefilter's pivot, so none is dropped before the skyline
+        monkeypatch.setattr(problems, "ENUMERATION_BLOCK", block)
+        problem = generate_nk_instance(10, 3, seed=5)
+        problem.contributions = np.full_like(problem.contributions, 0.375)
+        front = enumerate_pareto_front(problem)
+        assert list(front) == [(0.375, 0.375)]
+        assert not front[(0.375, 0.375)].any()
+        assert_same_front(front, evaluator_path_front(problem))
+
+    @pytest.mark.parametrize("block", [problems.ENUMERATION_BLOCK, 1 << 5])
+    def test_ones_count_fronts_match_the_evaluator_path(self, monkeypatch, block):
+        monkeypatch.setattr(problems, "ENUMERATION_BLOCK", block)
+        for problem in (OneMinMax(10), OneJumpZeroJump(10, 2), OneMinMaxStar(10)):
+            assert_same_front(enumerate_pareto_front(problem), evaluator_path_front(problem))
 
     def test_n18_nk_enumeration_memory_is_bounded(self):
         problem = generate_nk_instance(18, 3, seed=18)
