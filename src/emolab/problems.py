@@ -27,10 +27,12 @@ import numpy as np
 from .core import RngStream, stream
 
 ENUMERATION_LIMIT = 25
-# Rows per enumeration block: large enough to amortize numpy's per-call cost,
-# small enough that a block's NK index arrays stay in the tens of MB at n=25.
-# A power of two, so that the bitstrings of an NK block share their high bits.
-ENUMERATION_BLOCK = 1 << 16
+# Rows per enumeration block, sized for the cache rather than for numpy's
+# per-call cost: at n=25 an NK block's indices and gather buffer are 3.3 MB
+# each. Of 2^10..2^16 it measured fastest for NK at n=16 and n=20 and within
+# noise of the fastest at n=18; the ones-count problems showed no clear best.
+# A power of two, so that the bitstrings of a block share their high bits.
+ENUMERATION_BLOCK = 1 << 13
 
 
 class EnumerationLimitError(ValueError):
@@ -267,6 +269,11 @@ def _undominated_by_pivot(objectives: np.ndarray, values: np.ndarray):
     return objectives[keep], values[keep]
 
 
+def _bits(values: np.ndarray, n: int) -> np.ndarray:
+    """The (len(values), n) uint8 bit rows of n-bit values, position 0 the most significant."""
+    return ((values[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+
+
 def _nk_blocks(problem: NkLandscape):
     """(objectives, values) of all 2^n bitstrings, ENUMERATION_BLOCK at a time.
 
@@ -274,30 +281,39 @@ def _nk_blocks(problem: NkLandscape):
     their high bits. So the first block's indices are computed once, and
     each later block adds, in place, what its high bits change. The gather
     and the mean are the evaluator's, so every objective keeps its bits.
+    Both run into buffers that the next block overwrites, so a caller
+    copies what it keeps.
     """
     n, tables = problem.n, problem._byte_tables()
     values = problem.contributions.reshape(-1)
     size = min(ENUMERATION_BLOCK, 1 << n)
     block = np.arange(size, dtype=np.int64)
     flat = _flat_indices(tables, _packed(block, n))
-    # one buffer for every block's gather: a fresh one each block would fragment the heap
-    gathered = np.empty((size, 2, n))
+    # fresh arrays each block would fragment the heap
+    gathered, objectives = np.empty((size, 2, n)), np.empty((size, 2))
     for start in range(0, 1 << n, size):
         if start:  # flat[0] holds the indices of the previous block's first bitstring
             flat += _flat_indices(tables, _packed(np.array([start]), n))[0] - flat[0]
         # every index is in range by construction, and "clip" skips the bounds
         # check, about half the gather's cost
         values.take(flat, out=gathered.reshape(size, -1), mode="clip")
-        yield gathered.mean(axis=2), block + start
+        yield gathered.mean(axis=2, out=objectives), block + start
 
 
 def _evaluated_blocks(problem: OneMinMax):
-    """(objectives, values) of all 2^n bitstrings through the problem's evaluator."""
+    """(objectives, values) of all 2^n bitstrings through the problem's evaluator.
+
+    The bit rows are one buffer: its low columns are the same in every
+    block, and each block writes its high bits into the rest.
+    """
     n, objectives_of = problem.n, problem.evaluator()
-    shifts = np.arange(n - 1, -1, -1)
-    for start in range(0, 1 << n, ENUMERATION_BLOCK):
-        block = np.arange(start, min(start + ENUMERATION_BLOCK, 1 << n), dtype=np.int64)
-        yield objectives_of(((block[:, None] >> shifts) & 1).astype(np.uint8)), block
+    size = min(ENUMERATION_BLOCK, 1 << n)
+    low = size.bit_length() - 1
+    block = np.arange(size, dtype=np.int64)
+    bits = _bits(block, n)
+    for start in range(0, 1 << n, size):
+        bits[:, :n - low] = _bits(np.array([start >> low]), n - low)
+        yield objectives_of(bits), block + start
 
 
 def enumerate_pareto_front(problem: ProblemSpec) -> dict:
@@ -322,7 +338,6 @@ def enumerate_pareto_front(problem: ProblemSpec) -> dict:
         if nk:  # a ones-count block keeps nearly every row, so there it would only cost
             objectives, block = _undominated_by_pivot(objectives, block)
         front, values = _skyline(objectives, block)
-    shifts = np.arange(n - 1, -1, -1)
-    witnesses = ((values[:, None] >> shifts) & 1).astype(np.uint8)
+    witnesses = _bits(values, n)
     witnesses.flags.writeable = False
     return dict(zip(map(tuple, front.tolist()), witnesses))

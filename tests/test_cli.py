@@ -142,10 +142,15 @@ TRACE_PINS = {
 }
 
 
-# NK n=18 enumerates four blocks of 2^16, where ORACLE_PINS["nk"] is one;
-# recorded while every block was still evaluated through evaluator()
-NK_MULTI_BLOCK_ORACLE_PIN = (["--n", "18", "--seed", "7"],
-                             "5f8444f5b07a0f4f3517d425eee677f8ccbb3ac732bf0e6ed98bb637a56abc05")
+# NK n=18 and n=20 enumerate 32 and 128 blocks of 2^13 (4 and 16 of 2^16), where
+# ORACLE_PINS["nk"] is one; n=18 was recorded while every block was still
+# evaluated through evaluator(), n=20 while blocks were 2^16 rows
+NK_MULTI_BLOCK_ORACLE_PINS = (
+    (["--n", "18", "--seed", "7"],
+     "5f8444f5b07a0f4f3517d425eee677f8ccbb3ac732bf0e6ed98bb637a56abc05"),
+    (["--n", "20", "--seed", "7"],
+     "65e70447d40eff73faf4323662b913c943bc7b79baea37ab2fc8d1234db555be"),
+)
 
 
 @pytest.mark.parametrize("problem", sorted(ORACLE_PINS))
@@ -156,9 +161,9 @@ def test_oracle_output_matches_pins(capsys, problem):
 
 
 def test_multi_block_nk_oracle_matches_pin(capsys):
-    flags, digest = NK_MULTI_BLOCK_ORACLE_PIN
-    assert main(["oracle", "--problem", "nk", *flags]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    for flags, digest in NK_MULTI_BLOCK_ORACLE_PINS:
+        assert main(["oracle", "--problem", "nk", *flags]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, flags
 
 
 def package_env():

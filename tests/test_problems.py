@@ -221,7 +221,7 @@ class TestEnumerationOracle:
         for point, witness in front.items():
             assert np.array_equal(witness, first[point])
 
-    @pytest.mark.parametrize("block", [problems.ENUMERATION_BLOCK, 1 << 5])
+    @pytest.mark.parametrize("block", [problems.ENUMERATION_BLOCK, 1 << 16, 1 << 5])
     @pytest.mark.parametrize("n", [8, 10, 13, 17])
     def test_nk_front_matches_the_evaluator_path(self, monkeypatch, n, block):
         monkeypatch.setattr(problems, "ENUMERATION_BLOCK", block)
@@ -230,7 +230,7 @@ class TestEnumerationOracle:
                 problem = generate_nk_instance(n, K, seed=seed)
                 assert_same_front(enumerate_pareto_front(problem), evaluator_path_front(problem))
 
-    @pytest.mark.parametrize("block", [problems.ENUMERATION_BLOCK, 1 << 5])
+    @pytest.mark.parametrize("block", [problems.ENUMERATION_BLOCK, 1 << 16, 1 << 5])
     def test_constant_nk_front_keeps_the_all_zeros_witness(self, monkeypatch, block):
         # every row equals the prefilter's pivot, so none is dropped before the skyline
         monkeypatch.setattr(problems, "ENUMERATION_BLOCK", block)
@@ -241,7 +241,7 @@ class TestEnumerationOracle:
         assert not front[(0.375, 0.375)].any()
         assert_same_front(front, evaluator_path_front(problem))
 
-    @pytest.mark.parametrize("block", [problems.ENUMERATION_BLOCK, 1 << 5])
+    @pytest.mark.parametrize("block", [problems.ENUMERATION_BLOCK, 1 << 16, 1 << 5])
     def test_ones_count_fronts_match_the_evaluator_path(self, monkeypatch, block):
         monkeypatch.setattr(problems, "ENUMERATION_BLOCK", block)
         for problem in (OneMinMax(10), OneJumpZeroJump(10, 2), OneMinMaxStar(10)):
@@ -256,6 +256,17 @@ class TestEnumerationOracle:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 2 ** 20
+
+    def test_enumeration_peak_is_block_sized(self):
+        # at 2^16-row blocks these peaks were 43.2 and 13.3 MB
+        for problem in (generate_nk_instance(20, 3, seed=20), OneJumpZeroJump(20, 2)):
+            tracemalloc.start()
+            try:
+                enumerate_pareto_front(problem)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12 * 2 ** 20, problem
 
 
 class TestNkInstances:
