@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -195,37 +196,55 @@ def _run_single(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> Run
     neither dominates the other and the child is strictly closer to the
     reference. Every other case, equal vectors included, keeps the parent,
     which has the earlier birth.
+
+    So only a child with another ones count can change anything. The loop
+    visits only a block's rows that flip a bit, turned into int masks in one
+    packbits pass; the other rows repeat the parent and are only counted.
+    Row r of a block that starts after evaluation `base` is evaluation
+    base + r + 1. The ones table is held as its two columns, and a distance
+    to the reference is computed once per ones count met.
     """
     n = problem.n
     rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n
     reference = config.policy.reference  # None under crowding
-    table = list(zip(*problem.ones_table().T.tolist()))  # vector tuples by ones count
-    target = tuple(config.reference_point)
+    f1, f2 = problem.ones_table().T.tolist()  # the objectives by ones count
+    distances = {}  # to the reference, by ones count, filled as counts are met
+    target1, target2 = config.reference_point
     cap = config.max_evaluations
     rng = stream(seed)
     genome = int.from_bytes(np.packbits(random_population(1, n, rng)[0]).tobytes(), "big")
-    parent = table[genome.bit_count()]
+    ones = genome.bit_count()
+    p1, p2 = f1[ones], f2[ones]
     evaluations = 1
-    hit = parent == target
+    hit = p1 == target1 and p2 == target2
     block_rows = max(1, min(_BLOCK_GENERATIONS, _BLOCK_UNIFORMS // n))
+    mask_type = np.dtype(f"V{-(-n // 8)}")  # a packed row as one big-endian bytes object
     while not hit and (cap is None or evaluations < cap):
         rows = block_rows if cap is None else min(block_rows, cap - evaluations)
-        block = np.packbits(rng.random((rows, n)) < rate, axis=1)
-        width, masks = block.shape[1], block.tobytes()
-        for start in range(0, len(masks), width):
-            child_genome = genome ^ int.from_bytes(masks[start:start + width], "big")
-            child = table[child_genome.bit_count()]
-            evaluations += 1
-            if child == target:
-                hit = True
+        flips = rng.random((rows, n)) < rate
+        visited = np.flatnonzero(flips.any(axis=1))
+        masks = np.packbits(flips[visited], axis=1).view(mask_type).ravel().tolist()
+        base, evaluations = evaluations, evaluations + rows
+        for row, mask in zip(visited.tolist(), map(int.from_bytes, masks, repeat("big"))):
+            child_genome = genome ^ mask
+            child_ones = child_genome.bit_count()
+            if child_ones == ones:
+                continue
+            c1, c2 = f1[child_ones], f2[child_ones]
+            if c1 == target1 and c2 == target2:
+                hit, evaluations = True, base + row + 1
                 break
             # dominance tested inline: a function call here halves the kernel's speed
-            if child[0] >= parent[0] and child[1] >= parent[1]:
-                if child != parent:
-                    genome, parent = child_genome, child
-            elif (reference is not None and (child[0] > parent[0] or child[1] > parent[1])
-                  and math.dist(child, reference) < math.dist(parent, reference)):
-                genome, parent = child_genome, child
+            if c1 >= p1 and c2 >= p2:
+                if c1 != p1 or c2 != p2:
+                    genome, ones, p1, p2 = child_genome, child_ones, c1, c2
+            elif reference is not None and (c1 > p1 or c2 > p2):
+                if child_ones not in distances:
+                    distances[child_ones] = math.dist((c1, c2), reference)
+                if ones not in distances:
+                    distances[ones] = math.dist((p1, p2), reference)
+                if distances[child_ones] < distances[ones]:
+                    genome, ones, p1, p2 = child_genome, child_ones, c1, c2
     return RunResult(hit=hit, evaluations_to_hit=evaluations if hit else None,
                      evaluations=evaluations, generations=evaluations - 1, seed=int(seed))
 

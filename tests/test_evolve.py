@@ -1,6 +1,7 @@
 """The generation loop: initialization, stepping, stopping, and accounting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,11 @@ def assert_kernel_matches_array_engine(problem, config, seeds, kernel_calls):
     return results
 
 
+def off_front(reference):
+    """A survival reference beside the target that no solution reaches."""
+    return (reference[0] + 1.5, reference[1] - 0.5)
+
+
 # OneJumpZeroJump(12, 3) starts inside a valley at these seeds (3 of the first 200)
 VALLEY_SEEDS = (5, 81, 140)
 
@@ -290,8 +296,7 @@ class TestSingleParentKernel:
         elif policy == "refpoint":
             survival = ReferencePointDistance(reference)
         else:
-            # a target no solution reaches: every run goes to its cap on distances
-            survival = ReferencePointDistance((reference[0] + 1.5, reference[1] - 0.5))
+            survival = ReferencePointDistance(off_front(reference))
         seeds = range(4)
         if isinstance(problem, OneJumpZeroJump):
             # only a parent inside a valley can be dominated by its child
@@ -326,6 +331,68 @@ class TestSingleParentKernel:
         # the single random bit is 1 in some seeds: a hit at evaluation 1
         assert {(r.hit, r.evaluations_to_hit, r.evaluations, r.generations)
                 for r in results} == {(True, 1, 1, 0), (True, 2, 2, 1)}
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65, 130])
+    def test_matches_array_engine_across_packing_widths(self, n, kernel_calls):
+        # masks of 7..9 bits straddle a byte and of 63..65 bits a 64-bit word;
+        # the cap spans three blocks, and at 0.2/n most rows flip no bit. Runs
+        # aimed at the problem's reference point mostly reach the cap, so each
+        # problem is also run towards a vector near the middle, which most hit.
+        problems = [OneMinMax(n), OneMinMaxStar(n)]
+        if n >= 8:
+            problems.append(OneJumpZeroJump(n, max(2, n // 16)))
+        for problem in problems:
+            middle = tuple(problem.ones_table()[n // 2 + 2].tolist())
+            for target in (problem.reference_point(), middle):
+                for survival in (CrowdingDistance(), ReferencePointDistance(target),
+                                 ReferencePointDistance(off_front(target))):
+                    for rate in (None, 0.2 / n, 1.0):
+                        config = AlgorithmConfig(policy=survival, pop_size=1,
+                                                 reference_point=target, mutation_rate=rate,
+                                                 max_evaluations=520)
+                        assert_kernel_matches_array_engine(problem, config, range(2),
+                                                           kernel_calls)
+
+    def test_reference_tie_keeps_the_parent(self, kernel_calls):
+        # (1, 7) and (2, 6) are equally near the survival reference and nearer
+        # than any other vector, and the target (0, 8) is one flip from (1, 7)
+        problem = OneMinMax(8)
+        tie = (0.5, 5.5)
+        distances = sorted(math.dist(v, tie) for v in problem.front())
+        assert distances[0] == distances[1] == math.dist((1, 7), tie) < distances[2]
+        config = AlgorithmConfig(policy=ReferencePointDistance(tie), pop_size=1,
+                                 reference_point=problem.reference_point(),
+                                 max_evaluations=2000)
+        results = assert_kernel_matches_array_engine(problem, config, range(8), kernel_calls)
+        assert all(r.hit for r in results)
+
+    # (problem, seed, row of its block that holds the hit); at these n a block
+    # is _BLOCK_GENERATIONS rows and block b starts after evaluation 1 + b * rows
+    @pytest.mark.parametrize("problem, seed, row", [
+        (OneMinMax(64), 754, 0), (OneMinMax(64), 173, -1),
+        (OneJumpZeroJump(8, 2), 2470, 0), (OneJumpZeroJump(8, 2), 179, -1),
+    ], ids=["omm-first", "omm-last", "ojzj-first", "ojzj-last"])
+    def test_hit_on_the_edge_of_a_block(self, problem, seed, row, kernel_calls):
+        rows = evolve._BLOCK_GENERATIONS
+        reference = problem.reference_point()
+        config = AlgorithmConfig(policy=ReferencePointDistance(reference), pop_size=1,
+                                 reference_point=reference)
+        [result] = assert_kernel_matches_array_engine(problem, config, [seed], kernel_calls)
+        assert result.hit and result.evaluations_to_hit > rows
+        assert (result.evaluations_to_hit - 2) % rows == row % rows
+
+    def test_large_n_memory_is_bounded(self):
+        # the ones table's two columns are the largest objects; the peak was
+        # 24.4 MiB with a tuple per ones count, and a distance per count adds 6 MiB
+        config = omm_config(200_000, 1, max_evaluations=20)
+        tracemalloc.start()
+        try:
+            result = run(OneMinMax(200_000), config, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.evaluations == 20
+        assert peak < 17 * 2 ** 20
 
     def test_nk_observed_and_larger_runs_use_the_array_engine(self, monkeypatch):
         def refuse(*args):
