@@ -3,7 +3,6 @@ bi-objective bitstring benchmarks, with brute-force oracles and a seeded,
 reproducible experiment harness."""
 
 from .core import (
-    bits_from_str,
     bitwise_mutate,
     child_seed,
     stream,

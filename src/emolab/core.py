@@ -1,8 +1,7 @@
 """Bitstring and random-stream primitives shared by the benchmarks and algorithms.
 
 Bitstrings are fixed-length numpy uint8 arrays; a population is a (P, n)
-batch of them, drawn by random_population. Their text form uses '0'/'1'
-characters with position 0 leftmost. All randomness flows through
+batch of them, drawn by random_population. All randomness flows through
 numpy's PCG64 generator (seeded via SeedSequence), so every seeded
 trajectory is reproducible bit for bit and child streams derived from
 (master seed, key...) are mutually independent.
@@ -70,11 +69,3 @@ def bitwise_mutate(x: np.ndarray, rate: float, rng: RngStream) -> np.ndarray:
     child.flags.writeable = False
     return child
 
-
-def bits_from_str(text: str) -> np.ndarray:
-    """Parse the text form: '0'/'1' characters, position 0 leftmost."""
-    if not text or any(c not in "01" for c in text):
-        raise ValueError("bitstring text must be nonempty and contain only '0'/'1'")
-    bits = (np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")).astype(np.uint8)
-    bits.flags.writeable = False
-    return bits

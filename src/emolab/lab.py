@@ -180,8 +180,8 @@ def validate_plan(plan: ExperimentPlan) -> None:
     if trials > MAX_TRIALS:
         raise ValueError(f"the plan has {trials} trials, above the limit of {MAX_TRIALS}")
     labels = [v.label for v in plan.variants]
-    if not all(isinstance(label, str) for label in labels):
-        raise ValueError(f"variant labels must be strings, got {labels}")
+    if not all(isinstance(text, str) for text in (plan.name, *labels)):
+        raise ValueError("the plan name and every variant label must be strings")
     if len(set(labels)) != len(labels):
         raise ValueError(f"variant labels must be unique, got {labels}")
     for variant in plan.variants:
@@ -502,17 +502,20 @@ def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
 def read_summary_csv(path) -> list:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SUMMARY_HEADER:
-            raise ValueError(f"unexpected summary header: {header}")
-        rows = []
-        for line in filter(None, reader):  # skips empty lines
-            if len(line) != len(SUMMARY_HEADER):
-                raise ValueError(f"line {reader.line_num} does not have "
-                                 f"{len(SUMMARY_HEADER)} fields")
-            problem, n, variant, *numbers, runs = line
-            numbers = [float(v) for v in numbers]
-            if not all(map(math.isfinite, numbers)):
-                raise ValueError(f"line {reader.line_num} has a number that is not finite")
-            rows.append(SummaryRow(problem, int(n), variant, *numbers, int(runs)))
+        try:
+            header = next(reader, None)
+            if header != SUMMARY_HEADER:
+                raise ValueError(f"unexpected summary header: {header}")
+            rows = []
+            for line in filter(None, reader):  # skips empty lines
+                if len(line) != len(SUMMARY_HEADER):
+                    raise ValueError(f"line {reader.line_num} does not have "
+                                     f"{len(SUMMARY_HEADER)} fields")
+                problem, n, variant, *numbers, runs = line
+                numbers = [float(v) for v in numbers]
+                if not all(map(math.isfinite, numbers)):
+                    raise ValueError(f"line {reader.line_num} has a number that is not finite")
+                rows.append(SummaryRow(problem, int(n), variant, *numbers, int(runs)))
+        except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     return rows

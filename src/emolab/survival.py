@@ -138,17 +138,6 @@ def reference_distances(objectives, reference) -> np.ndarray:
     return np.array([math.dist(v, reference) for v in np.asarray(objectives).tolist()])
 
 
-def _reference_key(order, ordered, first, size, reference) -> np.ndarray:
-    """Distance to the reference point of the rows that `order` lists, put
-    at their places in a size-row array. `ordered` and `first` are those rows
-    and their run marks as _sorted_runs gives them: math.dist is called once
-    per run of equal vectors, and the run shares its value."""
-    distinct = ordered[first].view(np.float64).reshape(-1, 2)
-    key = np.empty(size)
-    key[order] = reference_distances(distinct, reference).take(np.cumsum(first) - 1)
-    return key
-
-
 def survival_select(objectives, birth, capacity: int, policy: SurvivalPolicy) -> np.ndarray:
     """Row indices of the next population of exactly `capacity` from the pool.
 
@@ -167,28 +156,27 @@ def survival_select(objectives, birth, capacity: int, policy: SurvivalPolicy) ->
     order, ordered, first = _sorted_runs(objectives)
     distinct_f2 = ordered.imag[first]
     if (distinct_f2[:-1] > distinct_f2[1:]).all():  # one front, so no ranks are needed
-        if len(order) == capacity:
-            return np.arange(capacity)
-        if policy.reference is None:
-            key = -crowding_distance_assign(objectives, birth)
-        else:
-            key = _reference_key(order, ordered, first, len(order), policy.reference)
-        return np.lexsort((birth, key))[:capacity]
-    ranks = fast_nondominated_sort(objectives, order)
-    by_rank = ranks.argsort(kind="stable")
-    critical = ranks[by_rank[capacity - 1]]
-    start = np.count_nonzero(ranks < critical)
-    end = np.count_nonzero(ranks <= critical)
-    if end == capacity:
+        by_rank = front = np.arange(len(order))
+        start, in_front = 0, slice(None)
+    else:
+        ranks = fast_nondominated_sort(objectives, order)
+        by_rank = ranks.argsort(kind="stable")
+        critical = ranks[by_rank[capacity - 1]]
+        start = np.count_nonzero(ranks < critical)
+        front = by_rank[start:np.count_nonzero(ranks <= critical)]
+        # equal vectors share a front, so the front's rows keep their runs
+        in_front = ranks.take(order) == critical
+    if start + len(front) == capacity:
         return by_rank[:capacity]
-    front = by_rank[start:end]
     front_birth = birth.take(front)
     if policy.reference is None:
         key = -crowding_distance_assign(objectives.take(front, axis=0), front_birth)
     else:
-        # equal vectors share a front, so the front's rows keep their runs
-        in_front = ranks.take(order) == critical
-        key = _reference_key(order[in_front], ordered[in_front], first[in_front],
-                             len(order), policy.reference).take(front)
+        runs = first[in_front]
+        distinct = ordered[in_front][runs].view(np.float64).reshape(-1, 2)
+        key = np.empty(len(order))
+        key[order[in_front]] = reference_distances(
+            distinct, policy.reference).take(np.cumsum(runs) - 1)
+        key = key.take(front)
     picks = front.take(np.lexsort((front_birth, key))[:capacity - start])
     return np.concatenate((by_rank[:start], picks)) if start else picks

@@ -649,15 +649,20 @@ class TestPlot:
 
     def test_text_is_escaped_into_well_formed_xml(self, tmp_path):
         rows = [SummaryRow("omm", n, variant, 10.0 * n, 1.0, 1.0, 5)
-                for variant in ("a<b&c", "plain 'quoted' \"label\"") for n in (10, 20)]
+                for variant in ("a<b&c", "plain 'quoted' \"label\"", "c\x01d\x1f")
+                for n in (10, 20)]
         summary = tmp_path / "summary.csv"
         write_summary_csv(rows, summary)
         out = tmp_path / "chart.svg"
-        assert main(["plot", "--summary", str(summary), "--out", str(out),
-                     "--title", "x < y & z"]) == 0
+        # U+FFFD stands in for what XML 1.0 forbids; \udcff is how Python reads
+        # an argv byte that is not UTF-8
+        for title, shown in [("x < y & z", "x < y & z"), ("x\x00y\x01", "x\ufffdy\ufffd"),
+                             ("x\udcffy", "x\ufffdy")]:
+            assert main(["plot", "--summary", str(summary), "--out", str(out),
+                         "--title", title]) == 0
+            texts = [el.text for el in ElementTree.parse(out).iter(SVG_TEXT)]
+            assert shown in texts and "a<b&c" in texts and "c\ufffdd\ufffd" in texts
         svg = out.read_text(encoding="utf-8")
-        texts = [el.text for el in ElementTree.fromstring(svg).iter(SVG_TEXT)]
-        assert "x < y & z" in texts and "a<b&c" in texts
         # text without &, < or > keeps its bytes
         assert '>plain \'quoted\' "label"</text>' in svg
 
@@ -668,8 +673,9 @@ class TestPlot:
         "omm,10,v0,inf,1.0,1.0,5",
         "omm,10,v0,100.0,-inf,1.0,5",
         "omm,10,v0,100.0,1.0,nan,5",
+        "omm,10," + "v" * 131_073 + ",100.0,1.0,1.0,5",
     ], ids=["missing fields", "surplus field", "nan mean", "inf mean", "-inf std",
-            "nan success rate"])
+            "nan success rate", "field over the csv limit"])
     def test_malformed_rows_are_usage_error(self, tmp_path, capsys, row):
         path = tmp_path / "summary.csv"
         path.write_text(",".join(lab.SUMMARY_HEADER) + "\nomm,20,v0,200.0,1.0,1.0,5\n"

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from emolab.core import (
-    bits_from_str,
     bitwise_mutate,
     child_seed,
     random_population,
     stream,
 )
 from emolab.survival import reference_distances
+
+
+def bits(text):
+    """'0'/'1' text, position 0 leftmost, as a uint8 bitstring."""
+    return np.array([int(c) for c in text], dtype=np.uint8)
 
 
 def row_draw(n, rng):
@@ -70,17 +74,17 @@ class TestRandomPopulation:
 
 class TestBitwiseMutate:
     def test_rate_zero_is_identity(self):
-        x = bits_from_str("0110100101")
+        x = bits("0110100101")
         y = bitwise_mutate(x, 0.0, stream(5))
         assert np.array_equal(x, y)
 
     def test_rate_one_is_complement(self):
-        x = bits_from_str("0110100101")
+        x = bits("0110100101")
         y = bitwise_mutate(x, 1.0, stream(5))
         assert np.array_equal(y, 1 - x)
 
     def test_input_unchanged(self):
-        x = bits_from_str("1111")
+        x = bits("1111")
         before = x.copy()
         bitwise_mutate(x, 0.5, stream(9))
         assert np.array_equal(x, before)
@@ -97,7 +101,7 @@ class TestBitwiseMutate:
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            bitwise_mutate(bits_from_str("01"), 1.5, stream(1))
+            bitwise_mutate(bits("01"), 1.5, stream(1))
 
     def test_expected_flip_count_at_rate_one_over_n(self):
         n = 20
@@ -118,20 +122,6 @@ class TestBitwiseMutate:
             counts += bitwise_mutate(x, p, rng) != x
         tolerance = 5 * math.sqrt(p * (1 - p) / trials)
         assert np.all(np.abs(counts / trials - p) < tolerance)
-
-
-class TestRendering:
-    def test_round_trip(self):
-        text = "010011"
-        bits = bits_from_str(text)
-        assert bits.dtype == np.uint8 and not bits.flags.writeable
-        assert "".join(map(str, bits.tolist())) == text
-
-    def test_rejects_bad_text(self):
-        with pytest.raises(ValueError):
-            bits_from_str("01a1")
-        with pytest.raises(ValueError):
-            bits_from_str("")
 
 
 class TestStreams:

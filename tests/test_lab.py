@@ -443,6 +443,7 @@ class TestPlanJson:
         {"variants": [{"label": 3, "policy": "crowding", "pop_size": 4}]},
         {"variants": [{"label": "a", "policy": "crowding", "pop_size": 4.5}]},
         {"max_evaluations": -1},
+        {"name": json.loads("[" * 500 + "]" * 500)},
     ])
     def test_field_types_are_checked(self, changes):
         doc = json.loads(plan_to_json(tiny_plan()))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from emolab import lab, problems
-from emolab.core import bits_from_str, random_population, stream
+from emolab.core import random_population, stream
 from emolab.problems import (
     EnumerationLimitError,
     OneJumpZeroJump,
@@ -25,7 +25,7 @@ def dominates(a, b):
 
 def all_bitstrings(n):
     """Every bitstring of length n as the rows of a (2^n, n) array, in numeric order."""
-    return np.stack([bits_from_str(format(value, f"0{n}b")) for value in range(1 << n)])
+    return np.stack(bits(*(format(value, f"0{n}b") for value in range(1 << n))))
 
 
 def rows(problem, bitstrings):
@@ -34,7 +34,8 @@ def rows(problem, bitstrings):
 
 
 def bits(*texts):
-    return [bits_from_str(text) for text in texts]
+    """'0'/'1' texts, position 0 leftmost, as uint8 bitstrings."""
+    return [np.array([int(c) for c in text], dtype=np.uint8) for text in texts]
 
 
 def nk_reference(instance, x):

@@ -345,9 +345,9 @@ class TestSharedSort:
     per-individual engine does."""
 
     POLICIES = (CrowdingDistance(), ReferencePointDistance((0.0, 50.0)),
-                ReferencePointDistance((17.5, 20.25)))
+                ReferencePointDistance((17.5, 20.25)), ReferencePointDistance((-0.3, 1e9)))
 
-    @pytest.mark.parametrize("policy", POLICIES, ids=["crowding", "corner", "interior"])
+    @pytest.mark.parametrize("policy", POLICIES, ids=["crowding", "corner", "interior", "far"])
     @pytest.mark.parametrize("make", [oneminmax_pool, layered_pool], ids=["one-front", "layered"])
     def test_matches_loop_reference(self, make, policy):
         rng = stream(4_080)
@@ -359,7 +359,7 @@ class TestSharedSort:
                 kept = survival_select(objectives, birth, capacity, policy)
                 assert kept.tolist() == select_reference(objectives, birth, capacity, policy)
 
-    @pytest.mark.parametrize("policy", POLICIES, ids=["crowding", "corner", "interior"])
+    @pytest.mark.parametrize("policy", POLICIES, ids=["crowding", "corner", "interior", "far"])
     @pytest.mark.parametrize("make", [oneminmax_pool, layered_pool], ids=["one-front", "layered"])
     def test_pool_at_capacity_is_kept_in_front_order(self, make, policy):
         objectives, birth = make(stream(4_081), size=60)
@@ -384,15 +384,6 @@ class TestSharedSort:
             assert order.tolist() == np.lexsort((objectives[:, 1], objectives[:, 0])).tolist()
             rows = objectives[order].tolist()
             assert first.tolist() == [i == 0 or rows[i] != rows[i - 1] for i in range(len(rows))]
-
-    @pytest.mark.parametrize("reference", [(0.0, 50.0), (17.5, 20.25), (-0.3, 1e9)])
-    def test_reference_key_is_bit_equal_to_math_dist_per_row(self, reference):
-        rng = stream(4_084)
-        for make in (oneminmax_pool, layered_pool, random_population):
-            objectives, _ = make(rng)
-            order, ordered, first = survival._sorted_runs(objectives)
-            key = survival._reference_key(order, ordered, first, len(order), reference)
-            assert key.tolist() == [math.dist(v, reference) for v in objectives.tolist()]
 
     def test_reference_key_is_computed_once_per_distinct_vector(self, monkeypatch):
         objectives, birth = oneminmax_pool(stream(4_085))
