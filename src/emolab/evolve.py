@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from typing import Callable, Optional
 
@@ -183,6 +184,13 @@ def run(
     )
 
 
+@lru_cache(maxsize=1)
+def _ones_columns(problem: ProblemSpec) -> tuple:
+    """The ones table's two columns as lists, read-only, shared by a cell's runs.
+    Never the table itself: OneMinMaxStar.ones_table writes into its parent's."""
+    return tuple(problem.ones_table().T.tolist())
+
+
 def _run_single(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> RunResult:
     """`run` at N = 1 on a synthetic problem: a (1+1) loop over Python ints.
 
@@ -201,13 +209,14 @@ def _run_single(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> Run
     visits only a block's rows that flip a bit, turned into int masks in one
     packbits pass; the other rows repeat the parent and are only counted.
     Row r of a block that starts after evaluation `base` is evaluation
-    base + r + 1. The ones table is held as its two columns, and a distance
-    to the reference is computed once per ones count met.
+    base + r + 1. The ones table is held as its two columns, built once per
+    problem, and a distance to the reference is computed once per ones
+    count met.
     """
     n = problem.n
     rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n
     reference = config.policy.reference  # None under crowding
-    f1, f2 = problem.ones_table().T.tolist()  # the objectives by ones count
+    f1, f2 = _ones_columns(problem)  # the objectives by ones count
     distances = {}  # to the reference, by ones count, filled as counts are met
     target1, target2 = config.reference_point
     cap = config.max_evaluations

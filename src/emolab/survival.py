@@ -16,7 +16,10 @@ A selection sorts its pool by (f1, f2) once, and that one sort serves every
 step: it marks the runs of equal vectors, shows whether the pool is a single
 front (the distinct f2 values then fall strictly, as on every OneMinMax
 pool), gives the ranks when it is not, and lets the reference key be
-computed once per distinct vector of the critical front.
+computed once per distinct vector of the critical front. Under crowding the
+sort breaks ties on birth, so each run is in birth order; a one-front pool
+then hands the sort to crowding as both of its orders, and one stable sort
+of the key over the pool in birth order picks the survivors.
 """
 
 from __future__ import annotations
@@ -53,17 +56,29 @@ class ReferencePointDistance:
 SurvivalPolicy = Union[CrowdingDistance, ReferencePointDistance]
 
 
-def _sorted_runs(objectives, order=None):
+def _small_int(count):
+    """An integer type that holds -count to count: int16 when it does, which
+    NumPy's stable argsort sorts by radix in linear time."""
+    return np.int16 if count < 1 << 15 else np.int64
+
+
+def _sorted_runs(objectives, order=None, by_birth=None):
     """The (f1, f2) sort of a P x 2 float64 array's rows: the order, the rows
     in it as complex numbers f1 + f2*1j, and a mark on the first row of each
     run of equal vectors. NumPy orders complex numbers lexicographically,
     real part first, so their stable argsort is np.lexsort((f2, f1)), and
-    one comparison tells equal vectors apart."""
+    one comparison tells equal vectors apart. Given `by_birth`, the rows in
+    birth order, the rows are sorted as they stand in it, so the order is
+    np.lexsort((birth, f2, f1)) and each run holds its rows in birth order.
+    `order`, when given, is the sort already made."""
     if objectives.ndim != 2 or objectives.shape[1] != 2:
         raise ValueError(f"expected a P x 2 objective array, got shape {objectives.shape}")
     vectors = np.ascontiguousarray(objectives).view(np.complex128).ravel()
     if order is None:
-        order = vectors.argsort(kind="stable")
+        if by_birth is None:
+            order = vectors.argsort(kind="stable")
+        else:
+            order = by_birth.take(vectors.take(by_birth).argsort(kind="stable"))
     ordered = vectors.take(order)
     first = np.empty(len(ordered), dtype=bool)
     first[0] = True
@@ -107,29 +122,40 @@ def fast_nondominated_sort(objectives, order=None) -> np.ndarray:
     return ranks
 
 
-def crowding_distance_assign(objectives, birth) -> np.ndarray:
+def crowding_distance_assign(objectives, birth, order=None) -> np.ndarray:
     """Crowding distance of every row of one front.
 
-    Per objective the front is sorted ascending (ties on birth), the two
+    Per objective the front is ordered ascending (ties on birth), the two
     boundary rows get infinity, and each interior row accumulates the
-    normalized gap between its sorted neighbours, objective 0 first. When an
-    objective is constant across the front it contributes nothing to the
-    interior, but the boundary infinities still apply.
+    normalized gap between its neighbours in that order, objective 0 first.
+    When an objective is constant across the front it contributes nothing
+    to the interior, but the boundary infinities still apply.
+
+    The rows must form one front, no row dominating another. Then equal f1,
+    or equal f2, means equal vectors, so one sort gives both orders: the
+    rows sorted by (f1, f2) with birth breaking ties are the f1 order, and
+    its runs of equal vectors taken in reverse, each still in birth order,
+    are the f2 order. On rows that are not one front that f2 order is
+    wrong. `order`, when given, is that sort already made: survival_select
+    passes its pool sort when the pool is one front, and crowding then
+    sorts nothing of its own.
     """
     objectives = np.asarray(objectives, dtype=np.float64)
     dist = np.zeros(len(objectives))
     if not len(objectives):
         return dist
-    for i in range(objectives.shape[1]):
-        values = objectives[:, i]
-        order = np.lexsort((birth, values))
-        dist[order[0]] = math.inf
-        dist[order[-1]] = math.inf
-        span = values[order[-1]] - values[order[0]]
+    by_birth = None if order is not None else np.asarray(birth).argsort(kind="stable")
+    order, ordered, first = _sorted_runs(objectives, order, by_birth)
+    # a stable sort of the negated run numbers reverses the runs
+    runs = np.add.accumulate(first, dtype=_small_int(np.count_nonzero(first)))
+    by_f2 = np.negative(runs, out=runs).argsort(kind="stable")
+    for by, values in ((order, ordered.real), (order.take(by_f2), ordered.imag.take(by_f2))):
+        dist[by[0]] = math.inf
+        dist[by[-1]] = math.inf
+        span = values[-1] - values[0]
         if span == 0:
             continue
-        ranked = values[order]
-        dist[order[1:-1]] += (ranked[2:] - ranked[:-2]) / span
+        dist[by[1:-1]] += (values[2:] - values[:-2]) / span
     return dist
 
 
@@ -153,30 +179,38 @@ def survival_select(objectives, birth, capacity: int, policy: SurvivalPolicy) ->
     if len(objectives) < capacity:
         raise ValueError(
             f"need at least {capacity} individuals to select from, got {len(objectives)}")
-    order, ordered, first = _sorted_runs(objectives)
+    # crowding reads each run of equal vectors in birth order; a reference
+    # distance is the same for every row of a run
+    by_birth = birth.argsort(kind="stable") if policy.reference is None else None
+    order, ordered, first = _sorted_runs(objectives, by_birth=by_birth)
     distinct_f2 = ordered.imag[first]
-    if (distinct_f2[:-1] > distinct_f2[1:]).all():  # one front, so no ranks are needed
-        by_rank = front = np.arange(len(order))
-        start, in_front = 0, slice(None)
+    one_front = (distinct_f2[:-1] > distinct_f2[1:]).all()
+    if one_front:  # no ranks are needed
+        if len(order) == capacity:
+            return np.arange(capacity)
+        start, front = 0, slice(None)
     else:
         ranks = fast_nondominated_sort(objectives, order)
-        by_rank = ranks.argsort(kind="stable")
+        by_rank = ranks.astype(_small_int(len(ranks))).argsort(kind="stable")
         critical = ranks[by_rank[capacity - 1]]
         start = np.count_nonzero(ranks < critical)
         front = by_rank[start:np.count_nonzero(ranks <= critical)]
-        # equal vectors share a front, so the front's rows keep their runs
-        in_front = ranks.take(order) == critical
-    if start + len(front) == capacity:
-        return by_rank[:capacity]
-    front_birth = birth.take(front)
-    if policy.reference is None:
-        key = -crowding_distance_assign(objectives.take(front, axis=0), front_birth)
-    else:
+        if start + len(front) == capacity:
+            return by_rank[:capacity]
+    front_birth = birth[front]
+    if policy.reference is not None:
+        # equal vectors share a front, so the critical front's rows keep their runs
+        in_front = slice(None) if one_front else ranks.take(order) == critical
         runs = first[in_front]
         distinct = ordered[in_front][runs].view(np.float64).reshape(-1, 2)
         key = np.empty(len(order))
         key[order[in_front]] = reference_distances(
             distinct, policy.reference).take(np.cumsum(runs) - 1)
-        key = key.take(front)
-    picks = front.take(np.lexsort((front_birth, key))[:capacity - start])
-    return np.concatenate((by_rank[:start], picks)) if start else picks
+        key = key[front]
+    elif one_front:  # crowding reuses the pool sort; one stable sort in birth order picks
+        key = -crowding_distance_assign(objectives, birth, order)
+        return by_birth.take(key.take(by_birth).argsort(kind="stable")[:capacity])
+    else:  # a layered pool's critical front: small, so crowding sorts it itself
+        key = -crowding_distance_assign(objectives.take(front, axis=0), front_birth)
+    picks = np.lexsort((front_birth, key))[:capacity - start]
+    return picks if one_front else np.concatenate((by_rank[:start], front.take(picks)))

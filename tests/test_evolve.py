@@ -394,6 +394,28 @@ class TestSingleParentKernel:
         assert result.evaluations == 20
         assert peak < 17 * 2 ** 20
 
+    def test_a_cells_runs_build_the_ones_columns_once(self, monkeypatch):
+        built = []
+        ones_table = OneMinMaxStar.ones_table
+
+        def counted(problem):
+            built.append(problem)
+            return ones_table(problem)
+
+        monkeypatch.setattr(OneMinMaxStar, "ones_table", counted)
+        evolve._ones_columns.cache_clear()
+        reference = OneMinMaxStar(10).reference_point()
+        config = AlgorithmConfig(policy=ReferencePointDistance(reference), pop_size=1,
+                                 reference_point=reference, max_evaluations=30)
+        for seed in range(3):
+            run(OneMinMaxStar(10), config, seed)
+        assert built == [OneMinMaxStar(10)]
+        # a problem of the same size has its own columns, so the relocated
+        # all-zeros vector stays OneMinMax*'s
+        assert evolve._ones_columns(OneMinMax(10))[0][0] == 10.0
+        assert evolve._ones_columns(OneMinMaxStar(10))[0][0] == -10.0
+        assert len(built) == 2
+
     def test_nk_observed_and_larger_runs_use_the_array_engine(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the N = 1 kernel ran")

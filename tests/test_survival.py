@@ -121,6 +121,19 @@ def duplicate_population(rng):
     return individuals(rng.integers(0, 4, size=(size, 2)).tolist())
 
 
+def repeated_front(rng):
+    """One front of one distinct vector, or of two, each repeated: the run
+    boundaries of crowding's reversed-runs f2 order."""
+    size = int(rng.integers(1, 9))
+    if rng.integers(2):
+        vectors = [(float(rng.integers(-3, 4)), float(rng.integers(-3, 4)))]
+    else:
+        a, b = sorted(rng.choice(7, size=2, replace=False).tolist())
+        vectors = [(float(a), float(b)), (float(b), float(a))]
+    rows = [vectors[int(i)] for i in rng.integers(0, len(vectors), size=size)]
+    return individuals(rows + vectors)  # every vector at least once
+
+
 class TestFastNondominatedSort:
     def test_three_vector_example(self):
         objectives, _ = individuals([(2, 2), (1, 1), (0, 3)])
@@ -184,13 +197,28 @@ class TestCrowdingDistance:
 
     def test_matches_loop_reference_exactly(self):
         rng = stream(4_242)
-        for make in (random_population, duplicate_population):
+        for make in (random_population, duplicate_population, repeated_front):
             for _ in range(200):
                 objectives, birth = make(rng)
                 birth = rng.permutation(len(birth))
                 front = np.flatnonzero(fast_nondominated_sort(objectives) == 1)
-                got = crowding_distance_assign(objectives[front], birth[front])
-                assert got.tolist() == crowding_reference(objectives[front], birth[front])
+                front_birth = birth[front].tolist()  # a list, as callers may pass
+                got = crowding_distance_assign(objectives[front], front_birth)
+                assert got.tolist() == crowding_reference(objectives[front], front_birth)
+
+    @pytest.mark.parametrize("size, distinct", [(45_000, 40_000), (70_000, 3)],
+                             ids=["more-runs-than-int16", "more-rows-than-int16"])
+    def test_large_front(self, size, distinct):
+        # crowding numbers the runs in int16 only when they fit it
+        rng = stream(4_243)
+        f1 = np.concatenate((np.arange(distinct), rng.integers(0, distinct, size - distinct)))
+        objectives = np.column_stack((f1, distinct - f1)).astype(np.float64)
+        objectives = objectives[rng.permutation(size)]
+        birth = rng.permutation(size)
+        got = crowding_distance_assign(objectives, birth)
+        assert got.tolist() == crowding_reference(objectives, birth)
+        kept = survival_select(objectives, birth, size // 2, CrowdingDistance())
+        assert kept.tolist() == np.lexsort((birth, -got))[:size // 2].tolist()
 
 
 class TestReferenceDistances:
@@ -339,6 +367,20 @@ def layered_pool(rng, size=408):
     return individuals(rng.integers(0, 12, size=(size, 2)).tolist())
 
 
+def engine_pool(problem, rng, parents=204):
+    """A pool built as step_generation builds one: parents whose births are a
+    permuted sample of earlier evaluations, then one mutated child of each
+    parent, whose births ascend and are all larger."""
+    genomes = core.random_population(parents, problem.n, rng)
+    children = core.bitwise_mutate(genomes, 1.0 / problem.n, rng)
+    evaluate = problem.evaluator()
+    objectives = np.concatenate((evaluate(genomes), evaluate(children)))
+    first_child = 3 * parents
+    birth = np.concatenate((rng.choice(first_child, size=parents, replace=False),
+                            np.arange(first_child, first_child + parents)))
+    return objectives, birth
+
+
 class TestSharedSort:
     """survival_select sorts the pool once: a one-front pool skips the ranks,
     a layered one is ranked from the same sort; both must pick as the
@@ -358,6 +400,38 @@ class TestSharedSort:
             for capacity in (204, 1, int(rng.integers(2, len(birth)))):
                 kept = survival_select(objectives, birth, capacity, policy)
                 assert kept.tolist() == select_reference(objectives, birth, capacity, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=["crowding", "corner", "interior", "far"])
+    @pytest.mark.parametrize("problem", [OneMinMax(50), generate_nk_instance(14, 3, seed=5)],
+                             ids=["oneminmax", "nk"])
+    def test_engine_shaped_pool_matches_loop_reference(self, problem, policy):
+        rng = stream(4_086)
+        for _ in range(4):
+            objectives, birth = engine_pool(problem, rng)
+            assert (len(strip_partition(objectives)) == 1) == isinstance(problem, OneMinMax)
+            for capacity in (204, 1, int(rng.integers(2, len(birth)))):
+                kept = survival_select(objectives, birth, capacity, policy)
+                assert kept.tolist() == select_reference(objectives, birth, capacity, policy)
+
+    def test_more_fronts_than_int16_holds(self):
+        # 35,000 fronts of two rows each, so the front numbers sort as int64
+        rng = stream(4_087)
+        level = np.repeat(2.0 * np.arange(35_000), 2)
+        objectives = np.column_stack((level + np.tile([0.0, 1.0], 35_000),
+                                      level + np.tile([1.0, 0.0], 35_000)))
+        objectives = objectives[rng.permutation(len(objectives))]
+        birth = rng.permutation(len(objectives))
+        capacity = 40_001
+        kept = survival_select(objectives, birth, capacity, CrowdingDistance()).tolist()
+        ranks = fast_nondominated_sort(objectives)
+        by_rank = np.argsort(ranks, kind="stable")
+        critical = ranks[by_rank[capacity - 1]]
+        start = int(np.count_nonzero(ranks < critical))
+        assert kept[:start] == by_rank[:start].tolist()
+        front = np.flatnonzero(ranks == critical)
+        key = [-d for d in crowding_reference(objectives[front], birth[front])]
+        picks = front[np.lexsort((birth[front], key))[:capacity - start]]
+        assert kept[start:] == picks.tolist()
 
     @pytest.mark.parametrize("policy", POLICIES, ids=["crowding", "corner", "interior", "far"])
     @pytest.mark.parametrize("make", [oneminmax_pool, layered_pool], ids=["one-front", "layered"])
@@ -380,10 +454,17 @@ class TestSharedSort:
         for make in (oneminmax_pool, layered_pool, random_population, duplicate_population):
             objectives, _ = make(rng)
             objectives[::7] *= -1.0  # negative values, and -0.0 next to 0.0
+            birth = rng.permutation(len(objectives))
+            f1, f2 = objectives[:, 0], objectives[:, 1]
             order, ordered, first = survival._sorted_runs(objectives)
-            assert order.tolist() == np.lexsort((objectives[:, 1], objectives[:, 0])).tolist()
+            assert order.tolist() == np.lexsort((f2, f1)).tolist()
             rows = objectives[order].tolist()
             assert first.tolist() == [i == 0 or rows[i] != rows[i - 1] for i in range(len(rows))]
+            # in birth order first, so each run of equal vectors is in birth order
+            by_birth = birth.argsort(kind="stable")
+            tied, _, tied_first = survival._sorted_runs(objectives, by_birth=by_birth)
+            assert tied.tolist() == np.lexsort((birth, f2, f1)).tolist()
+            assert tied_first.tolist() == first.tolist()
 
     def test_reference_key_is_computed_once_per_distinct_vector(self, monkeypatch):
         objectives, birth = oneminmax_pool(stream(4_085))
