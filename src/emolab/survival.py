@@ -12,14 +12,13 @@ deterministic.
 A population is a set of parallel arrays: objectives (P x 2 float64) and
 birth (P int64), one row per solution; selection returns row indices.
 
-A selection sorts its pool by (f1, f2) once, and that one sort serves every
-step: it marks the runs of equal vectors, shows whether the pool is a single
-front (the distinct f2 values then fall strictly, as on every OneMinMax
-pool), gives the ranks when it is not, and lets the reference key be
-computed once per distinct vector of the critical front. Under crowding the
-sort breaks ties on birth, so each run is in birth order; a one-front pool
-then hands the sort to crowding as both of its orders, and one stable sort
-of the key over the pool in birth order picks the survivors.
+A selection sorts its pool by (f1, f2) once, birth breaking ties, and that
+one sort serves every step: it marks the runs of equal vectors, each in
+birth order; it shows whether the pool is a single front (the distinct f2
+values then fall strictly, as on every OneMinMax pool) and gives the ranks
+when it is not; its critical front goes to crowding as both of crowding's
+orders, or gets the reference key once per distinct vector. One stable
+sort of the key over the pool in birth order then picks the survivors.
 """
 
 from __future__ import annotations
@@ -56,12 +55,6 @@ class ReferencePointDistance:
 SurvivalPolicy = Union[CrowdingDistance, ReferencePointDistance]
 
 
-def _small_int(count):
-    """An integer type that holds -count to count: int16 when it does, which
-    NumPy's stable argsort sorts by radix in linear time."""
-    return np.int16 if count < 1 << 15 else np.int64
-
-
 def _sorted_runs(objectives, order=None, by_birth=None):
     """The (f1, f2) sort of a P x 2 float64 array's rows: the order, the rows
     in it as complex numbers f1 + f2*1j, and a mark on the first row of each
@@ -84,6 +77,15 @@ def _sorted_runs(objectives, order=None, by_birth=None):
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     return order, ordered, first
+
+
+def _runs(first):
+    """The first and the last row of each run that `first` marks."""
+    starts = first.nonzero()[0]
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:] - 1
+    ends[-1] = len(first) - 1
+    return starts, ends
 
 
 def fast_nondominated_sort(objectives, order=None) -> np.ndarray:
@@ -117,12 +119,13 @@ def fast_nondominated_sort(objectives, order=None) -> np.ndarray:
         else:
             negated_best[front] = negated
         distinct_ranks.append(front + 1)
+    starts, ends = _runs(first)
     ranks = np.empty(len(order), dtype=np.int64)
-    ranks[order] = np.array(distinct_ranks[::-1]).take(np.cumsum(first) - 1)
+    ranks[order] = np.array(distinct_ranks[::-1]).repeat(ends - starts + 1)
     return ranks
 
 
-def crowding_distance_assign(objectives, birth, order=None) -> np.ndarray:
+def crowding_distance_assign(objectives, birth, runs=None) -> np.ndarray:
     """Crowding distance of every row of one front.
 
     Per objective the front is ordered ascending (ties on birth), the two
@@ -131,31 +134,47 @@ def crowding_distance_assign(objectives, birth, order=None) -> np.ndarray:
     When an objective is constant across the front it contributes nothing
     to the interior, but the boundary infinities still apply.
 
-    The rows must form one front, no row dominating another. Then equal f1,
-    or equal f2, means equal vectors, so one sort gives both orders: the
-    rows sorted by (f1, f2) with birth breaking ties are the f1 order, and
-    its runs of equal vectors taken in reverse, each still in birth order,
-    are the f2 order. On rows that are not one front that f2 order is
-    wrong. `order`, when given, is that sort already made: survival_select
-    passes its pool sort when the pool is one front, and crowding then
-    sorts nothing of its own.
+    The rows must form one front, no row dominating another (ValueError
+    otherwise): there equal f1, or equal f2, means equal vectors, so one
+    sort gives both orders. The rows sorted by (f1, f2), birth breaking
+    ties, are the f1 order; its runs of equal vectors in reverse, each
+    still in birth order, are the f2 order. Every distance is the same sum
+    of the same two quotients as with two sorts. `runs`, when given, marks
+    the first row of each run of rows that already stand in that sort, as
+    survival_select hands over its critical front: they are then neither
+    sorted nor checked, and `birth` is not read.
     """
     objectives = np.asarray(objectives, dtype=np.float64)
-    dist = np.zeros(len(objectives))
     if not len(objectives):
-        return dist
-    by_birth = None if order is not None else np.asarray(birth).argsort(kind="stable")
-    order, ordered, first = _sorted_runs(objectives, order, by_birth)
-    # a stable sort of the negated run numbers reverses the runs
-    runs = np.add.accumulate(first, dtype=_small_int(np.count_nonzero(first)))
-    by_f2 = np.negative(runs, out=runs).argsort(kind="stable")
-    for by, values in ((order, ordered.real), (order.take(by_f2), ordered.imag.take(by_f2))):
-        dist[by[0]] = math.inf
-        dist[by[-1]] = math.inf
-        span = values[-1] - values[0]
-        if span == 0:
-            continue
-        dist[by[1:-1]] += (values[2:] - values[:-2]) / span
+        return np.zeros(0)
+    presorted = runs is not None
+    if presorted:
+        ordered, first = objectives.view(np.complex128).ravel(), runs
+    else:
+        order, ordered, first = _sorted_runs(
+            objectives, by_birth=np.asarray(birth).argsort(kind="stable"))
+    f1, f2 = ordered.real, ordered.imag
+    starts, ends = _runs(first)
+    distinct_f2 = f2[first]
+    if not presorted and not (distinct_f2[:-1] > distinct_f2[1:]).all():
+        raise ValueError("crowding distance needs rows that form one front")
+    dist = np.zeros(len(first))
+    if len(starts) > 1:  # else every row holds the same vector
+        np.subtract(f1[2:], f1[:-2], out=dist[1:-1])
+        dist /= f1[-1] - f1[0]
+        # in f2 order a run's last row is followed by the run before it in
+        # the sort, and its first row is preceded by the run after it
+        after, before = f2.copy(), f2.copy()
+        after[ends[1:]] = distinct_f2[:-1]
+        before[starts[:-1]] = distinct_f2[1:]
+        after -= before
+        after /= distinct_f2[0] - distinct_f2[-1]
+        dist += after
+    # the ends of the f1 order, then those of the f2 order: the last run's
+    # first row and the first run's last row
+    dist[0] = dist[-1] = dist[starts[-1]] = dist[ends[0]] = math.inf
+    if not presorted:
+        dist[order] = dist.copy()  # back to the rows' own order
     return dist
 
 
@@ -179,38 +198,34 @@ def survival_select(objectives, birth, capacity: int, policy: SurvivalPolicy) ->
     if len(objectives) < capacity:
         raise ValueError(
             f"need at least {capacity} individuals to select from, got {len(objectives)}")
-    # crowding reads each run of equal vectors in birth order; a reference
-    # distance is the same for every row of a run
-    by_birth = birth.argsort(kind="stable") if policy.reference is None else None
+    # each run of equal vectors in birth order, as crowding reads it
+    by_birth = birth.argsort(kind="stable")
     order, ordered, first = _sorted_runs(objectives, by_birth=by_birth)
     distinct_f2 = ordered.imag[first]
-    one_front = (distinct_f2[:-1] > distinct_f2[1:]).all()
-    if one_front:  # no ranks are needed
-        if len(order) == capacity:
-            return np.arange(capacity)
-        start, front = 0, slice(None)
+    if (distinct_f2[:-1] > distinct_f2[1:]).all():  # one front, so no ranks are needed
+        by_rank = np.arange(len(order))
+        start, in_front = 0, slice(None)
     else:
         ranks = fast_nondominated_sort(objectives, order)
-        by_rank = ranks.astype(_small_int(len(ranks))).argsort(kind="stable")
+        by_rank = ranks.argsort(kind="stable")
         critical = ranks[by_rank[capacity - 1]]
         start = np.count_nonzero(ranks < critical)
-        front = by_rank[start:np.count_nonzero(ranks <= critical)]
-        if start + len(front) == capacity:
-            return by_rank[:capacity]
-    front_birth = birth[front]
-    if policy.reference is not None:
-        # equal vectors share a front, so the critical front's rows keep their runs
-        in_front = slice(None) if one_front else ranks.take(order) == critical
-        runs = first[in_front]
-        distinct = ordered[in_front][runs].view(np.float64).reshape(-1, 2)
-        key = np.empty(len(order))
-        key[order[in_front]] = reference_distances(
-            distinct, policy.reference).take(np.cumsum(runs) - 1)
-        key = key[front]
-    elif one_front:  # crowding reuses the pool sort; one stable sort in birth order picks
-        key = -crowding_distance_assign(objectives, birth, order)
-        return by_birth.take(key.take(by_birth).argsort(kind="stable")[:capacity])
-    else:  # a layered pool's critical front: small, so crowding sorts it itself
-        key = -crowding_distance_assign(objectives.take(front, axis=0), front_birth)
-    picks = np.lexsort((front_birth, key))[:capacity - start]
-    return picks if one_front else np.concatenate((by_rank[:start], front.take(picks)))
+        # equal vectors share a front, so the front's rows keep their runs
+        in_front = ranks.take(order) == critical
+    front = order[in_front]  # the critical front's rows, in the pool sort
+    if start + len(front) == capacity:
+        return by_rank[:capacity]
+    values, runs = ordered[in_front], first[in_front]
+    if policy.reference is None:
+        key = -crowding_distance_assign(values.view(np.float64).reshape(-1, 2), None, runs)
+    else:
+        starts, ends = _runs(runs)
+        key = reference_distances(values.take(starts).view(np.float64).reshape(-1, 2),
+                                  policy.reference).repeat(ends - starts + 1)
+    # one stable sort of the key over the pool in birth order picks; rows
+    # outside the critical front sort last
+    key_by_row = np.empty(len(order))
+    key_by_row.fill(math.inf)
+    key_by_row[front] = key
+    picks = by_birth.take(key_by_row.take(by_birth).argsort(kind="stable")[:capacity - start])
+    return np.concatenate((by_rank[:start], picks)) if start else picks

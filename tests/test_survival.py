@@ -188,12 +188,17 @@ class TestCrowdingDistance:
         assert all(v == math.inf for v in dist)
 
     def test_constant_objective_contributes_zero(self):
-        # f2 identical everywhere: only f1 gaps count for the interior
-        dist = crowding_distance_assign(*individuals([(0, 5), (1, 5), (2, 5), (4, 5)]))
-        assert dist[0] == math.inf
-        assert dist[3] == math.inf
-        assert dist[1] == pytest.approx((2 - 0) / 4)
-        assert dist[2] == pytest.approx((4 - 1) / 4)
+        # within one front a constant objective means one repeated vector:
+        # neither objective has a gap, so only the boundary rows count
+        dist = crowding_distance_assign(*individuals([(2, 5)] * 4))
+        assert dist.tolist() == [math.inf, 0.0, 0.0, math.inf]
+
+    @pytest.mark.parametrize("rows", [[(0, 1), (1, 0), (2, 2), (1, 3)],
+                                      [(0, 5), (1, 5), (2, 5), (4, 5)], [(1, 1), (2, 2)]])
+    def test_rows_that_are_not_one_front_are_refused(self, rows):
+        # the f2 order is read off the (f1, f2) sort, which holds on one front only
+        with pytest.raises(ValueError, match="one front"):
+            crowding_distance_assign(*individuals(rows))
 
     def test_matches_loop_reference_exactly(self):
         rng = stream(4_242)
@@ -205,11 +210,18 @@ class TestCrowdingDistance:
                 front_birth = birth[front].tolist()  # a list, as callers may pass
                 got = crowding_distance_assign(objectives[front], front_birth)
                 assert got.tolist() == crowding_reference(objectives[front], front_birth)
+                # handed its rows already sorted, with their run marks, as
+                # survival_select hands over a critical front
+                order, ordered, first = survival._sorted_runs(
+                    objectives[front], by_birth=np.argsort(front_birth, kind="stable"))
+                handed = crowding_distance_assign(objectives[front][order], None, first)
+                assert handed.tolist() == got[order].tolist()
 
     @pytest.mark.parametrize("size, distinct", [(45_000, 40_000), (70_000, 3)],
-                             ids=["more-runs-than-int16", "more-rows-than-int16"])
+                             ids=["40000-distinct", "3-distinct"])
     def test_large_front(self, size, distinct):
-        # crowding numbers the runs in int16 only when they fit it
+        # fronts far past 32,767 rows and runs, as pools near MAX_POPULATION_BITS
+        # rows at n = 1 give: no run or row index may assume a narrow type
         rng = stream(4_243)
         f1 = np.concatenate((np.arange(distinct), rng.integers(0, distinct, size - distinct)))
         objectives = np.column_stack((f1, distinct - f1)).astype(np.float64)
@@ -413,8 +425,18 @@ class TestSharedSort:
                 kept = survival_select(objectives, birth, capacity, policy)
                 assert kept.tolist() == select_reference(objectives, birth, capacity, policy)
 
-    def test_more_fronts_than_int16_holds(self):
-        # 35,000 fronts of two rows each, so the front numbers sort as int64
+    @pytest.mark.parametrize("policy", POLICIES, ids=["crowding", "corner", "interior", "far"])
+    def test_a_tie_on_f2_makes_two_fronts(self, policy):
+        # the distinct f2 values never rise, but (1, 5) dominates (0, 5) and
+        # (2.5, 6) dominates (2, 6): only a strict fall makes one front
+        for rows in ([(0, 5), (1, 5)], [(i, 8 - i) for i in range(9)] + [(2.5, 6)]):
+            objectives, birth = individuals(rows)
+            for capacity in range(1, len(rows) + 1):
+                kept = survival_select(objectives, birth, capacity, policy)
+                assert kept.tolist() == select_reference(objectives, birth, capacity, policy)
+
+    def test_many_fronts(self):
+        # 35,000 fronts of two rows each: front numbers past 32,767
         rng = stream(4_087)
         level = np.repeat(2.0 * np.arange(35_000), 2)
         objectives = np.column_stack((level + np.tile([0.0, 1.0], 35_000),
