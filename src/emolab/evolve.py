@@ -96,7 +96,7 @@ class RunResult:
 
 def _first_hit(objectives: np.ndarray, reference) -> Optional[int]:
     """Index of the first row equal to the reference point, or None."""
-    hits = (objectives[:, 0] == reference[0]) & (objectives[:, 1] == reference[1])
+    hits = objectives.view(np.complex128).ravel() == complex(*reference)
     first = int(hits.argmax())
     return first if hits[first] else None
 

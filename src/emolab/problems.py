@@ -35,10 +35,6 @@ ENUMERATION_LIMIT = 25
 ENUMERATION_BLOCK = 1 << 13
 
 
-class EnumerationLimitError(ValueError):
-    """Raised when exhaustive enumeration is requested beyond the size guard."""
-
-
 @dataclass(eq=False)
 class NkLandscape:
     """A bi-objective NK landscape: per-objective loci and contribution tables.
@@ -328,8 +324,7 @@ def enumerate_pareto_front(problem: ProblemSpec) -> dict:
     """
     n = problem.n
     if n > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"enumeration is limited to n <= {ENUMERATION_LIMIT}, got n={n}")
+        raise ValueError(f"enumeration is limited to n <= {ENUMERATION_LIMIT}, got n={n}")
     front, values = np.empty((0, 2)), np.empty(0, dtype=np.int64)
     nk = isinstance(problem, NkLandscape)
     for objectives, block in (_nk_blocks if nk else _evaluated_blocks)(problem):

@@ -12,13 +12,16 @@ deterministic.
 A population is a set of parallel arrays: objectives (P x 2 float64) and
 birth (P int64), one row per solution; selection returns row indices.
 
-A selection sorts its pool by (f1, f2) once, birth breaking ties, and that
-one sort serves every step: it marks the runs of equal vectors, each in
-birth order; it shows whether the pool is a single front (the distinct f2
-values then fall strictly, as on every OneMinMax pool) and gives the ranks
-when it is not; its critical front goes to crowding as both of crowding's
-orders, or gets the reference key once per distinct vector. One stable
-sort of the key over the pool in birth order then picks the survivors.
+Everything works on one sorted form: the rows sorted by (f1, f2), birth
+breaking ties, with the runs of equal vectors marked. Two kernels read it:
+`_fronts` ranks the distinct vectors and `_crowding` takes the sort as both
+of crowding's orders. The public calls sort once, run their kernel and put
+the result back in row order. A selection sorts its pool once; the sort
+shows whether the pool is a single front (the distinct f2 values then fall
+strictly, as on every OneMinMax pool), gives the ranks when it is not, and
+hands its critical front to a kernel, or to the reference key once per
+distinct vector. One stable sort of the key over the pool in birth order
+then picks the survivors.
 """
 
 from __future__ import annotations
@@ -55,23 +58,16 @@ class ReferencePointDistance:
 SurvivalPolicy = Union[CrowdingDistance, ReferencePointDistance]
 
 
-def _sorted_runs(objectives, order=None, by_birth=None):
-    """The (f1, f2) sort of a P x 2 float64 array's rows: the order, the rows
-    in it as complex numbers f1 + f2*1j, and a mark on the first row of each
-    run of equal vectors. NumPy orders complex numbers lexicographically,
-    real part first, so their stable argsort is np.lexsort((f2, f1)), and
-    one comparison tells equal vectors apart. Given `by_birth`, the rows in
-    birth order, the rows are sorted as they stand in it, so the order is
-    np.lexsort((birth, f2, f1)) and each run holds its rows in birth order.
-    `order`, when given, is the sort already made."""
+def _sorted_runs(objectives, by_birth):
+    """The (f1, f2) sort of a P x 2 float64 array's rows taken in `by_birth`
+    order: the order, the rows in it as complex numbers f1 + f2*1j, and a
+    mark on the first row of each run of equal vectors. NumPy orders complex
+    numbers lexicographically, so the order is np.lexsort((birth, f2, f1)),
+    and one comparison tells equal vectors apart."""
     if objectives.ndim != 2 or objectives.shape[1] != 2:
         raise ValueError(f"expected a P x 2 objective array, got shape {objectives.shape}")
     vectors = np.ascontiguousarray(objectives).view(np.complex128).ravel()
-    if order is None:
-        if by_birth is None:
-            order = vectors.argsort(kind="stable")
-        else:
-            order = by_birth.take(vectors.take(by_birth).argsort(kind="stable"))
+    order = by_birth.take(vectors.take(by_birth).argsort(kind="stable"))
     ordered = vectors.take(order)
     first = np.empty(len(ordered), dtype=bool)
     first[0] = True
@@ -88,76 +84,34 @@ def _runs(first):
     return starts, ends
 
 
-def fast_nondominated_sort(objectives, order=None) -> np.ndarray:
-    """1-based front index of every row of a P x 2 objective array.
+def _fronts(distinct_f2):
+    """1-based front of each distinct vector of the sort, given their f2.
 
-    Front 1 holds everything non-dominated in the input; each later front is
-    non-dominated once the earlier fronts are removed. Equal objective
-    vectors always share a front. An empty input gives an empty array.
-
-    Rows are sorted by (f1, f2), and a neighbour comparison marks the first
-    row of each run of equal vectors, so only the distinct vectors are swept,
-    in decreasing order: every one already seen dominates the current one
-    iff its f2 is at least as large. Each front keeps the largest f2 it
-    holds; these maxima decrease with the front index, so the current
-    vector's front is found by bisection, O(D log D) for D distinct vectors
-    instead of a P x P dominance matrix. Each run of duplicates then takes
-    its vector's front. `order`, when given, is that sort already made:
-    survival_select passes its own, and calls this only on a pool of more
-    than one front, so a selection sorts its pool once.
-    """
-    objectives = np.asarray(objectives, dtype=np.float64)
-    if objectives.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    order, ordered, first = _sorted_runs(objectives, order)
+    Swept in decreasing (f1, f2) order, every vector already seen dominates
+    the current one iff its f2 is at least as large. Each front keeps the
+    largest f2 it holds; these fall with the front index, so bisection
+    finds the current vector's front: O(D log D) for D distinct vectors."""
     negated_best = []  # -(largest f2) per front, non-decreasing
-    distinct_ranks = []
-    for negated in (-ordered.imag[first])[::-1].tolist():
+    fronts = []
+    for negated in (-distinct_f2)[::-1].tolist():
         front = bisect_right(negated_best, negated)
         if front == len(negated_best):
             negated_best.append(negated)
         else:
             negated_best[front] = negated
-        distinct_ranks.append(front + 1)
-    starts, ends = _runs(first)
-    ranks = np.empty(len(order), dtype=np.int64)
-    ranks[order] = np.array(distinct_ranks[::-1]).repeat(ends - starts + 1)
-    return ranks
+        fronts.append(front + 1)
+    return np.array(fronts[::-1])
 
 
-def crowding_distance_assign(objectives, birth, runs=None) -> np.ndarray:
-    """Crowding distance of every row of one front.
+def _crowding(ordered, first):
+    """Crowding distance of each row of one front in the sort, in sort order.
 
-    Per objective the front is ordered ascending (ties on birth), the two
-    boundary rows get infinity, and each interior row accumulates the
-    normalized gap between its neighbours in that order, objective 0 first.
-    When an objective is constant across the front it contributes nothing
-    to the interior, but the boundary infinities still apply.
-
-    The rows must form one front, no row dominating another (ValueError
-    otherwise): there equal f1, or equal f2, means equal vectors, so one
-    sort gives both orders. The rows sorted by (f1, f2), birth breaking
-    ties, are the f1 order; its runs of equal vectors in reverse, each
-    still in birth order, are the f2 order. Every distance is the same sum
-    of the same two quotients as with two sorts. `runs`, when given, marks
-    the first row of each run of rows that already stand in that sort, as
-    survival_select hands over its critical front: they are then neither
-    sorted nor checked, and `birth` is not read.
-    """
-    objectives = np.asarray(objectives, dtype=np.float64)
-    if not len(objectives):
-        return np.zeros(0)
-    presorted = runs is not None
-    if presorted:
-        ordered, first = objectives.view(np.complex128).ravel(), runs
-    else:
-        order, ordered, first = _sorted_runs(
-            objectives, by_birth=np.asarray(birth).argsort(kind="stable"))
+    On one front equal f1, or equal f2, means equal vectors, so the sort is
+    the f1 order and its runs in reverse, each still in birth order, are the
+    f2 order; every distance is the same sum as with two sorts."""
     f1, f2 = ordered.real, ordered.imag
     starts, ends = _runs(first)
     distinct_f2 = f2[first]
-    if not presorted and not (distinct_f2[:-1] > distinct_f2[1:]).all():
-        raise ValueError("crowding distance needs rows that form one front")
     dist = np.zeros(len(first))
     if len(starts) > 1:  # else every row holds the same vector
         np.subtract(f1[2:], f1[:-2], out=dist[1:-1])
@@ -173,8 +127,50 @@ def crowding_distance_assign(objectives, birth, runs=None) -> np.ndarray:
     # the ends of the f1 order, then those of the f2 order: the last run's
     # first row and the first run's last row
     dist[0] = dist[-1] = dist[starts[-1]] = dist[ends[0]] = math.inf
-    if not presorted:
-        dist[order] = dist.copy()  # back to the rows' own order
+    return dist
+
+
+def fast_nondominated_sort(objectives) -> np.ndarray:
+    """1-based front index of every row of a P x 2 objective array.
+
+    Front 1 holds everything non-dominated in the input; each later front is
+    non-dominated once the earlier fronts are removed. Equal objective
+    vectors always share a front. An empty input gives an empty array.
+
+    Only the distinct vectors of the (f1, f2) sort are ranked, with no
+    P x P dominance matrix; each run of duplicates takes its vector's front.
+    """
+    objectives = np.asarray(objectives, dtype=np.float64)
+    if objectives.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    order, ordered, first = _sorted_runs(objectives, np.arange(len(objectives)))
+    starts, ends = _runs(first)
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = _fronts(ordered.imag[first]).repeat(ends - starts + 1)
+    return ranks
+
+
+def crowding_distance_assign(objectives, birth) -> np.ndarray:
+    """Crowding distance of every row of one front.
+
+    Per objective the front is ordered ascending (ties on birth), the two
+    boundary rows get infinity, and each interior row accumulates the
+    normalized gap between its neighbours in that order, objective 0 first.
+    When an objective is constant across the front it contributes nothing
+    to the interior, but the boundary infinities still apply.
+
+    The rows must form one front, no row dominating another (ValueError
+    otherwise), so that one sort gives both orders.
+    """
+    objectives = np.asarray(objectives, dtype=np.float64)
+    if not len(objectives):
+        return np.zeros(0)
+    order, ordered, first = _sorted_runs(objectives, np.asarray(birth).argsort(kind="stable"))
+    distinct_f2 = ordered.imag[first]
+    if not (distinct_f2[:-1] > distinct_f2[1:]).all():
+        raise ValueError("crowding distance needs rows that form one front")
+    dist = np.empty(len(order))
+    dist[order] = _crowding(ordered, first)
     return dist
 
 
@@ -198,26 +194,28 @@ def survival_select(objectives, birth, capacity: int, policy: SurvivalPolicy) ->
     if len(objectives) < capacity:
         raise ValueError(
             f"need at least {capacity} individuals to select from, got {len(objectives)}")
-    # each run of equal vectors in birth order, as crowding reads it
     by_birth = birth.argsort(kind="stable")
-    order, ordered, first = _sorted_runs(objectives, by_birth=by_birth)
+    order, ordered, first = _sorted_runs(objectives, by_birth)
     distinct_f2 = ordered.imag[first]
     if (distinct_f2[:-1] > distinct_f2[1:]).all():  # one front, so no ranks are needed
         by_rank = np.arange(len(order))
         start, in_front = 0, slice(None)
     else:
-        ranks = fast_nondominated_sort(objectives, order)
+        starts, ends = _runs(first)
+        sorted_ranks = _fronts(distinct_f2).repeat(ends - starts + 1)
+        ranks = np.empty_like(sorted_ranks)
+        ranks[order] = sorted_ranks
         by_rank = ranks.argsort(kind="stable")
         critical = ranks[by_rank[capacity - 1]]
         start = np.count_nonzero(ranks < critical)
         # equal vectors share a front, so the front's rows keep their runs
-        in_front = ranks.take(order) == critical
+        in_front = sorted_ranks == critical
     front = order[in_front]  # the critical front's rows, in the pool sort
     if start + len(front) == capacity:
         return by_rank[:capacity]
     values, runs = ordered[in_front], first[in_front]
     if policy.reference is None:
-        key = -crowding_distance_assign(values.view(np.float64).reshape(-1, 2), None, runs)
+        key = -_crowding(values, runs)
     else:
         starts, ends = _runs(runs)
         key = reference_distances(values.take(starts).view(np.float64).reshape(-1, 2),

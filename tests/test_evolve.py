@@ -49,7 +49,8 @@ class TestFirstHit:
         ([(0, 5), (0, 5), (1, 4)], 0),
         ([(1, 4), (2, 3), (5, 0)], None),
         ([(0, 4), (5, 5), (1, 5)], None),  # one coordinate matching is not a hit
-    ], ids=["several hits", "hit at row 0", "no hit", "half matches"])
+        ([(1, 4), (-0.0, 5)], 1),  # -0.0 equals 0.0
+    ], ids=["several hits", "hit at row 0", "no hit", "half matches", "negative zero"])
     def test_first_matching_row_wins(self, rows, expected):
         objectives = np.array(rows, dtype=np.float64)
         assert evolve._first_hit(objectives, (0.0, 5.0)) == expected

@@ -9,7 +9,6 @@ import pytest
 from emolab import lab, problems
 from emolab.core import random_population, stream
 from emolab.problems import (
-    EnumerationLimitError,
     OneJumpZeroJump,
     OneMinMax,
     OneMinMaxStar,
@@ -173,7 +172,7 @@ class TestEnumerationOracle:
         assert len(front) == 12 - 2 * 3 + 3
 
     def test_size_guard(self):
-        with pytest.raises(EnumerationLimitError):
+        with pytest.raises(ValueError, match="enumeration is limited to n <= 25, got n=26"):
             enumerate_pareto_front(OneMinMax(26))
 
     def test_nk_points_nondominated_against_full_space(self):

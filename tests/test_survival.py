@@ -210,12 +210,11 @@ class TestCrowdingDistance:
                 front_birth = birth[front].tolist()  # a list, as callers may pass
                 got = crowding_distance_assign(objectives[front], front_birth)
                 assert got.tolist() == crowding_reference(objectives[front], front_birth)
-                # handed its rows already sorted, with their run marks, as
-                # survival_select hands over a critical front
+                # the kernel on the front's sort, as survival_select runs it
+                # on a critical front, gives the same distances in sort order
                 order, ordered, first = survival._sorted_runs(
-                    objectives[front], by_birth=np.argsort(front_birth, kind="stable"))
-                handed = crowding_distance_assign(objectives[front][order], None, first)
-                assert handed.tolist() == got[order].tolist()
+                    objectives[front], np.argsort(front_birth, kind="stable"))
+                assert survival._crowding(ordered, first).tolist() == got[order].tolist()
 
     @pytest.mark.parametrize("size, distinct", [(45_000, 40_000), (70_000, 3)],
                              ids=["40000-distinct", "3-distinct"])
@@ -463,14 +462,6 @@ class TestSharedSort:
         assert kept.tolist() == select_reference(objectives, birth, 60, policy)
         assert sorted(kept.tolist()) == list(range(60))
 
-    def test_ranks_from_a_given_order_match_a_fresh_sort(self):
-        rng = stream(4_082)
-        for make in (oneminmax_pool, layered_pool):
-            objectives, _ = make(rng)
-            order = np.lexsort((objectives[:, 1], objectives[:, 0]))
-            assert fast_nondominated_sort(objectives, order).tolist() == \
-                fast_nondominated_sort(objectives).tolist()
-
     def test_sort_is_the_lexicographic_sort(self):
         rng = stream(4_083)
         for make in (oneminmax_pool, layered_pool, random_population, duplicate_population):
@@ -478,15 +469,32 @@ class TestSharedSort:
             objectives[::7] *= -1.0  # negative values, and -0.0 next to 0.0
             birth = rng.permutation(len(objectives))
             f1, f2 = objectives[:, 0], objectives[:, 1]
-            order, ordered, first = survival._sorted_runs(objectives)
-            assert order.tolist() == np.lexsort((f2, f1)).tolist()
+            # taken in birth order, so each run of equal vectors is in birth order
+            order, ordered, first = survival._sorted_runs(objectives, birth.argsort(kind="stable"))
+            assert order.tolist() == np.lexsort((birth, f2, f1)).tolist()
             rows = objectives[order].tolist()
+            assert ordered.tolist() == [complex(*row) for row in rows]
             assert first.tolist() == [i == 0 or rows[i] != rows[i - 1] for i in range(len(rows))]
-            # in birth order first, so each run of equal vectors is in birth order
-            by_birth = birth.argsort(kind="stable")
-            tied, _, tied_first = survival._sorted_runs(objectives, by_birth=by_birth)
-            assert tied.tolist() == np.lexsort((birth, f2, f1)).tolist()
-            assert tied_first.tolist() == first.tolist()
+            # taken in row order, as fast_nondominated_sort takes it
+            order, _, _ = survival._sorted_runs(objectives, np.arange(len(objectives)))
+            assert order.tolist() == np.lexsort((f2, f1)).tolist()
+
+    @pytest.mark.parametrize("policy", POLICIES[:2], ids=["crowding", "reference"])
+    @pytest.mark.parametrize("make", [oneminmax_pool, layered_pool], ids=["one-front", "layered"])
+    def test_one_sort_per_selection(self, make, policy, monkeypatch):
+        objectives, birth = make(stream(4_084))
+        calls, sorted_runs = [], survival._sorted_runs
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return sorted_runs(*args)
+
+        monkeypatch.setattr(survival, "_sorted_runs", counted)
+        for capacity in (1, 100, 204, len(birth)):
+            calls.clear()
+            kept = survival_select(objectives, birth, capacity, policy)
+            assert calls == [len(birth)]
+            assert kept.tolist() == select_reference(objectives, birth, capacity, policy)
 
     def test_reference_key_is_computed_once_per_distinct_vector(self, monkeypatch):
         objectives, birth = oneminmax_pool(stream(4_085))
