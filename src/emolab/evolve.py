@@ -121,17 +121,23 @@ def initialize(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> RunS
     )
 
 
-def step_generation(state: RunState, problem: ProblemSpec, config: AlgorithmConfig) -> RunState:
-    """Mutate every parent once, evaluate the offspring, keep the best N."""
+def _breed(state: RunState, problem: ProblemSpec, config: AlgorithmConfig):
+    """Mutate every parent once and evaluate the offspring: the offspring,
+    their objectives and the run's evaluations_to_hit after them."""
     rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / problem.n
     offspring = bitwise_mutate(state.genomes, rate, state.rng)
     objectives = state.evaluator(offspring)
-    evaluations = state.evaluations + len(offspring)
-    hit, hit_at = state.hit, state.evaluations_to_hit
-    if not hit:
+    hit_at = state.evaluations_to_hit
+    if hit_at is None:
         first = _first_hit(objectives, config.reference_point)
         if first is not None:
-            hit, hit_at = True, state.evaluations + first + 1
+            hit_at = state.evaluations + first + 1
+    return offspring, objectives, hit_at
+
+
+def _survive(state: RunState, config: AlgorithmConfig, offspring, objectives, hit_at) -> RunState:
+    """Keep the best N of parents plus offspring as the next state."""
+    evaluations = state.evaluations + len(offspring)
     # the pool is parents then offspring; survivor order decides which parent
     # the next generation's mutation draws go to
     pool_objectives = np.concatenate((state.objectives, objectives))
@@ -144,11 +150,16 @@ def step_generation(state: RunState, problem: ProblemSpec, config: AlgorithmConf
         birth=pool_birth.take(keep),
         generation=state.generation + 1,
         evaluations=evaluations,
-        hit=hit,
+        hit=hit_at is not None,
         evaluations_to_hit=hit_at,
         rng=state.rng,
         evaluator=state.evaluator,
     )
+
+
+def step_generation(state: RunState, problem: ProblemSpec, config: AlgorithmConfig) -> RunState:
+    """Mutate every parent once, evaluate the offspring, keep the best N."""
+    return _survive(state, config, *_breed(state, problem, config))
 
 
 def run(
@@ -162,8 +173,10 @@ def run(
     on_generation, when given, is called on the initialized state and after
     every completed generation; it is how traces and invariant checks
     observe the population (see RunState for its arrays). An unobserved
-    run with N = 1 on a synthetic problem goes through _run_single, which
-    gives the same result.
+    run returns after the evaluations of its last generation without
+    selecting survivors that nobody would read, and with N = 1 on a
+    synthetic problem it goes through _run_single; both give the same
+    result as an observed run.
     """
     if config.pop_size == 1 and on_generation is None and not isinstance(problem, NkLandscape):
         return _run_single(problem, config, seed)
@@ -172,7 +185,13 @@ def run(
         on_generation(state)
     cap = config.max_evaluations
     while not state.hit and (cap is None or state.evaluations < cap):
-        state = step_generation(state, problem, config)
+        offspring, objectives, hit_at = _breed(state, problem, config)
+        evaluations = state.evaluations + len(offspring)
+        if on_generation is None and (hit_at is not None or (cap is not None and evaluations >= cap)):
+            return RunResult(hit=hit_at is not None, evaluations_to_hit=hit_at,
+                             evaluations=evaluations, generations=state.generation + 1,
+                             seed=int(seed))
+        state = _survive(state, config, offspring, objectives, hit_at)
         if on_generation is not None:
             on_generation(state)
     return RunResult(

@@ -21,7 +21,10 @@ shows whether the pool is a single front (the distinct f2 values then fall
 strictly, as on every OneMinMax pool), gives the ranks when it is not, and
 hands its critical front to a kernel, or to the reference key once per
 distinct vector. One stable sort of the key over the pool in birth order
-then picks the survivors.
+then picks the survivors. `_fronts` gives its ranks in the smallest
+unsigned type that holds the number of fronts (uint8 up to 255, uint16 up
+to 65,535), so a selection orders them with NumPy's radix sort;
+`fast_nondominated_sort` returns them as int64.
 """
 
 from __future__ import annotations
@@ -85,7 +88,8 @@ def _runs(first):
 
 
 def _fronts(distinct_f2):
-    """1-based front of each distinct vector of the sort, given their f2.
+    """1-based front of each distinct vector of the sort, given their f2, in
+    the smallest unsigned type that holds the number of fronts.
 
     Swept in decreasing (f1, f2) order, every vector already seen dominates
     the current one iff its f2 is at least as large. Each front keeps the
@@ -100,7 +104,7 @@ def _fronts(distinct_f2):
         else:
             negated_best[front] = negated
         fronts.append(front + 1)
-    return np.array(fronts[::-1])
+    return np.array(fronts[::-1], dtype=np.min_scalar_type(len(negated_best)))
 
 
 def _crowding(ordered, first):

@@ -431,6 +431,67 @@ class TestSingleParentKernel:
         run(OneMinMax(8), omm_config(8, 2, max_evaluations=50), seed=0)
 
 
+def target_for(problem, config, seed, case):
+    """A target that ends the run at `seed` as `case` says, whatever config's target is."""
+    state = initialize(problem, config, seed)
+    if case == "hit at initialization":
+        return tuple(state.objectives[-1].tolist())
+    if case == "hit in generation 1":
+        # the same stream, so these are the offspring of the run's first generation
+        _, objectives, _ = evolve._breed(state, problem, config)
+        initial = set(map(tuple, state.objectives.tolist()))
+        return next(v for v in map(tuple, objectives.tolist()) if v not in initial)
+    return (-1.0, -1.0)  # no solution reaches it
+
+
+class TestUnobservedRunsStopAtTheirLastEvaluation:
+    """An unobserved run returns after the evaluations of the generation that
+    ends it, without selecting its survivors; an observer sees every one."""
+
+    POP = 12
+    CAPS = {"cap reached": 10 * POP, "cap off a multiple of N": 10 * POP + 5,
+            "hit in generation 1": None, "hit at initialization": None}
+
+    @pytest.mark.parametrize("case", list(CAPS))
+    @pytest.mark.parametrize("policy", ["crowding", "refpoint"])
+    @pytest.mark.parametrize("problem", [OneMinMax(40), generate_nk_instance(10, 3, seed=4)],
+                             ids=["omm", "nk"])
+    def test_matches_an_observed_run(self, problem, policy, case, monkeypatch):
+        selections = []
+        select = evolve.survival_select
+
+        def counted(*args):
+            selections.append(len(args[0]))
+            return select(*args)
+
+        monkeypatch.setattr(evolve, "survival_select", counted)
+        cap = self.CAPS[case]
+        for seed in range(3):
+            config = AlgorithmConfig(policy=CrowdingDistance(), pop_size=self.POP,
+                                     reference_point=(-1.0, -1.0), max_evaluations=cap)
+            target = target_for(problem, config, seed, case)
+            survival = CrowdingDistance() if policy == "crowding" else \
+                ReferencePointDistance(target)
+            config = AlgorithmConfig(policy=survival, pop_size=self.POP,
+                                     reference_point=target, max_evaluations=cap)
+            selections.clear()
+            result = run(problem, config, seed)
+            unobserved = len(selections)
+            selections.clear()
+            assert result == run(problem, config, seed, on_generation=observe_nothing)
+            assert len(selections) == result.generations
+            assert unobserved == max(result.generations - 1, 0)
+            if cap is not None:
+                assert not result.hit
+                assert result.evaluations == -(-cap // self.POP) * self.POP
+            elif case == "hit in generation 1":
+                assert result.hit and result.generations == 1
+                assert self.POP < result.evaluations_to_hit <= 2 * self.POP
+            else:
+                assert result.hit and result.generations == 0
+                assert result.evaluations_to_hit <= self.POP
+
+
 class TestGenerationTrace:
     def test_rows_match_run_length(self, tmp_path):
         problem = OneMinMax(8)

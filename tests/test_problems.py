@@ -115,6 +115,18 @@ class TestBatchEvaluator:
                 assert [tuple(v) for v in got.tolist()] == \
                        [nk_reference(instance, x) for x in batch]
 
+    @pytest.mark.parametrize("n", [12, 14, 16, 25])
+    def test_nk_sum_over_n_is_the_mean_bit_for_bit(self, n):
+        # hits compare objective vectors with ==, so every bit counts
+        rng = stream(20 + n)
+        instance = generate_nk_instance(n, 3, seed=n)
+        tables, values = instance._byte_tables(), instance.contributions.reshape(-1)
+        for size in (1, 100, 1000):
+            batch = (rng.random((size, n)) < rng.random((size, 1))).astype(np.uint8)
+            flat = problems._flat_indices(tables, np.packbits(batch, axis=1))
+            mean = values.take(flat).reshape(size, 2, n).mean(axis=2)
+            assert instance.evaluator()(batch).tobytes() == mean.tobytes()
+
 
 class TestClosedFormFronts:
     def test_oneminmax_front(self):
@@ -192,6 +204,14 @@ class TestEnumerationOracle:
         for point, witness in front.items():
             assert not witness.flags.writeable
         assert rows(problem, list(front.values())) == list(front)
+
+    @pytest.mark.parametrize("n", [12, 14, 16])
+    def test_nk_witnesses_evaluate_to_exactly_their_vector(self, n):
+        # enumeration takes np.mean, the evaluator divides the sum by n
+        instance = generate_nk_instance(n, 3, seed=n)
+        front = enumerate_pareto_front(instance)
+        got = instance.evaluator()(np.stack(list(front.values())))
+        assert got.tobytes() == np.array(list(front)).tobytes()
 
     def test_every_omm_solution_is_pareto_optimal(self):
         for n in (5, 9, 12):

@@ -95,6 +95,35 @@ def select_reference(objectives, birth, capacity, policy):
     return survivors
 
 
+def select_from_ranks(objectives, birth, capacity, policy, ranks):
+    """select_reference with the fronts given as 1-based ranks, for pools
+    past the strip oracle's reach."""
+    by_rank = np.argsort(ranks, kind="stable")
+    critical = ranks[by_rank[capacity - 1]]
+    start = int(np.count_nonzero(ranks < critical))
+    front = np.flatnonzero(ranks == critical)
+    if start + len(front) == capacity:
+        return by_rank[:capacity].tolist()
+    if isinstance(policy, CrowdingDistance):
+        key = [-d for d in crowding_reference(objectives[front], birth[front])]
+    else:
+        key = [math.dist(v, policy.reference) for v in objectives[front].tolist()]
+    picks = front[np.lexsort((birth[front], key))[:capacity - start]]
+    return by_rank[:start].tolist() + picks.tolist()
+
+
+def front_chain(fronts, rng):
+    """`fronts` levels of two rows, (2i, 2i + 1) and (2i + 1, 2i), shuffled,
+    and the front of each row: every row of a level dominates every row of
+    the levels below it, so level i is front `fronts - i`."""
+    level = np.repeat(2.0 * np.arange(fronts), 2)
+    objectives = np.column_stack((level + np.tile([0.0, 1.0], fronts),
+                                  level + np.tile([1.0, 0.0], fronts)))
+    ranks = fronts - np.repeat(np.arange(fronts), 2)
+    shuffle = rng.permutation(len(objectives))
+    return objectives[shuffle], ranks[shuffle]
+
+
 def random_population(rng):
     """A pool drawn from one of the four benchmark objective spaces."""
     choice = rng.integers(4)
@@ -437,22 +466,36 @@ class TestSharedSort:
     def test_many_fronts(self):
         # 35,000 fronts of two rows each: front numbers past 32,767
         rng = stream(4_087)
-        level = np.repeat(2.0 * np.arange(35_000), 2)
-        objectives = np.column_stack((level + np.tile([0.0, 1.0], 35_000),
-                                      level + np.tile([1.0, 0.0], 35_000)))
-        objectives = objectives[rng.permutation(len(objectives))]
+        objectives, _ = front_chain(35_000, rng)
         birth = rng.permutation(len(objectives))
         capacity = 40_001
         kept = survival_select(objectives, birth, capacity, CrowdingDistance()).tolist()
         ranks = fast_nondominated_sort(objectives)
-        by_rank = np.argsort(ranks, kind="stable")
-        critical = ranks[by_rank[capacity - 1]]
-        start = int(np.count_nonzero(ranks < critical))
-        assert kept[:start] == by_rank[:start].tolist()
-        front = np.flatnonzero(ranks == critical)
-        key = [-d for d in crowding_reference(objectives[front], birth[front])]
-        picks = front[np.lexsort((birth[front], key))[:capacity - start]]
-        assert kept[start:] == picks.tolist()
+        assert kept == select_from_ranks(objectives, birth, capacity, CrowdingDistance(), ranks)
+
+    # a selection's ranks are in the smallest unsigned type that holds the
+    # front count, so NumPy orders them with a radix sort
+    @pytest.mark.parametrize("fronts, dtype", [
+        (255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32),
+    ])
+    def test_ranks_take_the_smallest_unsigned_type(self, fronts, dtype):
+        rng = stream(4_088)
+        objectives, expected = front_chain(fronts, rng)
+        birth = rng.permutation(len(objectives))
+        order, ordered, first = survival._sorted_runs(objectives, birth.argsort(kind="stable"))
+        assert first.all()  # every row is its own distinct vector
+        ranks = survival._fronts(ordered.imag[first])
+        assert ranks.dtype == dtype
+        assert ranks.tolist() == expected[order].tolist()
+        # the public sort still gives int64
+        assert fast_nondominated_sort(objectives).dtype == np.int64
+        assert fast_nondominated_sort(objectives).tolist() == expected.tolist()
+        # the last front cut to one row, then the front just past the middle
+        for capacity in (2 * fronts - 1, fronts + 1):
+            for policy in self.POLICIES[:2]:
+                kept = survival_select(objectives, birth, capacity, policy)
+                assert kept.tolist() == select_from_ranks(objectives, birth, capacity,
+                                                          policy, expected)
 
     @pytest.mark.parametrize("policy", POLICIES, ids=["crowding", "corner", "interior", "far"])
     @pytest.mark.parametrize("make", [oneminmax_pool, layered_pool], ids=["one-front", "layered"])
