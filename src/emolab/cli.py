@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -55,7 +56,7 @@ def _check_writable(*paths) -> None:
     """Raise OSError unless every path can be written, before any work.
 
     A file that exists already is opened for appending and left as it was;
-    one that this check creates is removed again, so a command that stops
+    one that this check creates is removed again, so a sweep that stops
     before writing its results leaves no empty file behind.
     """
     for path in paths:
@@ -148,27 +149,26 @@ def cmd_run(args) -> int:
         config = replace(config, mutation_rate=args.rate)
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
-    if args.trace is not None:
-        try:
-            _check_writable(args.trace)
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot write trace: {exc}")
+    try:  # opening the trace is its writability check, before any output
+        out = None if args.trace is None else open(args.trace, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        return _fail(EXIT_IO, f"cannot write trace: {exc}")
     print(f"run problem={args.problem} n={args.n} k={args.k} algo={args.algo} "
           f"pop_size={config.pop_size} rate={args.rate if args.rate is not None else f'1/{args.n}'} "
           f"cap={args.cap} seed={seed} "
           f"reference={tuple(round(v, 6) for v in config.reference_point)}")
-    trace = None if args.trace is None else GenerationTrace(problem, config.reference_point)
-    result = run(problem, config, seed, on_generation=trace)
+    try:  # a write that fails mid-run or at close
+        with nullcontext() if out is None else out:
+            trace = None if out is None else GenerationTrace(problem, config.reference_point, out)
+            result = run(problem, config, seed, on_generation=trace)
+    except OSError as exc:
+        return _fail(EXIT_IO, f"cannot write trace: {exc}")
     if trace is not None:
-        try:
-            trace.write_csv(args.trace)
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot write trace: {exc}")
-        print(f"wrote trace with {len(trace.rows)} rows to {args.trace}")
+        print(f"wrote trace with {trace.rows} rows to {args.trace}")
     print(f"hit={'true' if result.hit else 'false'} "
           f"evaluations_to_hit={result.evaluations_to_hit} "
           f"evaluations={result.evaluations} generations={result.generations} "
-          f"seed={result.seed}")
+          f"seed={seed}")
     return EXIT_OK
 
 

@@ -71,6 +71,7 @@ class RunState:
     (N x 2 float64) and birth (N int64), in survivor order. A birth index
     is the 0-based number of the evaluation that created the row, so it
     rises with creation order, and the next offspring's is `evaluations`.
+    `evaluations_to_hit` stays None until some evaluation meets the target.
     `evaluator` is the problem's batch objective function, built once per run.
     """
 
@@ -79,7 +80,6 @@ class RunState:
     birth: np.ndarray
     generation: int
     evaluations: int
-    hit: bool
     evaluations_to_hit: Optional[int]
     rng: RngStream
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -87,11 +87,12 @@ class RunState:
 
 @dataclass(frozen=True)
 class RunResult:
+    """How a run ended: evaluations_to_hit is None unless it hit the target."""
+
     hit: bool
     evaluations_to_hit: Optional[int]
     evaluations: int
     generations: int
-    seed: int
 
 
 def _first_hit(objectives: np.ndarray, reference) -> Optional[int]:
@@ -114,7 +115,6 @@ def initialize(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> RunS
         birth=np.arange(config.pop_size, dtype=np.int64),
         generation=0,
         evaluations=config.pop_size,
-        hit=first is not None,
         evaluations_to_hit=None if first is None else first + 1,
         rng=rng,
         evaluator=evaluator,
@@ -150,16 +150,10 @@ def _survive(state: RunState, config: AlgorithmConfig, offspring, objectives, hi
         birth=pool_birth.take(keep),
         generation=state.generation + 1,
         evaluations=evaluations,
-        hit=hit_at is not None,
         evaluations_to_hit=hit_at,
         rng=state.rng,
         evaluator=state.evaluator,
     )
-
-
-def step_generation(state: RunState, problem: ProblemSpec, config: AlgorithmConfig) -> RunState:
-    """Mutate every parent once, evaluate the offspring, keep the best N."""
-    return _survive(state, config, *_breed(state, problem, config))
 
 
 def run(
@@ -173,7 +167,7 @@ def run(
     on_generation, when given, is called on the initialized state and after
     every completed generation; it is how traces and invariant checks
     observe the population (see RunState for its arrays). An unobserved
-    run returns after the evaluations of its last generation without
+    run stops after the evaluations of its last generation without
     selecting survivors that nobody would read, and with N = 1 on a
     synthetic problem it goes through _run_single; both give the same
     result as an observed run.
@@ -184,23 +178,17 @@ def run(
     if on_generation is not None:
         on_generation(state)
     cap = config.max_evaluations
-    while not state.hit and (cap is None or state.evaluations < cap):
+    generations, evaluations, hit_at = 0, state.evaluations, state.evaluations_to_hit
+    while hit_at is None and (cap is None or evaluations < cap):
         offspring, objectives, hit_at = _breed(state, problem, config)
-        evaluations = state.evaluations + len(offspring)
+        generations, evaluations = generations + 1, evaluations + len(offspring)
         if on_generation is None and (hit_at is not None or (cap is not None and evaluations >= cap)):
-            return RunResult(hit=hit_at is not None, evaluations_to_hit=hit_at,
-                             evaluations=evaluations, generations=state.generation + 1,
-                             seed=int(seed))
+            break
         state = _survive(state, config, offspring, objectives, hit_at)
         if on_generation is not None:
             on_generation(state)
-    return RunResult(
-        hit=state.hit,
-        evaluations_to_hit=state.evaluations_to_hit,
-        evaluations=state.evaluations,
-        generations=state.generation,
-        seed=int(seed),
-    )
+    return RunResult(hit=hit_at is not None, evaluations_to_hit=hit_at,
+                     evaluations=evaluations, generations=generations)
 
 
 @lru_cache(maxsize=1)
@@ -274,30 +262,30 @@ def _run_single(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> Run
                 if distances[child_ones] < distances[ones]:
                     genome, ones, p1, p2 = child_genome, child_ones, c1, c2
     return RunResult(hit=hit, evaluations_to_hit=evaluations if hit else None,
-                     evaluations=evaluations, generations=evaluations - 1, seed=int(seed))
+                     evaluations=evaluations, generations=evaluations - 1)
 
 
 class GenerationTrace:
-    """Collects one row per generation: distance to target and front coverage.
+    """Writes one CSV row per generation: distance to target and front coverage.
 
     Rows are (generation, min distance to the reference point, number of
-    distinct true-front objective vectors present in the population). Pass
-    an instance as on_generation, then inspect .rows or write_csv().
+    distinct true-front objective vectors present in the population). The
+    header goes to `out`, a text file opened with newline="", when the
+    trace is built, and each call writes its row through the file's own
+    buffering, so memory stays flat however long the run. Pass an instance
+    as on_generation; .rows counts the rows written.
     """
 
-    def __init__(self, problem: ProblemSpec, reference):
+    def __init__(self, problem: ProblemSpec, reference, out):
         self.reference = tuple(reference)
         self.front = problem.front()
-        self.rows = []
+        self.writer = csv.writer(out, lineterminator="\n")
+        self.writer.writerow(["generation", "min_distance", "front_points"])
+        self.rows = 0
 
     def __call__(self, state: RunState) -> None:
         vectors = set(map(tuple, state.objectives.tolist()))
         min_dist = min(math.dist(v, self.reference) for v in vectors)
         covered = len(vectors & self.front)
-        self.rows.append((state.generation, min_dist, covered))
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["generation", "min_distance", "front_points"])
-            writer.writerows(self.rows)
+        self.writer.writerow((state.generation, min_dist, covered))
+        self.rows += 1

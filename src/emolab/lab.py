@@ -22,7 +22,7 @@ import operator
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import groupby
 from typing import Optional, Sequence, Union
 
@@ -430,11 +430,6 @@ def preset_plans() -> dict:
             max_evaluations=1_000_000,
         ),
     }
-
-
-def plan_to_json(plan: ExperimentPlan) -> str:
-    """The plan as a JSON document whose keys follow the dataclass field order."""
-    return json.dumps(asdict(plan), indent=2)
 
 
 def plan_from_json(text: str) -> ExperimentPlan:

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -15,6 +16,11 @@ from emolab import cli, lab, problems
 from emolab.cli import main
 from emolab.lab import ExperimentPlan, SummaryRow, Variant, write_summary_csv
 from emolab.problems import enumerate_pareto_front
+
+
+def plan_json(plan):
+    """A plan as the JSON document that `sweep --plan` reads."""
+    return json.dumps(asdict(plan), indent=2)
 
 
 def tiny_plan_file(tmp_path, **overrides):
@@ -31,7 +37,7 @@ def tiny_plan_file(tmp_path, **overrides):
     base.update(overrides)
     plan = ExperimentPlan(**base)
     path = tmp_path / "plan.json"
-    path.write_text(lab.plan_to_json(plan), encoding="utf-8")
+    path.write_text(plan_json(plan), encoding="utf-8")
     return path
 
 
@@ -104,7 +110,7 @@ NK_PIN_PLAN = ExperimentPlan(
 def test_sweep_outputs_match_pins(tmp_path, preset):
     if preset == "nk":
         plan_path = tmp_path / "nk.json"
-        plan_path.write_text(lab.plan_to_json(NK_PIN_PLAN), encoding="utf-8")
+        plan_path.write_text(plan_json(NK_PIN_PLAN), encoding="utf-8")
         source = ["--plan", str(plan_path)]
     else:
         source = ["--preset", preset]
@@ -193,7 +199,7 @@ def test_run_trace_matches_pins(tmp_path, problem):
 
 
 def _plan_doc(**changes):
-    doc = json.loads(lab.plan_to_json(ExperimentPlan(
+    doc = json.loads(plan_json(ExperimentPlan(
         name="tiny", problem="omm", n_values=(6,),
         variants=(Variant("nsga2", "crowding", "4*(n+1)"),),
         runs_per_cell=2, master_seed=7)))
@@ -395,6 +401,22 @@ def test_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch, command):
     if command != "plot":  # sweep and run check their output before the config line
         assert captured.out == ""
     assert blocker.read_text(encoding="utf-8") == ""
+
+
+# a trace write that fails exits 3 with one error line, not a traceback: 3,000
+# rows fill the file's buffer mid-run, and 20 rows fail only when it is closed
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("cap", ["3000", "20"], ids=["mid-run", "at close"])
+def test_failed_trace_write_is_io_error(cap):
+    result = subprocess.run(
+        [sys.executable, "-m", "emolab", "run", "--problem", "ommstar", "--n", "30",
+         "--algo", "rnsga2", "--pop", "1", "--cap", cap, "--seed", "7", "--trace", "/dev/full"],
+        capture_output=True, env=package_env(), timeout=60, check=False)
+    assert result.returncode == 3
+    errors = result.stderr.decode().splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: cannot write trace: ")
+    assert result.stdout.decode().splitlines()[0].startswith("run problem=ommstar")
+    assert len(result.stdout.decode().splitlines()) == 1
 
 
 # a sweep opens both result files before its first trial, so a bad path loses no work

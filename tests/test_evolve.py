@@ -1,6 +1,8 @@
 """The generation loop: initialization, stepping, stopping, and accounting."""
 
+import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,6 @@ from emolab.evolve import (
     GenerationTrace,
     initialize,
     run,
-    step_generation,
 )
 from emolab.problems import (
     OneJumpZeroJump,
@@ -86,7 +87,7 @@ class TestInitialize:
         config = omm_config(1, 1)
         seed = next(s for s in range(100) if row_draw(1, stream(s))[0] == 1)
         state = initialize(problem, config, seed)
-        assert state.hit and state.evaluations_to_hit == 1
+        assert state.evaluations_to_hit == 1
 
     def test_deterministic(self):
         a = initialize(OneMinMax(10), omm_config(10, 5), seed=3)
@@ -117,7 +118,7 @@ class TestStepGeneration:
         config = omm_config(8, 6, policy=CrowdingDistance())
         state = initialize(problem, config, seed=2)
         for expected in (12, 18, 24):
-            state = step_generation(state, problem, config)
+            state = evolve._survive(state, config, *evolve._breed(state, problem, config))
             assert state.evaluations == expected
             assert len(state.genomes) == len(state.objectives) == len(state.birth) == 6
 
@@ -129,7 +130,7 @@ class TestStepGeneration:
         config = omm_config(n, 4 * (n + 1), policy=CrowdingDistance(), mutation_rate=0.0)
         state = initialize(problem, config, seed=5)
         before = set(map(tuple, state.objectives.tolist()))
-        after_state = step_generation(state, problem, config)
+        after_state = evolve._survive(state, config, *evolve._breed(state, problem, config))
         after = set(map(tuple, after_state.objectives.tolist()))
         assert after == before
 
@@ -137,7 +138,7 @@ class TestStepGeneration:
         problem = OneMinMax(6)
         config = omm_config(6, 1, mutation_rate=0.0)
         state = initialize(problem, config, seed=9)
-        new_state = step_generation(state, problem, config)
+        new_state = evolve._survive(state, config, *evolve._breed(state, problem, config))
         # child is an exact copy: equal distance, parent wins on birth index
         assert new_state.birth.tolist() == state.birth.tolist() == [0]
         assert np.array_equal(new_state.genomes, state.genomes)
@@ -148,7 +149,7 @@ class TestStepGeneration:
         state = initialize(problem, config, seed=4)
         for _ in range(40):
             previous = state.objectives[0].tolist()
-            state = step_generation(state, problem, config)
+            state = evolve._survive(state, config, *evolve._breed(state, problem, config))
             survivor = state.objectives[0].tolist()
             ref = config.reference_point
             assert math.dist(survivor, ref) <= math.dist(previous, ref)
@@ -493,15 +494,37 @@ class TestUnobservedRunsStopAtTheirLastEvaluation:
 
 
 class TestGenerationTrace:
-    def test_rows_match_run_length(self, tmp_path):
+    def test_rows_match_run_length(self):
         problem = OneMinMax(8)
         config = omm_config(8, 4)
-        trace = GenerationTrace(problem, config.reference_point)
+        out = io.StringIO()
+        trace = GenerationTrace(problem, config.reference_point, out)
+        assert out.getvalue() == "generation,min_distance,front_points\n"
         result = run(problem, config, seed=3, on_generation=trace)
-        assert len(trace.rows) == result.generations + 1
-        assert trace.rows[-1][1] == 0.0  # hit means distance reached zero
-        out = tmp_path / "trace.csv"
-        trace.write_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "generation,min_distance,front_points"
-        assert len(lines) == len(trace.rows) + 1
+        assert trace.rows == result.generations + 1
+        lines = out.getvalue().splitlines()
+        assert len(lines) == trace.rows + 1
+        assert lines[1].startswith("0,")
+        assert lines[-1].split(",")[:2] == [str(result.generations), "0.0"]  # a hit is distance 0
+
+    def test_memory_does_not_grow_with_the_cap(self):
+        # rows go to the file as they come; holding them took about 110 B a generation
+        def traced_peak(cap):
+            problem = OneMinMaxStar(30)
+            reference = problem.reference_point()
+            config = AlgorithmConfig(policy=ReferencePointDistance(reference), pop_size=1,
+                                     reference_point=reference, max_evaluations=cap)
+            with open(os.devnull, "w", encoding="utf-8", newline="") as out:
+                tracemalloc.start()
+                try:
+                    trace = GenerationTrace(problem, reference, out)
+                    result = run(problem, config, seed=7, on_generation=trace)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert not result.hit and result.evaluations == cap
+            assert trace.rows == result.generations + 1 == cap
+            return peak
+
+        traced_peak(50)  # one-time allocations of a first traced run stay out of the comparison
+        assert traced_peak(3000) - traced_peak(500) < 32 * 2 ** 10

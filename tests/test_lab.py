@@ -4,7 +4,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,6 @@ from emolab.lab import (
     Variant,
     loglog_slope,
     plan_from_json,
-    plan_to_json,
     preset_plans,
     rank_sum_test,
     read_summary_csv,
@@ -30,6 +29,11 @@ from emolab.lab import (
     write_summary_csv,
     write_trials_csv,
 )
+
+
+def plan_json(plan):
+    """A plan as the JSON document that load_plan reads, keys in field order."""
+    return json.dumps(asdict(plan), indent=2)
 
 
 def tiny_plan(**overrides):
@@ -410,13 +414,13 @@ class TestRunExperiment:
 class TestPlanJson:
     def test_round_trip(self, tmp_path):
         plan = tiny_plan()
-        text = plan_to_json(plan)
+        text = plan_json(plan)
         assert plan_from_json(text) == plan
         path = tmp_path / "plan.json"
         path.write_text(text, encoding="utf-8")
         assert lab.load_plan(path) == plan
 
-    # sha256 of plan_to_json for each preset, recorded while the document was
+    # sha256 of plan_json for each preset, recorded while the document was
     # built key by key
     @pytest.mark.parametrize("name, digest", [
         ("omm", "d9d10daf02b155251fb5bd6b6361014024d1e2504c88cccf3421902e9512c6a9"),
@@ -425,7 +429,7 @@ class TestPlanJson:
         ("nk", "a40e4a600908710be077936672d44485de0a7cf5d899472d82f3c13a41634182"),
     ])
     def test_preset_text_matches_pins(self, name, digest):
-        text = plan_to_json(preset_plans()[name])
+        text = plan_json(preset_plans()[name])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_rejects_invalid_document(self):
@@ -446,7 +450,7 @@ class TestPlanJson:
         {"name": json.loads("[" * 500 + "]" * 500)},
     ])
     def test_field_types_are_checked(self, changes):
-        doc = json.loads(plan_to_json(tiny_plan()))
+        doc = json.loads(plan_json(tiny_plan()))
         doc.update(changes)
         with pytest.raises(ValueError):
             plan_from_json(json.dumps(doc))
@@ -456,7 +460,7 @@ class TestPlanJson:
         ({"variants": [{"label": "a", "policy": "refpoint", "pop_size": 4, "pop": 4}]}, "pop"),
     ])
     def test_unknown_keys_are_named(self, changes, key):
-        doc = json.loads(plan_to_json(tiny_plan()))
+        doc = json.loads(plan_json(tiny_plan()))
         doc.update(changes)
         with pytest.raises(ValueError, match=f"'{key}'"):
             plan_from_json(json.dumps(doc))
