@@ -1,5 +1,6 @@
 """Benchmarks, closed-form fronts, the enumeration oracle, and NK instances."""
 
+import hashlib
 import pickle
 import tracemalloc
 
@@ -37,17 +38,27 @@ def bits(*texts):
     return [np.array([int(c) for c in text], dtype=np.uint8) for text in texts]
 
 
-def nk_reference(instance, x):
-    """The per-bitstring NK evaluation the batch evaluator replaced."""
+def nk_terms(instance, x):
+    """The (2, n) contributions of bitstring x, one row per objective, in position order."""
     n, K = instance.n, instance.K
     own = x.astype(np.int64) << K
     powers = 1 << np.arange(K - 1, -1, -1, dtype=np.int64)
     rows = np.arange(n)
-    values = []
+    terms = []
     for j in (0, 1):
         idx = own + x[instance.loci[j]].astype(np.int64) @ powers if K else own
-        values.append(float(instance.contributions[j, rows, idx].mean()))
-    return tuple(values)
+        terms.append(instance.contributions[j, rows, idx])
+    return np.stack(terms)
+
+
+def nk_reference(instance, x):
+    """The per-bitstring NK evaluation the batch evaluator replaced."""
+    return tuple(nk_terms(instance, x).mean(axis=1).tolist())
+
+
+def column_order_means(instance, x):
+    """Bitstring x's objectives summed one position after another, then divided by n."""
+    return tuple((np.cumsum(nk_terms(instance, x), axis=1)[:, -1] / instance.n).tolist())
 
 
 class TestEvaluate:
@@ -245,14 +256,14 @@ class TestEnumerationOracle:
     @pytest.mark.parametrize("n", [8, 10, 13, 17])
     def test_nk_front_matches_the_evaluator_path(self, monkeypatch, n, block):
         monkeypatch.setattr(problems, "ENUMERATION_BLOCK", block)
-        for K in (0, 1, 3):
+        for K in (0, 1, 3, 7):  # at K = 7, 2^(K+1) entries a column outnumber a 2^5 block
             for seed in (n, n + 100):
                 problem = generate_nk_instance(n, K, seed=seed)
                 assert_same_front(enumerate_pareto_front(problem), evaluator_path_front(problem))
 
     @pytest.mark.parametrize("block", [problems.ENUMERATION_BLOCK, 1 << 16, 1 << 5])
     def test_constant_nk_front_keeps_the_all_zeros_witness(self, monkeypatch, block):
-        # every row equals the prefilter's pivot, so none is dropped before the skyline
+        # every row equals the filter's pivot, so none is dropped before the skyline
         monkeypatch.setattr(problems, "ENUMERATION_BLOCK", block)
         problem = generate_nk_instance(10, 3, seed=5)
         problem.contributions = np.full_like(problem.contributions, 0.375)
@@ -260,6 +271,50 @@ class TestEnumerationOracle:
         assert list(front) == [(0.375, 0.375)]
         assert not front[(0.375, 0.375)].any()
         assert_same_front(front, evaluator_path_front(problem))
+
+    @pytest.mark.parametrize("block", [problems.ENUMERATION_BLOCK, 1 << 16, 1 << 5])
+    def test_nk_front_on_a_dyadic_grid_keeps_every_tie(self, monkeypatch, block):
+        # contributions in {0, 1/2}: every sum is exact, and distinct rows share
+        # vectors, among them the pivot's and front vectors
+        monkeypatch.setattr(problems, "ENUMERATION_BLOCK", block)
+        problem = generate_nk_instance(12, 3, seed=0)
+        problem.contributions = np.floor(problem.contributions * 2) / 2
+        objectives = [tuple(v) for v in problem.evaluator()(all_bitstrings(12)).tolist()]
+        best = max(objectives, key=sum)
+        front = enumerate_pareto_front(problem)
+        assert objectives.count(best) > 1
+        assert max(objectives.count(point) for point in front) > 1
+        assert_same_front(front, evaluator_path_front(problem))
+
+    @pytest.mark.parametrize("block", [problems.ENUMERATION_BLOCK, 1 << 16, 1 << 5])
+    def test_nk_front_where_column_sums_miss_the_mean_bits(self, monkeypatch, block):
+        # the filter sums columns in order; some front vectors differ from that
+        # sum in the last bit, and the front must still carry np.mean's bits
+        monkeypatch.setattr(problems, "ENUMERATION_BLOCK", block)
+        problem = generate_nk_instance(10, 3, seed=0)
+        front = enumerate_pareto_front(problem)
+        assert any(column_order_means(problem, witness) != point
+                   for point, witness in front.items())
+        assert_same_front(front, evaluator_path_front(problem))
+
+    @pytest.mark.parametrize("n", [16, 18, 20])
+    def test_nk_approximate_means_are_within_the_stated_slack(self, n):
+        problem = generate_nk_instance(n, 3, seed=n)
+        last = (1 << n) // problems.ENUMERATION_BLOCK - 1
+        checked = 0
+        for index, (gathered, approximate, start) in enumerate(problems._nk_blocks(problem)):
+            if index not in (0, 1, last):
+                continue
+            size = gathered.shape[1]
+            exact = problems._means(gathered, np.arange(size))
+            values = np.arange(start, start + size)
+            assert exact.tobytes() == problem.evaluator()(problems._bits(values, n)).tobytes()
+            error = np.abs(approximate.T - exact)
+            assert error.any()  # the two summation orders do differ
+            assert error.max() <= 2 * n * 2.0 ** -53  # the bound the slack multiplies
+            assert error.max() <= n * problems._SLACK_PER_POSITION
+            checked += 1
+        assert checked == 3
 
     @pytest.mark.parametrize("block", [problems.ENUMERATION_BLOCK, 1 << 16, 1 << 5])
     def test_ones_count_fronts_match_the_evaluator_path(self, monkeypatch, block):
@@ -322,6 +377,24 @@ class TestNkInstances:
         assert np.array_equal(a.contributions, b.contributions)
         c = generate_nk_instance(8, 3, seed=78)
         assert not np.array_equal(a.contributions, c.contributions)
+
+    @pytest.mark.parametrize("n, K, seed, loci, contributions", [
+        (2, 1, 0, "af8a44699e0fe2cbe8fcb03e513ef95500dcd533abce01646342d7d2d5dbc5d4",
+         "72af6ec86f4688b3b646f65f99d8748d2a24d129bf793ee8d0508479d1bebd2e"),
+        (5, 0, 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "84fdfe56198b3964dd00b9b540b8fe8960e883ddad1c451e012a2c1682c3ba6c"),
+        (16, 3, 16, "e9349c8f1c43ed87189b50363cfb8a25a4d83d2937a21058e5db9f8bacc171de",
+         "e8606b59e3cec4514d3fd1e9f9e75fe5d23e800b6b8421a1c000b01da1886b9c"),
+        (25, 3, 7, "4d56dd2e24a3ed8fbfd7603e80adb234730545eed82b8b9d795b248467cbe5bd",
+         "4c87c17c9fe16ccb8da6a938a053e13baec3a1e4ab7a55941ad476c8d20087af"),
+        (40, 8, 11, "0cbe6de335f9e613ca77ebfa5db25ab9638a6fc8e4b94ce20ae0f876a7df655d",
+         "4fd278b092038c4e2d6dc74d0db2e68b8c5dd590924555a97387e3870d6997bc"),
+    ])
+    def test_instances_keep_their_bytes(self, n, K, seed, loci, contributions):
+        # pinned while the loci were drawn from np.delete(np.arange(n), i)
+        instance = generate_nk_instance(n, K, seed)
+        assert hashlib.sha256(instance.loci.tobytes()).hexdigest() == loci
+        assert hashlib.sha256(instance.contributions.tobytes()).hexdigest() == contributions
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
