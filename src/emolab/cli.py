@@ -89,13 +89,16 @@ def _cell_plan(args, master_seed: int, variant: lab.Variant,
 def cmd_sweep(args) -> int:
     if not 1 <= args.parallelism <= lab.MAX_PARALLELISM:
         return _fail(EXIT_USAGE, f"--parallelism must lie in [1, {lab.MAX_PARALLELISM}]")
-    source = args.preset or args.plan
+    try:
+        master_seed = _resolve_seed(args.seed)
+    except ValueError as exc:
+        return _fail(EXIT_USAGE, str(exc))
     try:
         plan = lab.preset_plans()[args.preset] if args.preset else lab.load_plan(args.plan)
-        plan = lab.with_overrides(plan, runs=args.runs, master_seed=_resolve_seed(args.seed))
+        plan = lab.with_overrides(plan, runs=args.runs, master_seed=master_seed)
         lab.validate_plan(plan)
     except (OSError, ValueError) as exc:
-        return _fail(EXIT_USAGE, f"cannot load plan {source!r}: {exc}")
+        return _fail(EXIT_USAGE, f"cannot load plan {args.preset or args.plan!r}: {exc}")
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -4,7 +4,8 @@ Both algorithms mutate every parent exactly once per generation (no parent
 selection, no crossover), evaluate the N offspring, and keep the best N of
 parents plus offspring under the configured survival policy. They stop when
 some evaluated solution's objective vector equals the reference point, or
-when the evaluation budget is exhausted.
+when the evaluation budget is exhausted. `run` is that loop, and an
+observer is handed each generation's population as a frozen RunState.
 
 Counting conventions: the N initialization evaluations count towards the
 total; the target check happens as each solution is evaluated, so
@@ -24,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import RngStream, bitwise_mutate, random_population, stream
+from .core import bitwise_mutate, random_population, stream
 from .problems import NkLandscape, ProblemSpec
 from .survival import CrowdingDistance, ReferencePointDistance, SurvivalPolicy, survival_select
 
@@ -63,16 +64,15 @@ class AlgorithmConfig:
             raise ValueError("max_evaluations must be positive when set")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunState:
-    """Snapshot of a run between generations.
+    """What an observer of `run` is handed: the population between generations.
 
     The population is held row-aligned: genomes (N x n uint8), objectives
     (N x 2 float64) and birth (N int64), in survivor order. A birth index
     is the 0-based number of the evaluation that created the row, so it
     rises with creation order, and the next offspring's is `evaluations`.
     `evaluations_to_hit` stays None until some evaluation meets the target.
-    `evaluator` is the problem's batch objective function, built once per run.
     """
 
     genomes: np.ndarray
@@ -81,8 +81,6 @@ class RunState:
     generation: int
     evaluations: int
     evaluations_to_hit: Optional[int]
-    rng: RngStream
-    evaluator: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -102,60 +100,6 @@ def _first_hit(objectives: np.ndarray, reference) -> Optional[int]:
     return first if hits[first] else None
 
 
-def initialize(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> RunState:
-    """Draw the N uniform random starting solutions in one draw and evaluate them."""
-    rng = stream(seed)
-    evaluator = problem.evaluator()
-    genomes = random_population(config.pop_size, problem.n, rng)
-    objectives = evaluator(genomes)
-    first = _first_hit(objectives, config.reference_point)
-    return RunState(
-        genomes=genomes,
-        objectives=objectives,
-        birth=np.arange(config.pop_size, dtype=np.int64),
-        generation=0,
-        evaluations=config.pop_size,
-        evaluations_to_hit=None if first is None else first + 1,
-        rng=rng,
-        evaluator=evaluator,
-    )
-
-
-def _breed(state: RunState, problem: ProblemSpec, config: AlgorithmConfig):
-    """Mutate every parent once and evaluate the offspring: the offspring,
-    their objectives and the run's evaluations_to_hit after them."""
-    rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / problem.n
-    offspring = bitwise_mutate(state.genomes, rate, state.rng)
-    objectives = state.evaluator(offspring)
-    hit_at = state.evaluations_to_hit
-    if hit_at is None:
-        first = _first_hit(objectives, config.reference_point)
-        if first is not None:
-            hit_at = state.evaluations + first + 1
-    return offspring, objectives, hit_at
-
-
-def _survive(state: RunState, config: AlgorithmConfig, offspring, objectives, hit_at) -> RunState:
-    """Keep the best N of parents plus offspring as the next state."""
-    evaluations = state.evaluations + len(offspring)
-    # the pool is parents then offspring; survivor order decides which parent
-    # the next generation's mutation draws go to
-    pool_objectives = np.concatenate((state.objectives, objectives))
-    pool_birth = np.concatenate(
-        (state.birth, np.arange(state.evaluations, evaluations, dtype=np.int64)))
-    keep = survival_select(pool_objectives, pool_birth, config.pop_size, config.policy)
-    return RunState(
-        genomes=np.concatenate((state.genomes, offspring)).take(keep, axis=0),
-        objectives=pool_objectives.take(keep, axis=0),
-        birth=pool_birth.take(keep),
-        generation=state.generation + 1,
-        evaluations=evaluations,
-        evaluations_to_hit=hit_at,
-        rng=state.rng,
-        evaluator=state.evaluator,
-    )
-
-
 def run(
     problem: ProblemSpec,
     config: AlgorithmConfig,
@@ -164,29 +108,43 @@ def run(
 ) -> RunResult:
     """Run until the reference point is found or the budget is exhausted.
 
-    on_generation, when given, is called on the initialized state and after
-    every completed generation; it is how traces and invariant checks
-    observe the population (see RunState for its arrays). An unobserved
-    run stops after the evaluations of its last generation without
-    selecting survivors that nobody would read, and with N = 1 on a
-    synthetic problem it goes through _run_single; both give the same
-    result as an observed run.
+    on_generation, when given, is called with a RunState after
+    initialization and after every generation; it is how traces and
+    invariant checks observe the population. An unobserved run stops after
+    the evaluations of its last generation without selecting survivors
+    that nobody would read, and with N = 1 on a synthetic problem it goes
+    through _run_single; both give the same result as an observed run.
     """
     if config.pop_size == 1 and on_generation is None and not isinstance(problem, NkLandscape):
         return _run_single(problem, config, seed)
-    state = initialize(problem, config, seed)
-    if on_generation is not None:
-        on_generation(state)
-    cap = config.max_evaluations
-    generations, evaluations, hit_at = 0, state.evaluations, state.evaluations_to_hit
-    while hit_at is None and (cap is None or evaluations < cap):
-        offspring, objectives, hit_at = _breed(state, problem, config)
-        generations, evaluations = generations + 1, evaluations + len(offspring)
-        if on_generation is None and (hit_at is not None or (cap is not None and evaluations >= cap)):
-            break
-        state = _survive(state, config, offspring, objectives, hit_at)
+    size, reference = config.pop_size, config.reference_point
+    rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / problem.n
+    cap = config.max_evaluations or math.inf
+    rng, evaluator = stream(seed), problem.evaluator()
+    genomes = random_population(size, problem.n, rng)
+    objectives, birth = evaluator(genomes), np.arange(size, dtype=np.int64)
+    first = _first_hit(objectives, reference)
+    hit_at = None if first is None else first + 1
+    generations, evaluations = 0, size
+    while True:
         if on_generation is not None:
-            on_generation(state)
+            on_generation(RunState(genomes, objectives, birth, generations, evaluations, hit_at))
+        if hit_at is not None or evaluations >= cap:
+            break
+        offspring = bitwise_mutate(genomes, rate, rng)
+        offspring_objectives = evaluator(offspring)
+        first = _first_hit(offspring_objectives, reference)
+        if first is not None:
+            hit_at = evaluations + first + 1
+        generations, evaluations = generations + 1, evaluations + size
+        if on_generation is None and (hit_at is not None or evaluations >= cap):
+            break
+        # parents then offspring: survivor order fixes which parent the next draws go to
+        pool_objectives = np.concatenate((objectives, offspring_objectives))
+        pool_birth = np.concatenate((birth, np.arange(evaluations - size, evaluations)))
+        keep = survival_select(pool_objectives, pool_birth, size, config.policy)
+        genomes = np.concatenate((genomes, offspring)).take(keep, axis=0)
+        objectives, birth = pool_objectives.take(keep, axis=0), pool_birth.take(keep)
     return RunResult(hit=hit_at is not None, evaluations_to_hit=hit_at,
                      evaluations=evaluations, generations=generations)
 

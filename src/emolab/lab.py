@@ -117,18 +117,22 @@ _RULE_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
 
 
 def _rule_value(node, names: dict) -> int:
-    """Integer value of a parsed rule; only the population-rule grammar is accepted."""
+    """Integer value of a parsed rule; only the grammar, with values in int64, is accepted."""
     if isinstance(node, ast.Constant) and type(node.value) is int:
-        return node.value
-    if isinstance(node, ast.Name) and node.id in names:
-        return names[node.id]
-    if isinstance(node, ast.BinOp) and type(node.op) in _RULE_OPERATORS:
-        return _RULE_OPERATORS[type(node.op)](_rule_value(node.left, names),
-                                              _rule_value(node.right, names))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return -_rule_value(node.operand, names)
-    raise ValueError("a population rule may only use integers, n, k, "
-                     "binary + - * //, unary - and parentheses")
+        value = node.value
+    elif isinstance(node, ast.Name) and node.id in names:
+        value = names[node.id]
+    elif isinstance(node, ast.BinOp) and type(node.op) in _RULE_OPERATORS:
+        value = _RULE_OPERATORS[type(node.op)](_rule_value(node.left, names),
+                                               _rule_value(node.right, names))
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = -_rule_value(node.operand, names)
+    else:
+        raise ValueError("a population rule may only use integers, n, k, "
+                         "binary + - * //, unary - and parentheses")
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError("a population rule's values must fit in a 64-bit integer")
+    return value
 
 
 def resolve_pop_size(rule: Union[int, str], n: int, k: Optional[int] = None) -> int:

@@ -290,6 +290,7 @@ def test_non_integer_env_seed_is_usage_error(tmp_path, monkeypatch, capsys, comm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "EMO_LAB_SEED" in captured.err
+    assert "cannot load plan" not in captured.err  # the plan itself loads
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
-"""The generation loop: initialization, stepping, stopping, and accounting."""
+"""The generation loop: initialization, generations, stopping, and accounting."""
 
+import dataclasses
 import io
 import math
 import os
@@ -9,13 +10,8 @@ import numpy as np
 import pytest
 
 from emolab import evolve
-from emolab.core import stream
-from emolab.evolve import (
-    AlgorithmConfig,
-    GenerationTrace,
-    initialize,
-    run,
-)
+from emolab.core import bitwise_mutate, random_population, stream
+from emolab.evolve import AlgorithmConfig, GenerationTrace, run
 from emolab.problems import (
     OneJumpZeroJump,
     OneMinMax,
@@ -36,6 +32,13 @@ def omm_config(n, pop_size, policy=None, **kwargs):
         policy = ReferencePointDistance(reference)
     return AlgorithmConfig(policy=policy, pop_size=pop_size,
                            reference_point=reference, **kwargs)
+
+
+def observed(problem, config, seed):
+    """Every RunState that run hands its observer, the initialized one first."""
+    states = []
+    run(problem, config, seed, on_generation=states.append)
+    return states
 
 
 def first_hit_reference(objectives, reference):
@@ -74,7 +77,7 @@ class TestFirstHit:
 
 class TestInitialize:
     def test_counts_initial_evaluations(self):
-        state = initialize(OneMinMax(6), omm_config(6, 4), seed=1)
+        [state] = observed(OneMinMax(6), omm_config(6, 4, max_evaluations=4), seed=1)
         assert state.evaluations == 4
         assert state.generation == 0
         assert state.genomes.shape == (4, 6)
@@ -86,14 +89,18 @@ class TestInitialize:
         problem = OneMinMax(1)
         config = omm_config(1, 1)
         seed = next(s for s in range(100) if row_draw(1, stream(s))[0] == 1)
-        state = initialize(problem, config, seed)
+        [state] = observed(problem, config, seed)
         assert state.evaluations_to_hit == 1
+        assert run(problem, config, seed).evaluations_to_hit == 1
 
     def test_deterministic(self):
-        a = initialize(OneMinMax(10), omm_config(10, 5), seed=3)
-        b = initialize(OneMinMax(10), omm_config(10, 5), seed=3)
+        config = omm_config(10, 5, max_evaluations=5)
+        [a] = observed(OneMinMax(10), config, seed=3)
+        [b] = observed(OneMinMax(10), config, seed=3)
         assert np.array_equal(a.genomes, b.genomes)
         assert np.array_equal(a.objectives, b.objectives)
+        # the starting population is the first draw of the run's stream
+        assert np.array_equal(a.genomes, random_population(5, 10, stream(3)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -112,47 +119,43 @@ class TestInitialize:
             AlgorithmConfig(policy="refpoint", pop_size=1, reference_point=(0.0, 1.0))
 
 
-class TestStepGeneration:
+class TestGenerations:
     def test_evaluations_increase_by_population_size(self):
-        problem = OneMinMax(8)
-        config = omm_config(8, 6, policy=CrowdingDistance())
-        state = initialize(problem, config, seed=2)
-        for expected in (12, 18, 24):
-            state = evolve._survive(state, config, *evolve._breed(state, problem, config))
-            assert state.evaluations == expected
+        config = AlgorithmConfig(policy=CrowdingDistance(), pop_size=6,
+                                 reference_point=(-1.0, -1.0), max_evaluations=24)
+        states = observed(OneMinMax(8), config, seed=2)
+        assert [s.evaluations for s in states] == [6, 12, 18, 24]
+        for state in states:
             assert len(state.genomes) == len(state.objectives) == len(state.birth) == 6
 
     def test_zero_rate_offspring_duplicate_parents(self):
         # with nothing flipped and a retention-sized population (N >= 4(n+1)),
         # the set of objective vectors is preserved and nothing new appears
         n = 4
-        problem = OneMinMax(n)
-        config = omm_config(n, 4 * (n + 1), policy=CrowdingDistance(), mutation_rate=0.0)
-        state = initialize(problem, config, seed=5)
-        before = set(map(tuple, state.objectives.tolist()))
-        after_state = evolve._survive(state, config, *evolve._breed(state, problem, config))
-        after = set(map(tuple, after_state.objectives.tolist()))
-        assert after == before
+        size = 4 * (n + 1)
+        config = AlgorithmConfig(policy=CrowdingDistance(), pop_size=size,
+                                 reference_point=(-1.0, -1.0), mutation_rate=0.0,
+                                 max_evaluations=2 * size)
+        before, after = observed(OneMinMax(n), config, seed=5)
+        assert set(map(tuple, after.objectives.tolist())) == \
+            set(map(tuple, before.objectives.tolist()))
 
     def test_single_parent_reference_policy_tie_prefers_parent(self):
-        problem = OneMinMax(6)
-        config = omm_config(6, 1, mutation_rate=0.0)
-        state = initialize(problem, config, seed=9)
-        new_state = evolve._survive(state, config, *evolve._breed(state, problem, config))
+        config = AlgorithmConfig(policy=ReferencePointDistance((0.0, 6.0)), pop_size=1,
+                                 reference_point=(-1.0, -1.0), mutation_rate=0.0,
+                                 max_evaluations=2)
+        state, new_state = observed(OneMinMax(6), config, seed=9)
         # child is an exact copy: equal distance, parent wins on birth index
         assert new_state.birth.tolist() == state.birth.tolist() == [0]
         assert np.array_equal(new_state.genomes, state.genomes)
 
     def test_single_parent_keeps_closer_of_pair(self):
-        problem = OneMinMax(12)
-        config = omm_config(12, 1)
-        state = initialize(problem, config, seed=4)
-        for _ in range(40):
-            previous = state.objectives[0].tolist()
-            state = evolve._survive(state, config, *evolve._breed(state, problem, config))
-            survivor = state.objectives[0].tolist()
-            ref = config.reference_point
-            assert math.dist(survivor, ref) <= math.dist(previous, ref)
+        config = omm_config(12, 1, max_evaluations=41)
+        ref = config.reference_point
+        distances = [math.dist(s.objectives[0].tolist(), ref)
+                     for s in observed(OneMinMax(12), config, seed=4)]
+        assert len(distances) > 1
+        assert all(b <= a for a, b in zip(distances, distances[1:]))
 
 
 class TestRun:
@@ -242,6 +245,11 @@ class TestRun:
             assert s.objectives.tolist() == problem.evaluator()(s.genomes).tolist()
             assert len(set(s.birth.tolist())) == len(s.birth) == 9
             assert s.birth.max() < s.evaluations
+        # an observer reads a snapshot and cannot change the run through its fields
+        assert [f.name for f in dataclasses.fields(states[0])] == [
+            "genomes", "objectives", "birth", "generation", "evaluations", "evaluations_to_hit"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            states[0].generation = 1
 
 
 def observe_nothing(state):
@@ -432,16 +440,18 @@ class TestSingleParentKernel:
         run(OneMinMax(8), omm_config(8, 2, max_evaluations=50), seed=0)
 
 
-def target_for(problem, config, seed, case):
-    """A target that ends the run at `seed` as `case` says, whatever config's target is."""
-    state = initialize(problem, config, seed)
+def target_for(problem, size, seed, case):
+    """A target that ends an N = size run at `seed` as `case` says, whatever its policy."""
+    rng, evaluate = stream(seed), problem.evaluator()
+    parents = random_population(size, problem.n, rng)
+    initial = evaluate(parents)
     if case == "hit at initialization":
-        return tuple(state.objectives[-1].tolist())
+        return tuple(initial[-1].tolist())
     if case == "hit in generation 1":
-        # the same stream, so these are the offspring of the run's first generation
-        _, objectives, _ = evolve._breed(state, problem, config)
-        initial = set(map(tuple, state.objectives.tolist()))
-        return next(v for v in map(tuple, objectives.tolist()) if v not in initial)
+        # the run's stream replayed: its next draws are the first generation's flips
+        offspring = evaluate(bitwise_mutate(parents, 1 / problem.n, rng))
+        seen = set(map(tuple, initial.tolist()))
+        return next(v for v in map(tuple, offspring.tolist()) if v not in seen)
     return (-1.0, -1.0)  # no solution reaches it
 
 
@@ -468,9 +478,7 @@ class TestUnobservedRunsStopAtTheirLastEvaluation:
         monkeypatch.setattr(evolve, "survival_select", counted)
         cap = self.CAPS[case]
         for seed in range(3):
-            config = AlgorithmConfig(policy=CrowdingDistance(), pop_size=self.POP,
-                                     reference_point=(-1.0, -1.0), max_evaluations=cap)
-            target = target_for(problem, config, seed, case)
+            target = target_for(problem, self.POP, seed, case)
             survival = CrowdingDistance() if policy == "crowding" else \
                 ReferencePointDistance(target)
             config = AlgorithmConfig(policy=survival, pop_size=self.POP,

@@ -272,7 +272,8 @@ class TestResolvePopSize:
         with pytest.raises(ValueError):
             resolve_pop_size(rule, 10)
 
-    @pytest.mark.parametrize("rule", ["", "n//0", "0", "n-20", "(n+1", "4*(n+1)\nimport os"])
+    @pytest.mark.parametrize("rule", ["", "n//0", "0", "n-20", "(n+1", "4*(n+1)\nimport os",
+                                      "99999999999999999999*0+4"])
     def test_rejects_malformed_or_non_positive_rules(self, rule):
         with pytest.raises(ValueError):
             resolve_pop_size(rule, 10)

@@ -408,7 +408,7 @@ def layered_pool(rng, size=408):
 
 
 def engine_pool(problem, rng, parents=204):
-    """A pool built as step_generation builds one: parents whose births are a
+    """A pool built as `run` builds one: parents whose births are a
     permuted sample of earlier evaluations, then one mutated child of each
     parent, whose births ascend and are all larger."""
     genomes = core.random_population(parents, problem.n, rng)
