@@ -112,6 +112,12 @@ class StatTestResult:
     direction: str  # "a", "b", or "none": which sample tends smaller
 
 
+def _quoted(value) -> str:
+    """repr(value) for an error message, cut to about 80 characters: plan input may be huge."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
+
+
 _RULE_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
                    ast.Mult: operator.mul, ast.FloorDiv: operator.floordiv}
 
@@ -143,7 +149,7 @@ def resolve_pop_size(rule: Union[int, str], n: int, k: Optional[int] = None) -> 
     Nothing else is evaluated, so plan files cannot run code.
     """
     if isinstance(rule, bool) or not isinstance(rule, (int, str)):
-        raise ValueError(f"population rule must be an integer or a string, got {rule!r}")
+        raise ValueError(f"population rule must be an integer or a string, got {_quoted(rule)}")
     if isinstance(rule, int):
         value = rule
     else:
@@ -152,9 +158,9 @@ def resolve_pop_size(rule: Union[int, str], n: int, k: Optional[int] = None) -> 
             value = _rule_value(ast.parse(rule.strip(), mode="eval").body, names)
         # the parser reports a too deeply nested rule as MemoryError or RecursionError
         except (SyntaxError, ValueError, ArithmeticError, RecursionError, MemoryError) as exc:
-            raise ValueError(f"cannot evaluate population rule {rule!r}: {exc}") from exc
+            raise ValueError(f"cannot evaluate population rule {_quoted(rule)}: {exc}") from exc
     if value < 1:
-        raise ValueError(f"population rule {rule!r} gave {value} at n={n}")
+        raise ValueError(f"population rule {_quoted(rule)} gave {value} at n={n}")
     return value
 
 
@@ -162,12 +168,12 @@ def _check_int(name: str, value, optional: bool = False) -> None:
     """Plan fields may come from untrusted JSON: accept true integers only."""
     if type(value) is not int and not (optional and value is None):
         raise ValueError(f"{name} must be an integer{' or null' if optional else ''}, "
-                         f"got {value!r}")
+                         f"got {_quoted(value)}")
 
 
 def validate_plan(plan: ExperimentPlan) -> None:
     if plan.problem not in PROBLEM_FAMILIES:
-        raise ValueError(f"unknown problem family {plan.problem!r}")
+        raise ValueError(f"unknown problem family {_quoted(plan.problem)}")
     _check_int("runs_per_cell", plan.runs_per_cell)
     _check_int("master_seed", plan.master_seed)
     for name in ("max_evaluations", "k", "nk_k"):
@@ -187,41 +193,42 @@ def validate_plan(plan: ExperimentPlan) -> None:
     if not all(isinstance(text, str) for text in (plan.name, *labels)):
         raise ValueError("the plan name and every variant label must be strings")
     if len(set(labels)) != len(labels):
-        raise ValueError(f"variant labels must be unique, got {labels}")
+        raise ValueError(f"variant labels must be unique, got {_quoted(labels)}")
     for variant in plan.variants:
         if variant.policy not in POLICY_KINDS:
-            raise ValueError(f"unknown policy {variant.policy!r} in variant {variant.label!r}")
+            raise ValueError(f"unknown policy {_quoted(variant.policy)} in variant "
+                             f"{_quoted(variant.label)}")
     if (plan.k is None) == (plan.problem == "ojzj"):
         raise ValueError("k must be set on ojzj plans and only on them")
     if (plan.nk_k is None) == (plan.problem == "nk"):
         raise ValueError("nk_k must be set on nk plans and only on them")
     for n in plan.n_values:
         _check_int("every problem size", n)
+        if not 1 <= n <= MAX_POPULATION_BITS:  # a run holds at least n population bits
+            raise ValueError(f"problem sizes must lie in [1, {MAX_POPULATION_BITS}]")
         if plan.problem == "ojzj" and not 2 <= plan.k <= n // 4:
-            raise ValueError(f"k={plan.k} is invalid for n={n}")
+            raise ValueError(f"k={_quoted(plan.k)} is invalid for n={n}")
         if plan.problem == "nk":
             if not 0 <= plan.nk_k < n:
-                raise ValueError(f"nk_k={plan.nk_k} is invalid for n={n}")
+                raise ValueError(f"nk_k={_quoted(plan.nk_k)} is invalid for n={n}")
             if n > ENUMERATION_LIMIT:
                 raise ValueError(f"enumeration is limited to n <= {ENUMERATION_LIMIT}, got n={n}")
             if 2 * n * 2 ** (plan.nk_k + 1) > MAX_NK_TABLE:
                 raise ValueError(f"nk_k={plan.nk_k} at n={n} needs more than "
                                  f"{MAX_NK_TABLE} NK table entries")
-        if n < 1:
-            raise ValueError("problem sizes must be positive")
         for variant in plan.variants:
             pop_size = resolve_pop_size(variant.pop_size, n, plan.k)
             if pop_size * n > MAX_POPULATION_BITS:
-                raise ValueError(f"variant {variant.label!r} at n={n} holds more than "
+                raise ValueError(f"variant {_quoted(variant.label)} at n={n} holds more than "
                                  f"{MAX_POPULATION_BITS} population bits")
             # the paper bounds N=1 runs only for refpoint on OneMinMax and OneJumpZeroJump
             if (pop_size == 1 and plan.max_evaluations is None
                     and not (variant.policy == "refpoint" and plan.problem in ("omm", "ojzj"))):
-                raise ValueError(f"variant {variant.label!r} runs {variant.policy} at N=1 on "
-                                 f"{plan.problem} at n={n}, which may never end: "
+                raise ValueError(f"variant {_quoted(variant.label)} runs {variant.policy} at N=1 "
+                                 f"on {plan.problem} at n={n}, which may never end: "
                                  "set max_evaluations")
     if len(set(plan.n_values)) != len(plan.n_values):
-        raise ValueError(f"problem sizes must be unique, got {list(plan.n_values)}")
+        raise ValueError(f"problem sizes must be unique, got {_quoted(list(plan.n_values))}")
 
 
 def build_problem(plan: ExperimentPlan, n: int) -> ProblemSpec:
@@ -239,7 +246,7 @@ def build_problem(plan: ExperimentPlan, n: int) -> ProblemSpec:
     if plan.problem == "nk":
         instance_seed = child_seed(plan.master_seed, "nk-instance", n)
         return generate_nk_instance(n, plan.nk_k, instance_seed)
-    raise ValueError(f"unknown problem family {plan.problem!r}")
+    raise ValueError(f"unknown problem family {_quoted(plan.problem)}")
 
 
 def reference_for(plan: ExperimentPlan, n: int, problem: ProblemSpec):
@@ -447,13 +454,17 @@ def plan_from_json(text: str) -> ExperimentPlan:
         if key not in doc:
             raise ValueError(f"the plan has no {key!r} key")
         if not isinstance(doc[key], list):
-            raise ValueError(f"{key} must be a list, got {doc[key]!r}")
+            raise ValueError(f"{key} must be a list, got {_quoted(doc[key])}")
     if not all(isinstance(v, dict) for v in doc["variants"]):
         raise ValueError("every variant must be a JSON object")
+    for cls, keys in ((ExperimentPlan, doc), *((Variant, v) for v in doc["variants"])):
+        unknown = sorted(keys.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} keys {_quoted(unknown)}")
     try:
         plan = ExperimentPlan(**{"name": "plan", **doc, "n_values": tuple(doc["n_values"]),
                                  "variants": tuple(Variant(**v) for v in doc["variants"])})
-    except TypeError as exc:  # an unknown or missing key
+    except TypeError as exc:  # a missing key
         raise ValueError(str(exc)) from None
     validate_plan(plan)
     return plan

@@ -15,9 +15,10 @@ enumerates {0,1}^n once and keeps the result. enumerate_pareto_front is the
 independent oracle for everything (guarded at n <= 25), a dict from each
 front vector to its numerically smallest witness. It walks {0,1}^n in
 blocks and merges each into a running skyline. A ones-count block goes
-through the evaluator. An NK block gathers every row's contributions, sums
-them cheaply, and takes the exact mean, with the evaluator's bits, only of
-the rows that the cheap sums leave a chance of reaching the front.
+through the evaluator. An NK block builds its table indices from the
+evaluator's per-bit weights, gathers every row's contributions, sums them
+cheaply, and takes the exact mean, with the evaluator's bits, only of the
+rows that the cheap sums leave a chance of reaching the front.
 """
 
 from __future__ import annotations
@@ -48,7 +49,10 @@ class NkLandscape:
     lookup, and contributions[j, i] is the table of 2^(K+1) values in [0, 1).
     The table index places the position's own bit in the highest bit,
     followed by the loci bits in listed order. A landscape is a pure
-    function of (n, K, seed); generate_nk_instance builds it.
+    function of (n, K, seed); generate_nk_instance builds it, and building
+    one checks the arrays. Column c = j*n + i's table starts at _offsets[c]
+    in contributions.reshape(-1); row p of the (n, 2n) float64 _weights is
+    what bit p adds to each index, whose sums are integers below 2^53: exact.
     """
 
     n: int
@@ -58,43 +62,38 @@ class NkLandscape:
     contributions: np.ndarray  # shape (2, n, 2**(K+1)), float64 in [0, 1)
     # the enumerated front, kept by the first front() call on this landscape
     _front: Optional[frozenset] = field(default=None, init=False, repr=False)
-    # the evaluator's byte tables, kept by the first evaluator() call
-    _tables: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _offsets: np.ndarray = field(init=False, repr=False)
+    _weights: np.ndarray = field(init=False, repr=False)
 
-    def _byte_tables(self) -> np.ndarray:
-        """Flat `contributions` indices by genome byte: a (ceil(n/8), 256, 2n) array.
-
-        Column j*n + i stands for objective j at position i. Row v of table c
-        holds what byte c of a genome, packed by np.packbits (position 8c in
-        the high bit), adds to each column's table index when the byte is v:
-        2^K for the column's own bit and 2^(K-1-t) for its t-th locus. Table
-        0 also holds each column's flat offset, so the sum of a genome's
-        byte rows is its 2n flat indices into contributions.reshape(-1).
-        """
-        if self._tables is None:
-            n, K = self.n, self.K
-            objective, column = np.arange(2)[:, None], np.arange(n)
-            weights = np.zeros((2, n, -(-n // 8) * 8), dtype=np.intp)  # column x position
-            weights[:, column, column] = 1 << K
-            for t in range(K):
-                weights[objective, column, self.loci[:, :, t]] = 1 << (K - 1 - t)
-            byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-            tables = byte_bits @ weights.reshape(2 * n, -1, 8).transpose(1, 2, 0)
-            tables[0] += np.arange(2 * n) << (K + 1)
-            self._tables = tables
-        return self._tables
+    def __post_init__(self):
+        n, K, loci, table = self.n, self.K, self.loci, self.contributions
+        column = np.arange(n)
+        # NaN and the infinities fail the range test of the contributions
+        if not (0 <= K < n and loci.shape == (2, n, K) and table.shape == (2, n, 2 << K)
+                and np.issubdtype(loci.dtype, np.integer)
+                and np.all((loci >= 0) & (loci < n) & (loci != column[:, None]))
+                and np.all(np.diff(np.sort(loci), axis=2)) and np.all((table >= 0) & (table < 1))):
+            raise ValueError("an NK landscape needs 0 <= K < n, (2, n, K) integer loci distinct in "
+                             "[0, n) and from their position, (2, n, 2^(K+1)) values in [0, 1)")
+        # 2^K for the column's own bit and 2^(K-1-t) for its t-th locus
+        weights = np.zeros((n, 2, n))  # position x objective x column
+        weights[column, :, column] = 1 << K
+        for t in range(K):
+            weights[loci[:, :, t], np.arange(2)[:, None], column] = 1 << (K - 1 - t)
+        self._weights = weights.reshape(n, 2 * n)
+        self._offsets = np.arange(2 * n, dtype=np.intp) << (K + 1)
 
     def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
         """Mean contribution per objective for every row of a (P, n) batch.
 
-        Each row's 2n contributions are read with one take through the byte
-        tables, then averaged per objective in position order.
+        A row's flat indices are its product with the weights plus the offsets;
+        one take reads its contributions, and each objective is averaged in position order.
         """
-        tables = self._byte_tables()
-        values = self.contributions.reshape(-1)
+        weights, offsets, values = self._weights, self._offsets, self.contributions.reshape(-1)
 
         def objectives(x: np.ndarray) -> np.ndarray:
-            flat = _flat_indices(tables, np.packbits(x, axis=1))
+            flat = (x @ weights).astype(np.intp)
+            flat += offsets
             sums = values.take(flat).reshape(len(x), 2, self.n).sum(axis=2)
             sums /= self.n  # np.mean's reduction and division, without its overhead
             return sums
@@ -121,8 +120,6 @@ def generate_nk_instance(n: int, K: int, seed: int) -> NkLandscape:
     other positions, independently per objective; contribution values are
     uniform on [0, 1).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if not 0 <= K < n:
         raise ValueError(f"K must satisfy 0 <= K < n, got K={K}, n={n}")
     rng = stream(seed)
@@ -225,25 +222,6 @@ class OneJumpZeroJump(OneMinMax):
 ProblemSpec = Union[OneMinMax, NkLandscape]
 
 
-def _flat_indices(tables: np.ndarray, packed: np.ndarray) -> np.ndarray:
-    """Each packed genome's 2n flat `contributions` indices: the sum of its byte rows."""
-    flat = tables[0].take(packed[:, 0], axis=0)
-    for c in range(1, len(tables)):
-        flat += tables[c].take(packed[:, c], axis=0)
-    return flat
-
-
-def _packed(values: np.ndarray, n: int) -> np.ndarray:
-    """np.packbits rows of the n-bit bitstrings whose numeric values these are.
-
-    Position 0 is the most significant bit, so shifted left to a whole
-    number of bytes a value's big-endian bytes are its packed genome.
-    """
-    size = -(-n // 8)
-    shifted = (values << (8 * size - n)).astype(">u8")
-    return shifted.view(np.uint8).reshape(len(values), 8)[:, 8 - size:]
-
-
 def _skyline(objectives: np.ndarray, values: np.ndarray):
     """Distinct non-dominated rows under maximization, each with its smallest value."""
     f1, f2 = objectives[:, 0], objectives[:, 1]
@@ -272,29 +250,25 @@ def _nk_blocks(problem: NkLandscape):
     start + r's contribution in column c = j*n + i, objective j at position
     i; approximate[j, r] is its objective j summed column by column and
     divided by n, within 2n * 2^-53 of the exact mean that _means gives.
-    A table index is a sum of per-bit terms, and a block's bitstrings share
-    their high bits. So the first block's indices are built once,
-    column-major, and each later block adds, in place, what its high bits
-    change.
+    A table index is its column's offset plus the weights of the set bits,
+    and a block's bitstrings share their high bits. So the first block's
+    indices are built once, column-major, by doubling from the offsets, and
+    each later block adds, in place, what its high bits change.
     Every block overwrites the same buffers, so a caller copies what it keeps.
     """
-    n, tables = problem.n, problem._byte_tables()
+    n, offsets, weights = problem.n, problem._offsets, problem._weights.astype(np.intp)
     values = problem.contributions.reshape(-1)
     size = min(ENUMERATION_BLOCK, 1 << n)
-    # the first block's indices by doubling, 4 to 10 times faster at n = 12
-    # to 20 than a _flat_indices call on the whole block and its transpose:
-    # rows 2^k to 2^(k+1) - 1 are rows 0 to 2^k - 1 plus what bit k adds
-    origin = _flat_indices(tables, _packed(np.zeros(1, dtype=np.int64), n))[0]
-    steps = _flat_indices(tables, _packed(1 << np.arange(size.bit_length() - 1), n)) - origin
+    # rows 2^k to 2^(k+1) - 1 are rows 0 to 2^k - 1 plus what bit k, position n-1-k, adds
     flat = np.empty((2 * n, size), dtype=np.intp)
-    flat[:, 0] = origin
-    for k, step in enumerate(steps):
-        np.add(flat[:, :1 << k], step[:, None], out=flat[:, 1 << k:2 << k])
+    flat[:, 0] = offsets
+    for k in range(size.bit_length() - 1):
+        np.add(flat[:, :1 << k], weights[n - 1 - k, :, None], out=flat[:, 1 << k:2 << k])
     # fresh arrays each block would fragment the heap
     gathered, approximate = np.empty((2 * n, size)), np.empty((2, size))
     for start in range(0, 1 << n, size):
         if start:  # flat[:, 0] holds the indices of the previous block's first bitstring
-            flat += (_flat_indices(tables, _packed(np.array([start]), n))[0] - flat[:, 0])[:, None]
+            flat += (offsets + _bits(np.array([start]), n) @ weights - flat[:, 0]).T
         # every index is in range by construction, and "clip" skips the bounds
         # check, about half the gather's cost
         values.take(flat, out=gathered, mode="clip")

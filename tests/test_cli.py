@@ -207,6 +207,7 @@ def _plan_doc(**changes):
     return doc
 
 
+HUGE = "x" * 200_000
 MALFORMED_PLANS = {
     "n_values is a number": _plan_doc(n_values=5),
     "top-level array": [_plan_doc()],
@@ -246,6 +247,19 @@ MALFORMED_PLANS = {
     "size 0": _plan_doc(n_values=[0]),
     # raw text: nested past the JSON parser's recursion limit
     "nested too deeply": "[" * 200_000 + "]" * 200_000,
+    # each was once echoed whole to stderr, 200 to 400 KB
+    "huge population rule": _plan_doc(
+        variants=[{"label": "a", "policy": "crowding", "pop_size": HUGE}]),
+    "huge problem family": _plan_doc(problem=HUGE),
+    "huge policy": _plan_doc(variants=[{"label": "a", "policy": HUGE, "pop_size": 4}]),
+    "huge runs_per_cell": _plan_doc(runs_per_cell=HUGE),
+    "huge non-list n_values": _plan_doc(n_values=HUGE),
+    "huge duplicate labels": _plan_doc(
+        variants=[{"label": HUGE[:100_000], "policy": "crowding", "pop_size": 4}] * 2),
+    "100,000 duplicate sizes": _plan_doc(n_values=[6] * 100_000),
+    "huge unknown top-level key": _plan_doc(**{HUGE: 1}),
+    "huge unknown variant key": _plan_doc(
+        variants=[{"label": "a", "policy": "crowding", "pop_size": 4, HUGE: 4}]),
 }
 
 # outside the population-rule grammar: attribute access, calls, **, unknown
@@ -274,7 +288,7 @@ def test_malformed_sweep_input_is_usage_error(tmp_path, capsys, monkeypatch, cas
     out = tmp_path / "results"
     assert main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and len(captured.err.encode()) < 1024
     assert captured.out == ""  # rejected before the config line and any work
     assert not out.exists()
 

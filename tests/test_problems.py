@@ -115,10 +115,11 @@ class TestBatchEvaluator:
                 assert problem.evaluator()(batch).tolist() == problem.ones_table()[ones].tolist()
 
     def test_nk_matches_per_bitstring_reference_exactly(self):
-        # n = 8 and 24 end on a byte boundary of the evaluator's packed genomes
+        # n = 8 and 24 end on a byte boundary; at (22, 15) indices reach about 2.9M
         rng = stream(19)
         for size in (300, 1):
-            for n, K in ((5, 0), (9, 1), (16, 3), (25, 3), (20, 7), (13, 12), (8, 3), (24, 5)):
+            for n, K in ((5, 0), (9, 1), (16, 3), (25, 3), (20, 7), (13, 12), (8, 3), (24, 5),
+                         (22, 15)):
                 instance = generate_nk_instance(n, K, seed=n * 31 + K)
                 batch = (rng.random((size, n)) < rng.random((size, 1))).astype(np.uint8)
                 got = instance.evaluator()(batch)
@@ -131,11 +132,9 @@ class TestBatchEvaluator:
         # hits compare objective vectors with ==, so every bit counts
         rng = stream(20 + n)
         instance = generate_nk_instance(n, 3, seed=n)
-        tables, values = instance._byte_tables(), instance.contributions.reshape(-1)
         for size in (1, 100, 1000):
             batch = (rng.random((size, n)) < rng.random((size, 1))).astype(np.uint8)
-            flat = problems._flat_indices(tables, np.packbits(batch, axis=1))
-            mean = values.take(flat).reshape(size, 2, n).mean(axis=2)
+            mean = np.stack([nk_terms(instance, x) for x in batch]).mean(axis=2)
             assert instance.evaluator()(batch).tobytes() == mean.tobytes()
 
 
@@ -399,6 +398,33 @@ class TestNkInstances:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             generate_nk_instance(5, 5, seed=0)
+
+    @pytest.mark.parametrize("case", ["table too wide", "locus out of range", "locus on itself",
+                                      "value of 1.5", "NaN value", "float loci", "repeated locus",
+                                      "K not below n"])
+    def test_malformed_arrays_are_rejected_when_built(self, case):
+        K = 2 if case == "repeated locus" else 1
+        good = generate_nk_instance(4, K, seed=3)
+        problems.NkLandscape(4, K, 3, good.loci, good.contributions)  # the originals build
+        loci, table = good.loci.copy(), good.contributions.copy()
+        if case == "table too wide":
+            table = np.concatenate((table, table), axis=2)  # 8 entries where K = 1 needs 4
+        elif case == "locus out of range":
+            loci[0, 2, 0] = 7
+        elif case == "locus on itself":
+            loci[1, 3, 0] = 3
+        elif case == "value of 1.5":
+            table[0, 0, 0] = 1.5
+        elif case == "NaN value":
+            table[1, 2, 3] = np.nan
+        elif case == "float loci":
+            loci = loci.astype(np.float64)
+        elif case == "repeated locus":
+            loci[0, 1, 1] = loci[0, 1, 0]
+        else:
+            K = 4
+        with pytest.raises(ValueError):
+            problems.NkLandscape(4, K, 3, loci, table)
 
     def test_nk_objectives_in_unit_interval_and_pure(self):
         problem = generate_nk_instance(9, 3, seed=6)
