@@ -20,7 +20,6 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +33,10 @@ from .survival import CrowdingDistance, ReferencePointDistance, SurvivalPolicy, 
 # few MB at any n.
 _BLOCK_GENERATIONS = 256
 _BLOCK_UNIFORMS = 1 << 18
+# The kernel's candidate table covers children within this many ones of their
+# parent; a child further away is always visited. It keeps a table row small.
+_BAND = 8
+_HIT = 2  # the verdict on a child that meets the target
 
 
 @dataclass(frozen=True)
@@ -156,69 +159,98 @@ def _ones_columns(problem: ProblemSpec) -> tuple:
     return tuple(problem.ones_table().T.tolist())
 
 
+@lru_cache(maxsize=1)
+def _count_rule(problem: ProblemSpec, reference, target) -> tuple:
+    """Survival at N = 1 by ones counts, and its candidate table, shared by a cell's runs.
+
+    verdict(parent, child) is _HIT if the child's objective vector is the
+    target, truthy if the child replaces the parent, else falsy. marks(parent)
+    is a bool row over the count changes -_BAND-1 .. _BAND+1: entry
+    d + _BAND + 1 is whether a child with d more ones than the parent gets a
+    nonzero verdict, and the two end entries, which stand for every change
+    outside the band, are True. Rows are built as parents are met.
+    """
+    f1, f2 = _ones_columns(problem)
+    target1, target2 = target
+    rows = {}
+
+    def verdict(parent, child):
+        c1, c2, p1, p2 = f1[child], f2[child], f1[parent], f2[parent]
+        if c1 == target1 and c2 == target2:
+            return _HIT
+        if c1 >= p1 and c2 >= p2:
+            return c1 != p1 or c2 != p2
+        return (reference is not None and (c1 > p1 or c2 > p2)
+                and math.dist((c1, c2), reference) < math.dist((p1, p2), reference))
+
+    def marks(parent):
+        row = rows.get(parent)
+        if row is None:
+            children = range(parent - _BAND, parent + _BAND + 1)
+            row = rows[parent] = np.array(
+                [True, *(0 <= child <= problem.n and bool(verdict(parent, child))
+                         for child in children), True])
+        return row
+    return verdict, marks
+
+
 def _run_single(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> RunResult:
-    """`run` at N = 1 on a synthetic problem: a (1+1) loop over Python ints.
+    """`run` at N = 1 on a synthetic problem: a (1+1) scan over blocks of mutations.
 
-    The genome is an int (position 0 in the highest bit) and its objective
-    vector is the ones-table row of its bit count. Mutation draws the
-    uniforms of a block of generations as one (G, n) array, which row-major
-    order makes consume the stream exactly as G one-row draws; the stream
-    is private to the run, so uniforms drawn past its end are never seen.
-    survival_select at capacity 1 reduces to one rule: the child replaces
-    the parent if it dominates it, or, under the reference-point policy, if
-    neither dominates the other and the child is strictly closer to the
-    reference. Every other case, equal vectors included, keeps the parent,
-    which has the earlier birth.
+    The parent is held as its ones count and its position weights: a flip
+    at position i changes the count by +1 if bit i is 0 and by -1 if it is
+    1. Mutation draws the uniforms of a block of generations as one (G, n)
+    array, which row-major order makes consume the stream exactly as G
+    one-row draws; the stream is private to the run, so uniforms drawn past
+    its end are never seen. survival_select at capacity 1 reduces to one
+    rule: the child replaces the parent if it dominates it, or, under the
+    reference-point policy, if neither dominates the other and the child is
+    strictly closer to the reference. Every other case, equal vectors
+    included, keeps the parent, which has the earlier birth.
 
-    So only a child with another ones count can change anything. The loop
-    visits only a block's rows that flip a bit, turned into int masks in one
-    packbits pass; the other rows repeat the parent and are only counted.
-    Row r of a block that starts after evaluation `base` is evaluation
-    base + r + 1. The ones table is held as its two columns, built once per
-    problem, and a distance to the reference is computed once per ones
-    count met.
+    One product of a block's flips with the weights gives every row's count
+    change. These are sums of +-1 below 2^24 in magnitude, so float32
+    (float64 from n = 2^24 on) holds them exactly in any order of summation.
+    The parent's row of the candidate table (_count_rule) marks the rows
+    that might hit or replace it, and only those are visited, in row order,
+    each under the exact rule. A replacement turns around the weights of the
+    positions it flipped, and the rows after it are scanned again with one
+    more product. Row r of a block that starts after evaluation `base` is
+    evaluation base + r + 1.
     """
     n = problem.n
     rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n
-    reference = config.policy.reference  # None under crowding
-    f1, f2 = _ones_columns(problem)  # the objectives by ones count
-    distances = {}  # to the reference, by ones count, filled as counts are met
-    target1, target2 = config.reference_point
+    verdict, marks = _count_rule(problem, config.policy.reference, config.reference_point)
     cap = config.max_evaluations
     rng = stream(seed)
-    genome = int.from_bytes(np.packbits(random_population(1, n, rng)[0]).tobytes(), "big")
-    ones = genome.bit_count()
-    p1, p2 = f1[ones], f2[ones]
+    count_type = np.float32 if n < 1 << 24 else np.float64  # exact integer sums
+    genome = random_population(1, n, rng)[0]
+    ones, weights = np.count_nonzero(genome), 1 - 2 * genome.astype(count_type)
     evaluations = 1
-    hit = p1 == target1 and p2 == target2
+    hit = verdict(ones, ones) == _HIT  # the first parent meets the target
     block_rows = max(1, min(_BLOCK_GENERATIONS, _BLOCK_UNIFORMS // n))
-    mask_type = np.dtype(f"V{-(-n // 8)}")  # a packed row as one big-endian bytes object
     while not hit and (cap is None or evaluations < cap):
         rows = block_rows if cap is None else min(block_rows, cap - evaluations)
-        flips = rng.random((rows, n)) < rate
-        visited = np.flatnonzero(flips.any(axis=1))
-        masks = np.packbits(flips[visited], axis=1).view(mask_type).ravel().tolist()
+        chosen = rng.random((rows, n)) < rate
+        flips = chosen.astype(count_type)
         base, evaluations = evaluations, evaluations + rows
-        for row, mask in zip(visited.tolist(), map(int.from_bytes, masks, repeat("big"))):
-            child_genome = genome ^ mask
-            child_ones = child_genome.bit_count()
-            if child_ones == ones:
-                continue
-            c1, c2 = f1[child_ones], f2[child_ones]
-            if c1 == target1 and c2 == target2:
-                hit, evaluations = True, base + row + 1
-                break
-            # dominance tested inline: a function call here halves the kernel's speed
-            if c1 >= p1 and c2 >= p2:
-                if c1 != p1 or c2 != p2:
-                    genome, ones, p1, p2 = child_genome, child_ones, c1, c2
-            elif reference is not None and (c1 > p1 or c2 > p2):
-                if child_ones not in distances:
-                    distances[child_ones] = math.dist((c1, c2), reference)
-                if ones not in distances:
-                    distances[ones] = math.dist((p1, p2), reference)
-                if distances[child_ones] < distances[ones]:
-                    genome, ones, p1, p2 = child_genome, child_ones, c1, c2
+        first = 0  # the first row not yet scanned against the current parent
+        while first < rows and not hit:
+            index = (flips[first:] @ weights).astype(np.intp)
+            index += _BAND + 1
+            scanned, first = first, rows
+            for row in marks(ones).take(index, mode="clip").nonzero()[0].tolist():
+                child = ones + index.item(row) - _BAND - 1
+                outcome = verdict(ones, child)
+                if outcome:
+                    row += scanned
+                    if outcome == _HIT:
+                        hit, evaluations = True, base + row + 1
+                    else:
+                        np.negative(weights, out=weights, where=chosen[row])
+                        ones, first = child, row + 1
+                    break
+        del chosen, flips  # so that the next block's draw is the only one held
     return RunResult(hit=hit, evaluations_to_hit=evaluations if hit else None,
                      evaluations=evaluations, generations=evaluations - 1)
 

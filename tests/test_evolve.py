@@ -426,6 +426,66 @@ class TestSingleParentKernel:
         assert evolve._ones_columns(OneMinMaxStar(10))[0][0] == -10.0
         assert len(built) == 2
 
+    def test_a_cells_runs_share_one_candidate_table(self):
+        evolve._count_rule.cache_clear()
+        problem = OneMinMaxStar(10)
+        target = problem.reference_point()
+        config = AlgorithmConfig(policy=ReferencePointDistance(target), pop_size=1,
+                                 reference_point=target, max_evaluations=30)
+        for seed in range(3):
+            run(problem, config, seed)
+        assert evolve._count_rule.cache_info()[:2] == (2, 1)  # hits, misses
+        # OneMinMax*'s relocated all-zeros vector is one flip from a one-bit parent
+        verdict, marks = evolve._count_rule(problem, target, target)
+        assert verdict(1, 0) == evolve._HIT and marks(1)[evolve._BAND]
+        # an off-front survival reference, and OneMinMax of the same n, get their own tables
+        for other, reference in ((problem, off_front(target)), (OneMinMax(10), target)):
+            run(other, dataclasses.replace(config, policy=ReferencePointDistance(reference)), 0)
+        assert evolve._count_rule.cache_info()[:2] == (3, 3)
+        verdict, marks = evolve._count_rule(OneMinMax(10), target, target)
+        assert not verdict(1, 0) and not marks(1)[evolve._BAND]
+
+    @pytest.mark.parametrize("band", [evolve._BAND, 0], ids=["band", "no-band"])
+    @pytest.mark.parametrize("rate", [0.5, 1.0])
+    @pytest.mark.parametrize("n", [64, 130])
+    def test_count_changes_outside_the_band(self, n, rate, band, kernel_calls, monkeypatch):
+        # at rate 0.5 many children lie more than _BAND ones from their parent,
+        # and with a band of 0 every child that changes the count does; the
+        # scan visits them without the table. The cap spans four blocks.
+        rng = stream(0)
+        weights = 1 - 2 * random_population(1, n, rng)[0].astype(int)
+        changes = (rng.random((evolve._BLOCK_GENERATIONS, n)) < rate) @ weights
+        assert rate == 1.0 or np.any(abs(changes) > evolve._BAND)
+        monkeypatch.setattr(evolve, "_BAND", band)
+        evolve._count_rule.cache_clear()  # its rows were built for another band
+        try:
+            for problem in (OneMinMax(n), OneMinMaxStar(n), OneJumpZeroJump(n, 4)):
+                middle = tuple(problem.ones_table()[n // 2 + 2].tolist())
+                for target in (problem.reference_point(), middle):
+                    for survival in (CrowdingDistance(), ReferencePointDistance(target),
+                                     ReferencePointDistance(off_front(target))):
+                        config = AlgorithmConfig(policy=survival, pop_size=1,
+                                                 reference_point=target, mutation_rate=rate,
+                                                 max_evaluations=3 * evolve._BLOCK_GENERATIONS + 2)
+                        assert_kernel_matches_array_engine(problem, config, range(2),
+                                                           kernel_calls)
+                        marks = evolve._count_rule(problem, survival.reference, target)[1]
+                        assert len(marks(n // 2)) == 2 * band + 3
+        finally:
+            evolve._count_rule.cache_clear()
+
+    @pytest.mark.parametrize("seed", [514, 551])
+    def test_replacement_on_the_last_row_of_a_block(self, seed, kernel_calls):
+        # block 0 holds evaluations 2..257: at these seeds the child of evaluation
+        # 257, the block's last row, replaces the parent, and so does the child of
+        # evaluation 258, the first row of block 1, scanned against the new parent
+        problem, rows = OneMinMax(64), evolve._BLOCK_GENERATIONS
+        config = omm_config(64, 1, max_evaluations=3 * rows + 2)
+        assert_kernel_matches_array_engine(problem, config, [seed], kernel_calls)
+        births = [int(state.birth[0]) for state in observed(problem, config, seed)]
+        # the state after generation g holds the parent born in evaluation births[g] + 1
+        assert births[rows:rows + 2] == [rows, rows + 1]
+
     def test_nk_observed_and_larger_runs_use_the_array_engine(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the N = 1 kernel ran")
