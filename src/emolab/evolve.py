@@ -153,13 +153,6 @@ def run(
 
 
 @lru_cache(maxsize=1)
-def _ones_columns(problem: ProblemSpec) -> tuple:
-    """The ones table's two columns as lists, read-only, shared by a cell's runs.
-    Never the table itself: OneMinMaxStar.ones_table writes into its parent's."""
-    return tuple(problem.ones_table().T.tolist())
-
-
-@lru_cache(maxsize=1)
 def _count_rule(problem: ProblemSpec, reference, target) -> tuple:
     """Survival at N = 1 by ones counts, and its candidate table, shared by a cell's runs.
 
@@ -170,7 +163,7 @@ def _count_rule(problem: ProblemSpec, reference, target) -> tuple:
     nonzero verdict, and the two end entries, which stand for every change
     outside the band, are True. Rows are built as parents are met.
     """
-    f1, f2 = _ones_columns(problem)
+    f1, f2 = problem.ones_table().T.tolist()
     target1, target2 = target
     rows = {}
 

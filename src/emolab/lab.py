@@ -5,11 +5,13 @@ A plan names a problem family, the sizes to sweep, the algorithm variants
 (label, survival policy, population-size rule), the number of runs per
 cell, and a master seed. `cells` turns a plan into its (size, variant)
 cells, each with its problem and run settings; sweeps and `emolab run` both
-go through it. Every trial seed is a pure function of
-(master_seed, n, variant index, trial index), so results are byte-for-byte
-reproducible and independent of the degree of parallelism. Capped runs
-(misses) contribute their cap-truncated evaluation totals to the means and
-are exposed separately through the success rate.
+go through it. A plan checks its fields when it is built: building one from
+bad values, directly, through `plan_from_json` or `dataclasses.replace`,
+raises ValueError, so every plan the lab is given is valid. Every trial seed
+is a pure function of (master_seed, n, variant index, trial index), so
+results are byte-for-byte reproducible and independent of the degree of
+parallelism. Capped runs (misses) contribute their cap-truncated evaluation
+totals to the means and are exposed separately through the success rate.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ class Variant:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """A sweep; building one from bad values, `dataclasses.replace` included, is a ValueError."""
+
     name: str
     problem: str
     n_values: tuple
@@ -78,6 +82,67 @@ class ExperimentPlan:
     max_evaluations: Optional[int] = None
     k: Optional[int] = None      # OneJumpZeroJump valley width
     nk_k: Optional[int] = None   # NK epistasis degree
+
+    def __post_init__(self):
+        if self.problem not in PROBLEM_FAMILIES:
+            raise ValueError(f"unknown problem family {_quoted(self.problem)}")
+        _check_int("runs_per_cell", self.runs_per_cell)
+        _check_int("master_seed", self.master_seed)
+        for name in ("max_evaluations", "k", "nk_k"):
+            _check_int(name, getattr(self, name), optional=True)
+        if self.runs_per_cell < 1:
+            raise ValueError("runs_per_cell must be at least 1")
+        if not self.n_values:
+            raise ValueError("plan needs at least one problem size")
+        if not self.variants:
+            raise ValueError("plan needs at least one variant")
+        if self.max_evaluations is not None and self.max_evaluations < 1:
+            raise ValueError("max_evaluations must be at least 1 when set")
+        trials = self.runs_per_cell * len(self.n_values) * len(self.variants)
+        if trials > MAX_TRIALS:
+            raise ValueError(f"the plan has {_quoted(trials)} trials, "
+                             f"above the limit of {MAX_TRIALS}")
+        labels = [v.label for v in self.variants]
+        if not all(isinstance(text, str) for text in (self.name, *labels)):
+            raise ValueError("the plan name and every variant label must be strings")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"variant labels must be unique, got {_quoted(labels)}")
+        for variant in self.variants:
+            if variant.policy not in POLICY_KINDS:
+                raise ValueError(f"unknown policy {_quoted(variant.policy)} in variant "
+                                 f"{_quoted(variant.label)}")
+        if (self.k is None) == (self.problem == "ojzj"):
+            raise ValueError("k must be set on ojzj plans and only on them")
+        if (self.nk_k is None) == (self.problem == "nk"):
+            raise ValueError("nk_k must be set on nk plans and only on them")
+        for n in self.n_values:
+            _check_int("every problem size", n)
+            if not 1 <= n <= MAX_POPULATION_BITS:  # a run holds at least n population bits
+                raise ValueError(f"problem sizes must lie in [1, {MAX_POPULATION_BITS}]")
+            if self.problem == "ojzj" and not 2 <= self.k <= n // 4:
+                raise ValueError(f"k={_quoted(self.k)} is invalid for n={n}")
+            if self.problem == "nk":
+                if not 0 <= self.nk_k < n:
+                    raise ValueError(f"nk_k={_quoted(self.nk_k)} is invalid for n={n}")
+                if n > ENUMERATION_LIMIT:
+                    raise ValueError(f"enumeration is limited to n <= {ENUMERATION_LIMIT}, "
+                                     f"got n={n}")
+                if 2 * n * 2 ** (self.nk_k + 1) > MAX_NK_TABLE:
+                    raise ValueError(f"nk_k={self.nk_k} at n={n} needs more than "
+                                     f"{MAX_NK_TABLE} NK table entries")
+            for variant in self.variants:
+                pop_size = resolve_pop_size(variant.pop_size, n, self.k)
+                if pop_size * n > MAX_POPULATION_BITS:
+                    raise ValueError(f"variant {_quoted(variant.label)} at n={n} holds more than "
+                                     f"{MAX_POPULATION_BITS} population bits")
+                # the paper bounds N=1 runs only for refpoint on OneMinMax and OneJumpZeroJump
+                if (pop_size == 1 and self.max_evaluations is None and not
+                        (variant.policy == "refpoint" and self.problem in ("omm", "ojzj"))):
+                    raise ValueError(f"variant {_quoted(variant.label)} runs {variant.policy} "
+                                     f"at N=1 on {self.problem} at n={n}, which may never end: "
+                                     "set max_evaluations")
+        if len(set(self.n_values)) != len(self.n_values):
+            raise ValueError(f"problem sizes must be unique, got {_quoted(list(self.n_values))}")
 
 
 @dataclass(frozen=True)
@@ -160,7 +225,7 @@ def resolve_pop_size(rule: Union[int, str], n: int, k: Optional[int] = None) -> 
         except (SyntaxError, ValueError, ArithmeticError, RecursionError, MemoryError) as exc:
             raise ValueError(f"cannot evaluate population rule {_quoted(rule)}: {exc}") from exc
     if value < 1:
-        raise ValueError(f"population rule {_quoted(rule)} gave {value} at n={n}")
+        raise ValueError(f"population rule {_quoted(rule)} gave {_quoted(value)} at n={n}")
     return value
 
 
@@ -169,66 +234,6 @@ def _check_int(name: str, value, optional: bool = False) -> None:
     if type(value) is not int and not (optional and value is None):
         raise ValueError(f"{name} must be an integer{' or null' if optional else ''}, "
                          f"got {_quoted(value)}")
-
-
-def validate_plan(plan: ExperimentPlan) -> None:
-    if plan.problem not in PROBLEM_FAMILIES:
-        raise ValueError(f"unknown problem family {_quoted(plan.problem)}")
-    _check_int("runs_per_cell", plan.runs_per_cell)
-    _check_int("master_seed", plan.master_seed)
-    for name in ("max_evaluations", "k", "nk_k"):
-        _check_int(name, getattr(plan, name), optional=True)
-    if plan.runs_per_cell < 1:
-        raise ValueError("runs_per_cell must be at least 1")
-    if not plan.n_values:
-        raise ValueError("plan needs at least one problem size")
-    if not plan.variants:
-        raise ValueError("plan needs at least one variant")
-    if plan.max_evaluations is not None and plan.max_evaluations < 1:
-        raise ValueError("max_evaluations must be at least 1 when set")
-    trials = plan.runs_per_cell * len(plan.n_values) * len(plan.variants)
-    if trials > MAX_TRIALS:
-        raise ValueError(f"the plan has {trials} trials, above the limit of {MAX_TRIALS}")
-    labels = [v.label for v in plan.variants]
-    if not all(isinstance(text, str) for text in (plan.name, *labels)):
-        raise ValueError("the plan name and every variant label must be strings")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"variant labels must be unique, got {_quoted(labels)}")
-    for variant in plan.variants:
-        if variant.policy not in POLICY_KINDS:
-            raise ValueError(f"unknown policy {_quoted(variant.policy)} in variant "
-                             f"{_quoted(variant.label)}")
-    if (plan.k is None) == (plan.problem == "ojzj"):
-        raise ValueError("k must be set on ojzj plans and only on them")
-    if (plan.nk_k is None) == (plan.problem == "nk"):
-        raise ValueError("nk_k must be set on nk plans and only on them")
-    for n in plan.n_values:
-        _check_int("every problem size", n)
-        if not 1 <= n <= MAX_POPULATION_BITS:  # a run holds at least n population bits
-            raise ValueError(f"problem sizes must lie in [1, {MAX_POPULATION_BITS}]")
-        if plan.problem == "ojzj" and not 2 <= plan.k <= n // 4:
-            raise ValueError(f"k={_quoted(plan.k)} is invalid for n={n}")
-        if plan.problem == "nk":
-            if not 0 <= plan.nk_k < n:
-                raise ValueError(f"nk_k={_quoted(plan.nk_k)} is invalid for n={n}")
-            if n > ENUMERATION_LIMIT:
-                raise ValueError(f"enumeration is limited to n <= {ENUMERATION_LIMIT}, got n={n}")
-            if 2 * n * 2 ** (plan.nk_k + 1) > MAX_NK_TABLE:
-                raise ValueError(f"nk_k={plan.nk_k} at n={n} needs more than "
-                                 f"{MAX_NK_TABLE} NK table entries")
-        for variant in plan.variants:
-            pop_size = resolve_pop_size(variant.pop_size, n, plan.k)
-            if pop_size * n > MAX_POPULATION_BITS:
-                raise ValueError(f"variant {_quoted(variant.label)} at n={n} holds more than "
-                                 f"{MAX_POPULATION_BITS} population bits")
-            # the paper bounds N=1 runs only for refpoint on OneMinMax and OneJumpZeroJump
-            if (pop_size == 1 and plan.max_evaluations is None
-                    and not (variant.policy == "refpoint" and plan.problem in ("omm", "ojzj"))):
-                raise ValueError(f"variant {_quoted(variant.label)} runs {variant.policy} at N=1 "
-                                 f"on {plan.problem} at n={n}, which may never end: "
-                                 "set max_evaluations")
-    if len(set(plan.n_values)) != len(plan.n_values):
-        raise ValueError(f"problem sizes must be unique, got {_quoted(list(plan.n_values))}")
 
 
 def build_problem(plan: ExperimentPlan, n: int) -> ProblemSpec:
@@ -295,7 +300,6 @@ def run_experiment(plan: ExperimentPlan, parallelism: int = 1) -> list:
     Returns records sorted by (problem, n, variant, trial); the record set
     does not depend on parallelism or completion order.
     """
-    validate_plan(plan)
     if not 1 <= parallelism <= MAX_PARALLELISM:
         raise ValueError(f"parallelism must lie in [1, {MAX_PARALLELISM}], got {parallelism}")
     chunk_size = math.ceil(plan.runs_per_cell / (parallelism * 4))
@@ -446,28 +450,25 @@ def preset_plans() -> dict:
 def plan_from_json(text: str) -> ExperimentPlan:
     try:
         doc = json.loads(text)
-    except RecursionError:
-        raise ValueError("the plan is nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise ValueError("a plan must be a JSON object")
-    for key in ("n_values", "variants"):
-        if key not in doc:
-            raise ValueError(f"the plan has no {key!r} key")
-        if not isinstance(doc[key], list):
-            raise ValueError(f"{key} must be a list, got {_quoted(doc[key])}")
-    if not all(isinstance(v, dict) for v in doc["variants"]):
-        raise ValueError("every variant must be a JSON object")
-    for cls, keys in ((ExperimentPlan, doc), *((Variant, v) for v in doc["variants"])):
-        unknown = sorted(keys.keys() - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown {cls.__name__} keys {_quoted(unknown)}")
-    try:
-        plan = ExperimentPlan(**{"name": "plan", **doc, "n_values": tuple(doc["n_values"]),
+        if not isinstance(doc, dict):
+            raise ValueError("a plan must be a JSON object")
+        for key in ("n_values", "variants"):
+            if key not in doc:
+                raise ValueError(f"the plan has no {key!r} key")
+            if not isinstance(doc[key], list):
+                raise ValueError(f"{key} must be a list, got {_quoted(doc[key])}")
+        if not all(isinstance(v, dict) for v in doc["variants"]):
+            raise ValueError("every variant must be a JSON object")
+        for cls, keys in ((ExperimentPlan, doc), *((Variant, v) for v in doc["variants"])):
+            unknown = sorted(keys.keys() - {f.name for f in fields(cls)})
+            if unknown:
+                raise ValueError(f"unknown {cls.__name__} keys {_quoted(unknown)}")
+        return ExperimentPlan(**{"name": "plan", **doc, "n_values": tuple(doc["n_values"]),
                                  "variants": tuple(Variant(**v) for v in doc["variants"])})
+    except RecursionError:  # a value nested too deeply to parse, or to quote in a message
+        raise ValueError("the plan is nested too deeply") from None
     except TypeError as exc:  # a missing key
         raise ValueError(str(exc)) from None
-    validate_plan(plan)
-    return plan
 
 
 def load_plan(path) -> ExperimentPlan:
@@ -477,11 +478,8 @@ def load_plan(path) -> ExperimentPlan:
 
 def with_overrides(plan: ExperimentPlan, runs: Optional[int] = None,
                    master_seed: Optional[int] = None) -> ExperimentPlan:
-    if runs is not None:
-        plan = replace(plan, runs_per_cell=runs)
-    if master_seed is not None:
-        plan = replace(plan, master_seed=master_seed)
-    return plan
+    changes = {"runs_per_cell": runs, "master_seed": master_seed}
+    return replace(plan, **{name: value for name, value in changes.items() if value is not None})
 
 
 TRIALS_HEADER = ["problem", "n", "k", "variant", "policy", "pop_size",

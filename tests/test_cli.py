@@ -24,7 +24,8 @@ def plan_json(plan):
 
 
 def tiny_plan_file(tmp_path, **overrides):
-    base = dict(
+    """A plan file; written as a JSON document, so its fields may make an invalid plan."""
+    doc = dict(
         name="tiny",
         problem="omm",
         n_values=(6,),
@@ -34,10 +35,9 @@ def tiny_plan_file(tmp_path, **overrides):
         runs_per_cell=4,
         master_seed=7,
     )
-    base.update(overrides)
-    plan = ExperimentPlan(**base)
+    doc.update(overrides)
     path = tmp_path / "plan.json"
-    path.write_text(plan_json(plan), encoding="utf-8")
+    path.write_text(json.dumps(doc, indent=2, default=asdict), encoding="utf-8")
     return path
 
 
@@ -257,6 +257,10 @@ MALFORMED_PLANS = {
     "huge duplicate labels": _plan_doc(
         variants=[{"label": HUGE[:100_000], "policy": "crowding", "pop_size": 4}] * 2),
     "100,000 duplicate sizes": _plan_doc(n_values=[6] * 100_000),
+    # each once printed whole, 2,000 digits
+    "huge runs_per_cell integer": _plan_doc(runs_per_cell=10 ** 2000),
+    "huge negative population": _plan_doc(
+        variants=[{"label": "a", "policy": "crowding", "pop_size": -10 ** 2000}]),
     "huge unknown top-level key": _plan_doc(**{HUGE: 1}),
     "huge unknown variant key": _plan_doc(
         variants=[{"label": "a", "policy": "crowding", "pop_size": 4, HUGE: 4}]),
@@ -290,6 +294,19 @@ def test_malformed_sweep_input_is_usage_error(tmp_path, capsys, monkeypatch, cas
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and len(captured.err.encode()) < 1024
     assert captured.out == ""  # rejected before the config line and any work
+    assert not out.exists()
+
+
+# a plan is checked again after --runs and --seed replace its fields
+@pytest.mark.parametrize("source", ["preset", "plan"])
+def test_invalid_runs_override_is_usage_error(tmp_path, capsys, source):
+    argv = ["--preset", "omm"] if source == "preset" else ["--plan", str(tiny_plan_file(tmp_path))]
+    out = tmp_path / "results"
+    assert main(["sweep", *argv, "--runs", "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot load plan {argv[1]!r}: "
+                            "runs_per_cell must be at least 1\n")
     assert not out.exists()
 
 
@@ -592,7 +609,8 @@ class TestNkCell:
     """`run` and `oracle` build NK instances and reference points through lab."""
 
     def cell(self, n, seed):
-        return ExperimentPlan(name="cell", problem="nk", n_values=(n,), variants=(),
+        return ExperimentPlan(name="cell", problem="nk", n_values=(n,),
+                              variants=(Variant("cell", "crowding", 4),),
                               runs_per_cell=1, master_seed=seed, nk_k=3)
 
     def test_run_reference_is_the_lab_reference(self, capsys):

@@ -404,7 +404,7 @@ class TestSingleParentKernel:
         assert result.evaluations == 20
         assert peak < 17 * 2 ** 20
 
-    def test_a_cells_runs_build_the_ones_columns_once(self, monkeypatch):
+    def test_a_cells_runs_build_the_ones_table_once(self, monkeypatch):
         built = []
         ones_table = OneMinMaxStar.ones_table
 
@@ -413,17 +413,17 @@ class TestSingleParentKernel:
             return ones_table(problem)
 
         monkeypatch.setattr(OneMinMaxStar, "ones_table", counted)
-        evolve._ones_columns.cache_clear()
+        evolve._count_rule.cache_clear()
         reference = OneMinMaxStar(10).reference_point()
         config = AlgorithmConfig(policy=ReferencePointDistance(reference), pop_size=1,
                                  reference_point=reference, max_evaluations=30)
         for seed in range(3):
             run(OneMinMaxStar(10), config, seed)
         assert built == [OneMinMaxStar(10)]
-        # a problem of the same size has its own columns, so the relocated
+        # a problem of the same size has its own rule, so the relocated
         # all-zeros vector stays OneMinMax*'s
-        assert evolve._ones_columns(OneMinMax(10))[0][0] == 10.0
-        assert evolve._ones_columns(OneMinMaxStar(10))[0][0] == -10.0
+        assert not evolve._count_rule(OneMinMax(10), reference, reference)[0](1, 0)
+        assert evolve._count_rule(OneMinMaxStar(10), reference, reference)[0](1, 0) == evolve._HIT
         assert len(built) == 2
 
     def test_a_cells_runs_share_one_candidate_table(self):

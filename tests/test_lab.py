@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import re
+import sys
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -25,7 +27,7 @@ from emolab.lab import (
     run_experiment,
     summarize,
     trial_seed,
-    validate_plan,
+    with_overrides,
     write_summary_csv,
     write_trials_csv,
 )
@@ -198,10 +200,8 @@ class TestLoglogSlope:
 
 class TestPresets:
     def test_preset_names(self):
-        plans = preset_plans()
-        assert set(plans) == {"omm", "ojzj", "ommstar", "nk"}
-        for plan in plans.values():
-            validate_plan(plan)
+        # building the presets checks them
+        assert set(preset_plans()) == {"omm", "ojzj", "ommstar", "nk"}
 
     def test_omm_preset_shape(self):
         plan = preset_plans()["omm"]
@@ -298,9 +298,9 @@ class TestSizeBounds:
         ({"runs_per_cell": 250_000}, {"runs_per_cell": 250_001}),
     ], ids=["population bits", "NK table", "NK enumeration", "trials"])
     def test_limit_accepted_and_beyond_rejected(self, fits, beyond):
-        validate_plan(tiny_plan(**fits))
+        tiny_plan(**fits)
         with pytest.raises(ValueError):
-            validate_plan(tiny_plan(**beyond))
+            tiny_plan(**beyond)
 
     @pytest.mark.parametrize(
         "path", sorted((Path(__file__).parents[1] / "bench" / "plans").glob("*.json")),
@@ -312,12 +312,12 @@ class TestSizeBounds:
 class TestNeverEndingCells:
     def test_crowding_at_one_needs_a_budget(self):
         # "n-5" resolves to 1 at n=6 only
-        plan = tiny_plan(variants=(Variant("a", "crowding", "n-5"),))
+        variants = (Variant("a", "crowding", "n-5"),)
         with pytest.raises(ValueError, match="max_evaluations"):
-            validate_plan(plan)
-        validate_plan(replace(plan, max_evaluations=100))
-        validate_plan(replace(plan, n_values=(8,)))
-        validate_plan(tiny_plan(variants=(Variant("a", "refpoint", 1),)))
+            tiny_plan(variants=variants)
+        tiny_plan(variants=variants, max_evaluations=100)
+        tiny_plan(variants=variants, n_values=(8,))
+        tiny_plan(variants=(Variant("a", "refpoint", 1),))
 
 
 class TestRunExperiment:
@@ -390,17 +390,6 @@ class TestRunExperiment:
                  for t in range(plan.runs_per_cell)]
         assert len(seeds) == len(set(seeds))
 
-    def test_invalid_plans_rejected_before_running(self):
-        with pytest.raises(ValueError):
-            run_experiment(tiny_plan(runs_per_cell=0))
-        with pytest.raises(ValueError):
-            run_experiment(tiny_plan(variants=()))
-        with pytest.raises(ValueError):
-            run_experiment(tiny_plan(
-                variants=(Variant("a", "crowding", 4), Variant("a", "refpoint", 1))))
-        with pytest.raises(ValueError):
-            run_experiment(tiny_plan(problem="ojzj", n_values=(6,), k=2))
-
     def test_capped_cell_records_misses(self):
         plan = tiny_plan(problem="ommstar", n_values=(10,), max_evaluations=60,
                          variants=(Variant("rnsga2", "refpoint", 4),),
@@ -410,6 +399,39 @@ class TestRunExperiment:
         assert misses, "tiny budget should produce at least one miss"
         for r in misses:
             assert r.evaluations >= 60  # cap-truncated totals stay in the record
+
+
+class TestPlanChecks:
+    """A plan checks itself when it is built, by any route, with these messages."""
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"runs_per_cell": 0}, "runs_per_cell must be at least 1"),
+        ({"variants": ()}, "plan needs at least one variant"),
+        ({"variants": (Variant("a", "crowding", 4), Variant("a", "refpoint", 1))},
+         "variant labels must be unique, got ['a', 'a']"),
+        ({"problem": "ojzj", "n_values": (6,), "k": 2}, "k=2 is invalid for n=6"),
+        ({"n_values": (6, 6)}, "problem sizes must be unique, got [6, 6]"),
+        # with several faults, the first check reports
+        ({"runs_per_cell": 0, "variants": (), "master_seed": "7"},
+         "master_seed must be an integer, got '7'"),
+        ({"n_values": (6, 10 ** 7), "variants": ()}, "plan needs at least one variant"),
+    ])
+    def test_building_an_invalid_plan_raises(self, changes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tiny_plan(**changes)
+
+    def test_replace_and_overrides_check_again(self):
+        plan = tiny_plan()
+        with pytest.raises(ValueError, match=re.escape("problem sizes must lie in [1, 1000000]")):
+            replace(plan, n_values=(10 ** 7,))
+        with pytest.raises(ValueError, match="^runs_per_cell must be at least 1$"):
+            with_overrides(plan, runs=0)
+        # both overrides are checked together, so the first check in order reports
+        with pytest.raises(ValueError, match="^master_seed must be an integer, got 1.5$"):
+            with_overrides(plan, runs=0, master_seed=1.5)
+        assert with_overrides(plan, runs=5, master_seed=3) == tiny_plan(runs_per_cell=5,
+                                                                         master_seed=3)
+        assert with_overrides(plan) == plan
 
 
 class TestPlanJson:
@@ -455,6 +477,15 @@ class TestPlanJson:
         doc.update(changes)
         with pytest.raises(ValueError):
             plan_from_json(json.dumps(doc))
+
+    def test_values_nested_near_the_recursion_limit(self):
+        # json.loads and the repr that quotes a value in a message recurse from
+        # different stack depths: nesting that parses may be too deep to quote
+        text = plan_json(tiny_plan())[:-1]
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 200, limit + 10):
+            with pytest.raises(ValueError):
+                plan_from_json(f'{text}, "master_seed": {"[" * depth}{"]" * depth}}}')
 
     @pytest.mark.parametrize("changes, key", [
         ({"max_evaluation": 100}, "max_evaluation"),
