@@ -7,7 +7,9 @@ cell, and a master seed. `cells` turns a plan into its (size, variant)
 cells, each with its problem and run settings; sweeps and `emolab run` both
 go through it. A plan checks its fields when it is built: building one from
 bad values, directly, through `plan_from_json` or `dataclasses.replace`,
-raises ValueError, so every plan the lab is given is valid. Every trial seed
+raises ValueError, so every plan the lab is given is valid. A sweep runs
+its trials in its own process and in parallelism - 1 helper processes,
+each claiming one trial at a time from a shared counter. Every trial seed
 is a pure function of (master_seed, n, variant index, trial index), so
 results are byte-for-byte reproducible and independent of the degree of
 parallelism. Capped runs (misses) contribute their cap-truncated evaluation
@@ -20,12 +22,12 @@ import ast
 import csv
 import json
 import math
+import multiprocessing
 import operator
 import statistics
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import groupby
+from multiprocessing.connection import wait
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -49,7 +51,7 @@ DEFAULT_MASTER_SEED = 1009
 MAX_POPULATION_BITS = 1_000_000  # pop_size * n: a generation peaks near 0.5 GB
 MAX_NK_TABLE = 1 << 24           # 2 * n * 2^(nk_k+1) float64 entries: 128 MiB
 MAX_TRIALS = 1_000_000           # runs_per_cell * |n_values| * |variants|: ~0.4 GB
-# Worker processes of one sweep: a fork pool starts all of them on its first task.
+# Processes of one sweep: its own and up to 255 helpers, all started before its first trial.
 MAX_PARALLELISM = 256
 
 PROBLEM_FAMILIES = ("omm", "ojzj", "ommstar", "nk")
@@ -115,6 +117,7 @@ class ExperimentPlan:
             raise ValueError("k must be set on ojzj plans and only on them")
         if (self.nk_k is None) == (self.problem == "nk"):
             raise ValueError("nk_k must be set on nk plans and only on them")
+        rules = [_pop_size_rule(variant.pop_size) for variant in self.variants]
         for n in self.n_values:
             _check_int("every problem size", n)
             if not 1 <= n <= MAX_POPULATION_BITS:  # a run holds at least n population bits
@@ -130,8 +133,8 @@ class ExperimentPlan:
                 if 2 * n * 2 ** (self.nk_k + 1) > MAX_NK_TABLE:
                     raise ValueError(f"nk_k={self.nk_k} at n={n} needs more than "
                                      f"{MAX_NK_TABLE} NK table entries")
-            for variant in self.variants:
-                pop_size = resolve_pop_size(variant.pop_size, n, self.k)
+            for variant, rule in zip(self.variants, rules):
+                pop_size = rule(n, self.k)
                 if pop_size * n > MAX_POPULATION_BITS:
                     raise ValueError(f"variant {_quoted(variant.label)} at n={n} holds more than "
                                      f"{MAX_POPULATION_BITS} population bits")
@@ -179,7 +182,12 @@ class StatTestResult:
 
 def _quoted(value) -> str:
     """repr(value) for an error message, cut to about 80 characters: plan input may be huge."""
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:  # an integer past the interpreter's limit on digits to print
+        if type(value) is not int:
+            return f"<{type(value).__name__} too large to print>"
+        return f"<{'negative ' if value < 0 else ''}integer of {value.bit_length()} bits>"
     return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 
 
@@ -206,6 +214,32 @@ def _rule_value(node, names: dict) -> int:
     return value
 
 
+def _pop_size_rule(rule):
+    """A population-size rule as a function of (n, k); it parses the rule once, at its first call."""
+    body = None
+
+    def size(n: int, k: Optional[int] = None) -> int:
+        nonlocal body
+        if isinstance(rule, bool) or not isinstance(rule, (int, str)):
+            raise ValueError(f"population rule must be an integer or a string, got {_quoted(rule)}")
+        if isinstance(rule, int):
+            value = rule
+        else:
+            names = {"n": n} if k is None else {"n": n, "k": k}
+            try:
+                if body is None:
+                    body = ast.parse(rule.strip(), mode="eval").body
+                value = _rule_value(body, names)
+            # the parser reports a too deeply nested rule as MemoryError or RecursionError
+            except (SyntaxError, ValueError, ArithmeticError, RecursionError, MemoryError) as exc:
+                raise ValueError(f"cannot evaluate population rule {_quoted(rule)}: {exc}") from exc
+        if value < 1:
+            raise ValueError(f"population rule {_quoted(rule)} gave {_quoted(value)} at n={n}")
+        return value
+
+    return size
+
+
 def resolve_pop_size(rule: Union[int, str], n: int, k: Optional[int] = None) -> int:
     """Evaluate a population-size rule for a given problem size.
 
@@ -213,20 +247,7 @@ def resolve_pop_size(rule: Union[int, str], n: int, k: Optional[int] = None) -> 
     n and (when set) k, with binary + - * //, unary - and parentheses.
     Nothing else is evaluated, so plan files cannot run code.
     """
-    if isinstance(rule, bool) or not isinstance(rule, (int, str)):
-        raise ValueError(f"population rule must be an integer or a string, got {_quoted(rule)}")
-    if isinstance(rule, int):
-        value = rule
-    else:
-        names = {"n": n} if k is None else {"n": n, "k": k}
-        try:
-            value = _rule_value(ast.parse(rule.strip(), mode="eval").body, names)
-        # the parser reports a too deeply nested rule as MemoryError or RecursionError
-        except (SyntaxError, ValueError, ArithmeticError, RecursionError, MemoryError) as exc:
-            raise ValueError(f"cannot evaluate population rule {_quoted(rule)}: {exc}") from exc
-    if value < 1:
-        raise ValueError(f"population rule {_quoted(rule)} gave {_quoted(value)} at n={n}")
-    return value
+    return _pop_size_rule(rule)(n, k)
 
 
 def _check_int(name: str, value, optional: bool = False) -> None:
@@ -282,39 +303,86 @@ def trial_seed(plan: ExperimentPlan, n: int, variant_index: int, trial: int) -> 
     return child_seed(plan.master_seed, "trial", n, variant_index, trial)
 
 
-def _run_trials(job):
-    """Worker: execute a chunk of trials for one plan cell."""
-    problem, config, template, chunk = job
+def _drain(trials, counter, receivers=()) -> list:
+    """Claim trials one at a time from the shared counter and run them, until the
+    counter runs out or, in the sweep's own process, a helper has something to report."""
     records = []
-    for trial, seed in chunk:
-        result = run(problem, config, seed)
+    while not (receivers and wait(receivers, timeout=0)):
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(trials):
+            break
+        (problem, config, template), trial, seed = trials[index]
+        result = run(problem, config, seed)  # looked up here, where tests and tracers patch it
         evaluations = result.evaluations_to_hit if result.hit else result.evaluations
         records.append(replace(template, seed=seed, trial=trial,
                                evaluations=evaluations, hit=result.hit))
     return records
 
 
+def _help(trials, counter, sender) -> None:
+    """A helper process: drain the counter, then send its records, or its error as one line."""
+    try:
+        message = _drain(trials, counter)
+    except Exception as exc:
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+    sender.send(message)
+
+
+def _start_helper(trials, counter):
+    """Start one helper process on the sweep's trials; returns it and the pipe it reports on."""
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    helper = multiprocessing.Process(target=_help, args=(trials, counter, sender), daemon=True)
+    helper.start()
+    sender.close()
+    return helper, receiver
+
+
 def run_experiment(plan: ExperimentPlan, parallelism: int = 1) -> list:
     """Execute every (n, variant, trial) cell of the plan.
 
-    Returns records sorted by (problem, n, variant, trial); the record set
-    does not depend on parallelism or completion order.
+    The calling process and min(parallelism, trials) - 1 helper processes
+    claim trials one at a time from a shared counter. A trial that raises,
+    or a helper that dies, stops the sweep: every helper is ended before
+    the error is raised. Returns records sorted by (problem, n, variant,
+    trial); the record set does not depend on parallelism or completion order.
     """
     if not 1 <= parallelism <= MAX_PARALLELISM:
         raise ValueError(f"parallelism must lie in [1, {MAX_PARALLELISM}], got {parallelism}")
-    chunk_size = math.ceil(plan.runs_per_cell / (parallelism * 4))
-    jobs = []
+    trials = []
     for n, variant_index, variant, problem, config in cells(plan):
-        template = TrialRecord(plan.problem, n, plan.k, variant.label, variant.policy,
-                               config.pop_size, seed=0, trial=0, evaluations=0, hit=False)
-        trials = [(t, trial_seed(plan, n, variant_index, t)) for t in range(plan.runs_per_cell)]
-        jobs += [(problem, config, template, trials[start:start + chunk_size])
-                 for start in range(0, len(trials), chunk_size)]
-    workers = min(parallelism, len(jobs))
-    with ExitStack() as stack:
-        chunk_map = (map if workers == 1 else
-                     stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map)
-        records = [record for chunk in chunk_map(_run_trials, jobs) for record in chunk]
+        cell = (problem, config, TrialRecord(plan.problem, n, plan.k, variant.label,
+                                             variant.policy, config.pop_size, seed=0,
+                                             trial=0, evaluations=0, hit=False))
+        trials += [(cell, t, trial_seed(plan, n, variant_index, t))
+                   for t in range(plan.runs_per_cell)]
+    counter = multiprocessing.Value("q", 0)
+    helpers = {}
+    try:
+        for _ in range(min(parallelism, len(trials)) - 1):
+            helper, receiver = _start_helper(trials, counter)
+            helpers[receiver] = helper
+        records = _drain(trials, counter, list(helpers))
+        pending = dict(helpers)
+        while pending:
+            for receiver in wait(list(pending)):
+                helper = pending.pop(receiver)
+                try:
+                    message = receiver.recv()
+                except EOFError:
+                    helper.join()
+                    raise RuntimeError(f"a helper process ended with exit code "
+                                       f"{helper.exitcode} before it reported") from None
+                if isinstance(message, str):
+                    raise RuntimeError(f"a trial in a helper process raised {message}")
+                records += message
+                helper.join()
+    finally:  # ends the helpers still running when a trial raised or a helper died
+        for receiver, helper in helpers.items():
+            helper.terminate()
+            helper.join()
+            receiver.close()
     return sorted(records, key=lambda r: (r.problem, r.n, r.variant, r.trial))
 
 

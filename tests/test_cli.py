@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 from xml.etree import ElementTree
@@ -259,6 +260,10 @@ MALFORMED_PLANS = {
     "100,000 duplicate sizes": _plan_doc(n_values=[6] * 100_000),
     # each once printed whole, 2,000 digits
     "huge runs_per_cell integer": _plan_doc(runs_per_cell=10 ** 2000),
+    # 4,299 digits parse, but the trial count over 12 cells has 4,301, too many to print
+    "trial count past the digit limit": _plan_doc(
+        runs_per_cell=int("9" * 4299), n_values=[6, 8, 10],
+        variants=[{"label": label, "policy": "crowding", "pop_size": 4} for label in "abcd"]),
     "huge negative population": _plan_doc(
         variants=[{"label": "a", "policy": "crowding", "pop_size": -10 ** 2000}]),
     "huge unknown top-level key": _plan_doc(**{HUGE: 1}),
@@ -275,11 +280,11 @@ BAD_RULES = ["().__class__.__mro__.__len__()", "n.bit_length()", "n.real", "abs(
 @pytest.mark.parametrize("case", [*MALFORMED_PLANS, "parallelism 0",
                                   "parallelism above the bound"])
 def test_malformed_sweep_input_is_usage_error(tmp_path, capsys, monkeypatch, case):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was created")
+    def no_work(*args, **kwargs):
+        raise AssertionError("a helper or a trial started")
 
-    monkeypatch.setattr(lab, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(lab, "run", no_pool)
+    monkeypatch.setattr(lab, "_start_helper", no_work)
+    monkeypatch.setattr(lab, "run", no_work)
     if case == "parallelism 0":
         argv = ["sweep", "--preset", "omm", "--parallelism", "0"]
     elif case == "parallelism above the bound":
@@ -414,7 +419,7 @@ def test_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch, command):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the output was checked")
 
-    monkeypatch.setattr(lab, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(lab, "_start_helper", refuse)
     monkeypatch.setattr(lab, "run", refuse)
     monkeypatch.setattr(cli, "run", refuse)
     blocker = tmp_path / "file"
@@ -493,40 +498,61 @@ class RaisingOneMinMax(problems.OneMinMax):
         raise RuntimeError("injected trial fault")
 
 
+class HelperRaisingOneMinMax(problems.OneMinMax):
+    """OneMinMax whose evaluator raises in a helper; the sweep's own process waits meanwhile."""
+
+    def evaluator(self):
+        if multiprocessing.parent_process() is None:
+            time.sleep(0.5)
+            return super().evaluator()
+        raise RuntimeError("injected trial fault")
+
+
 class DyingOneMinMax(problems.OneMinMax):
-    """OneMinMax whose evaluator ends its pool worker, as an OOM kill would."""
+    """OneMinMax whose evaluator ends a helper, as an OOM kill would."""
 
     def evaluator(self):
         if multiprocessing.parent_process() is None:  # never end the test process itself
-            raise RuntimeError("expected to run in a pool worker")
+            time.sleep(0.5)
+            return super().evaluator()
         os._exit(9)
 
 
-# a trial that raises, or a pool worker that dies, ends the sweep with one
-# error line and exit 3, not a traceback, and leaves no result file behind
-@pytest.mark.parametrize("faulty", [RaisingOneMinMax, DyingOneMinMax])
-def test_failed_trial_exits_3_without_results(tmp_path, capsys, monkeypatch, faulty):
+# a trial that raises, or a helper that dies, ends the sweep with one error
+# line and exit 3, not a traceback, and leaves no result file behind
+@pytest.mark.parametrize("faulty, reason", [
+    (RaisingOneMinMax, "RuntimeError: injected trial fault"),
+    (HelperRaisingOneMinMax, "a trial in a helper process raised RuntimeError: injected trial fault"),
+    (DyingOneMinMax, "a helper process ended with exit code 9 before it reported"),
+])
+def test_failed_trial_exits_3_without_results(tmp_path, capsys, monkeypatch, faulty, reason):
     build_problem = lab.build_problem
     monkeypatch.setattr(lab, "build_problem",
                         lambda plan, n: faulty(n) if n == 8 else build_problem(plan, n))
-    pools = []
+    started = []
 
-    class CountingPool(lab.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def counting_start(trials, counter):
+        started.append(len(trials))
+        return start_helper(trials, counter)
 
-    monkeypatch.setattr(lab, "ProcessPoolExecutor", CountingPool)
-    # at parallelism 2 each cell is eight one-trial chunks: n=6's run, n=8's fail
+    start_helper = lab._start_helper
+    monkeypatch.setattr(lab, "_start_helper", counting_start)
+    # n=6's trials run; a sleeping variant holds the sweep's own process in its
+    # first n=8 trial, so the helper claims an n=8 trial of its own
     plan_path = tiny_plan_file(tmp_path, n_values=(6, 8), runs_per_cell=8,
                                variants=(Variant("nsga2", "crowding", "4*(n+1)"),))
     out = tmp_path / "fresh"
+    start = time.perf_counter()
     assert main(["sweep", "--plan", str(plan_path), "--out", str(out),
                  "--parallelism", "2"]) == 3
-    assert pools == [2]
+    # the sweep's own process stops claiming once the helper reports: not 8 x 0.5 s
+    assert time.perf_counter() - start < 2.0
+    assert started == [16]
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and errors[0].startswith("error: sweep stopped, no results written")
+    assert reason in errors[0]
     assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_closed_stdout_exits_3_without_traceback(tmp_path):

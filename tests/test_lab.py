@@ -3,8 +3,10 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import re
 import sys
+import time
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emolab import lab
+from emolab import lab, problems
 from emolab.lab import (
     ExperimentPlan,
     SummaryRow,
@@ -50,6 +52,16 @@ def tiny_plan(**overrides):
     )
     base.update(overrides)
     return ExperimentPlan(**base)
+
+
+class ParentRaisingOneMinMax(problems.OneMinMax):
+    """OneMinMax whose trials raise in the calling process and take 0.5 s in a helper."""
+
+    def evaluator(self):
+        if multiprocessing.parent_process() is None:
+            raise RuntimeError("raised in the calling process")
+        time.sleep(0.5)
+        return super().evaluator()
 
 
 def brute_force_u(a, b):
@@ -341,36 +353,45 @@ class TestRunExperiment:
         assert cells == expected
 
     def test_parallelism_does_not_change_results(self):
-        serial = run_experiment(tiny_plan(), parallelism=1)
-        parallel = run_experiment(tiny_plan(), parallelism=2)
-        assert serial == parallel
+        plan = tiny_plan()  # N > 1 and N = 1 cells: trials of very different lengths
+        serial = run_experiment(plan, parallelism=1)
+        for parallelism in (2, 3, lab.MAX_PARALLELISM):
+            assert run_experiment(plan, parallelism=parallelism) == serial
 
     def test_pool_has_at_most_one_worker_per_job(self, monkeypatch):
-        pools = []
+        started = []
 
-        class SerialPool:
-            """Records the pool size and runs the jobs in this process."""
+        def counting_start(trials, counter):
+            started.append(len(trials))
+            return start_helper(trials, counter)
 
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(lab, "ProcessPoolExecutor", SerialPool)
-        plan = tiny_plan(runs_per_cell=1)  # 2 sizes x 2 variants: 4 jobs
-        assert run_experiment(plan, parallelism=lab.MAX_PARALLELISM) == run_experiment(plan)
-        assert pools == [4]
+        start_helper = lab._start_helper
+        monkeypatch.setattr(lab, "_start_helper", counting_start)
+        plan = tiny_plan(runs_per_cell=1)  # 2 sizes x 2 variants: 4 trials
+        serial = run_experiment(plan)
+        assert started == []  # parallelism 1 runs every trial in the calling process
+        assert run_experiment(plan, parallelism=lab.MAX_PARALLELISM) == serial
+        assert started == [4] * 3  # helpers beyond the trial count would find nothing to claim
+        started.clear()
+        assert run_experiment(plan, parallelism=2) == serial
+        assert started == [4]
+        started.clear()
         run_experiment(tiny_plan(n_values=(6,), variants=tiny_plan().variants[:1],
                                  runs_per_cell=1), parallelism=2)
-        assert pools == [4]  # a single job runs without a pool
+        assert started == []  # a single trial runs without a helper
         with pytest.raises(ValueError, match="parallelism"):
             run_experiment(plan, parallelism=lab.MAX_PARALLELISM + 1)
+        assert started == []
+
+    def test_raising_trial_in_the_calling_process_stops_the_helpers(self, monkeypatch):
+        monkeypatch.setattr(lab, "build_problem", lambda plan, n: ParentRaisingOneMinMax(n))
+        # the helpers alone would take 12 x 0.5 s / 2 = 3 s
+        plan = tiny_plan(n_values=(6,), variants=tiny_plan().variants[:1], runs_per_cell=12)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="^raised in the calling process$"):
+            run_experiment(plan, parallelism=3)
+        assert time.perf_counter() - start < 1.5  # about one helper trial at most
+        assert multiprocessing.active_children() == []
 
     def test_reproducible_bit_for_bit(self):
         first = summarize(run_experiment(tiny_plan()))
@@ -419,6 +440,29 @@ class TestPlanChecks:
     def test_building_an_invalid_plan_raises(self, changes, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tiny_plan(**changes)
+
+    # past the interpreter's 4,300-digit limit repr raises its own ValueError,
+    # so such an integer is quoted by its size
+    @pytest.mark.parametrize("build, message", [
+        (lambda: replace(preset_plans()["ojzj"], k=10 ** 5000),
+         "k=<integer of 16610 bits> is invalid for n=10"),
+        (lambda: replace(tiny_plan(), runs_per_cell=10 ** 5000),
+         "the plan has <integer of 16612 bits> trials, above the limit of 1000000"),
+        # 4,299 nines in JSON, times 12 cells: 4,301 digits
+        (lambda: plan_from_json(json.dumps({
+            "problem": "omm", "n_values": [6, 8, 10], "runs_per_cell": int("9" * 4299),
+            "variants": [{"label": label, "policy": "crowding", "pop_size": 4}
+                         for label in "abcd"]})),
+         "the plan has <integer of 14285 bits> trials, above the limit of 1000000"),
+        (lambda: resolve_pop_size(-10 ** 5000, 6),
+         "population rule <negative integer of 16610 bits> gave "
+         "<negative integer of 16610 bits> at n=6"),
+        (lambda: replace(tiny_plan(), master_seed=[10 ** 5000]),
+         "master_seed must be an integer, got <list too large to print>"),
+    ], ids=["k", "runs_per_cell", "json runs_per_cell", "population", "in a list"])
+    def test_integers_too_long_to_print_are_quoted_by_size(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_replace_and_overrides_check_again(self):
         plan = tiny_plan()
