@@ -10,13 +10,10 @@ from .core import (
 from .evolve import AlgorithmConfig, GenerationTrace, RunResult, RunState, run
 from .lab import (
     ExperimentPlan,
-    StatTestResult,
     SummaryRow,
     TrialRecord,
     Variant,
-    loglog_slope,
     preset_plans,
-    rank_sum_test,
     run_experiment,
     summarize,
 )

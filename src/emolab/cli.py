@@ -32,6 +32,10 @@ ALGORITHM_POLICIES = {"nsga2": "crowding", "rnsga2": "refpoint"}
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 
+# An error line quotes at most this many characters of its message, which may
+# echo a huge input; at up to 4 UTF-8 bytes a character the line stays under 1 KiB.
+_ERROR_CHARACTERS = 240
+
 
 def _resolve_seed(value, default=None):
     """--seed, else EMO_LAB_SEED, else default; a non-integer variable is a ValueError."""
@@ -47,8 +51,8 @@ def _resolve_seed(value, default=None):
 
 
 def _fail(code: int, message: str) -> int:
-    """Report an error on stderr and return the exit code for it."""
-    print(f"error: {message}", file=sys.stderr)
+    """Report an error on stderr, cut to _ERROR_CHARACTERS, and return the exit code for it."""
+    print(f"error: {lab._cut(message, _ERROR_CHARACTERS)}", file=sys.stderr)
     return code
 
 

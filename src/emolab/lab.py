@@ -1,5 +1,4 @@
-"""Experiment orchestration: sweep plans, seeded parallel trials, summaries,
-and the statistics used to compare the algorithms.
+"""Experiment orchestration: sweep plans, seeded parallel trials and summaries.
 
 A plan names a problem family, the sizes to sweep, the algorithm variants
 (label, survival policy, population-size rule), the number of runs per
@@ -14,6 +13,8 @@ is a pure function of (master_seed, n, variant index, trial index), so
 results are byte-for-byte reproducible and independent of the degree of
 parallelism. Capped runs (misses) contribute their cap-truncated evaluation
 totals to the means and are exposed separately through the success rate.
+The lab compares no algorithms itself: the acceptance tests that do carry
+their own rank-sum test and log-log fit.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from dataclasses import astuple, dataclass, fields, replace
 from itertools import groupby
 from multiprocessing.connection import wait
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .core import child_seed, stream
 from .evolve import AlgorithmConfig, run
@@ -173,11 +172,9 @@ class SummaryRow:
     runs: int
 
 
-@dataclass(frozen=True)
-class StatTestResult:
-    statistic: float
-    p_value: float
-    direction: str  # "a", "b", or "none": which sample tends smaller
+def _cut(text: str, limit: int = 80) -> str:
+    """text for an error message, cut to its first `limit` characters and its length."""
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
 def _quoted(value) -> str:
@@ -188,7 +185,7 @@ def _quoted(value) -> str:
         if type(value) is not int:
             return f"<{type(value).__name__} too large to print>"
         return f"<{'negative ' if value < 0 else ''}integer of {value.bit_length()} bits>"
-    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
+    return _cut(text)
 
 
 _RULE_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -402,55 +399,6 @@ def summarize(records: Sequence[TrialRecord]) -> list:
             success_rate=sum(r.hit for r in cell) / len(cell), runs=len(cell),
         ))
     return rows
-
-
-def rank_sum_test(a: Sequence[float], b: Sequence[float]) -> StatTestResult:
-    """Two-sided Mann-Whitney U test, normal approximation with tie correction.
-
-    The statistic is U for the first sample (the number of (a, b) pairs with
-    a > b, ties counting one half); direction reports which sample tends to
-    be smaller.
-    """
-    if len(a) < 2 or len(b) < 2:
-        raise ValueError("both samples need at least 2 observations")
-    n1, n2 = len(a), len(b)
-    _, inverse, counts = np.unique(np.concatenate((a, b)), return_inverse=True,
-                                   return_counts=True)
-    # ties share their average rank; ranks are half-integers, so the sum is exact
-    ranks = np.cumsum(counts) - (counts - 1) / 2
-    u1 = float(ranks[inverse[:n1]].sum()) - n1 * (n1 + 1) / 2
-    mean_u = n1 * n2 / 2
-    if u1 < mean_u:
-        direction = "a"
-    elif u1 > mean_u:
-        direction = "b"
-    else:
-        direction = "none"
-    total = n1 + n2
-    tie_term = sum(c ** 3 - c for c in counts.tolist())
-    correction = 1.0 - tie_term / (total ** 3 - total)
-    if correction <= 0.0:
-        return StatTestResult(statistic=u1, p_value=1.0, direction="none")
-    sd = math.sqrt(correction * n1 * n2 * (total + 1) / 12.0)
-    z = (u1 - mean_u) / sd
-    p_value = min(1.0, math.erfc(abs(z) / math.sqrt(2)))
-    return StatTestResult(statistic=u1, p_value=p_value, direction=direction)
-
-
-def loglog_slope(summary: Sequence[SummaryRow], variant: str) -> float:
-    """Least-squares slope of log(mean evaluations) against log(n) for one variant."""
-    points = sorted((row.n, row.mean_evals) for row in summary if row.variant == variant)
-    if len({n for n, _ in points}) < 3:
-        raise ValueError(f"need at least 3 distinct sizes for variant {variant!r}")
-    if any(mean <= 0 for _, mean in points):
-        raise ValueError("mean evaluations must be positive for a log-log fit")
-    xs = [math.log(n) for n, _ in points]
-    ys = [math.log(mean) for _, mean in points]
-    x_bar = sum(xs) / len(xs)
-    y_bar = sum(ys) / len(ys)
-    sxx = sum((x - x_bar) ** 2 for x in xs)
-    sxy = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
-    return sxy / sxx
 
 
 def preset_plans() -> dict:

@@ -16,6 +16,7 @@ import os
 import statistics
 import time
 
+import numpy as np
 import pytest
 
 from dataclasses import replace
@@ -24,7 +25,7 @@ import emolab.lab as lab
 from emolab.cli import main
 from emolab.core import child_seed, stream
 from emolab.evolve import AlgorithmConfig, run
-from emolab.lab import Variant, rank_sum_test, run_experiment, summarize
+from emolab.lab import Variant, run_experiment, summarize
 from emolab.problems import (
     OneJumpZeroJump,
     OneMinMax,
@@ -38,6 +39,8 @@ from emolab.survival import (
     crowding_distance_assign,
     fast_nondominated_sort,
 )
+from test_expectations import Z_BOUND, z_of_mean
+from test_lab import loop_reference_rank_sum
 
 pytestmark = pytest.mark.acceptance
 
@@ -62,6 +65,12 @@ def timed_experiments(*plans):
 
 def cell_evals(records, n, variant):
     return [r.evaluations for r in records if r.n == n and r.variant == variant]
+
+
+def loglog_slope(points):
+    """Least-squares slope of log(mean evaluations) against log(n) over (n, mean) points."""
+    sizes, means = zip(*points)
+    return np.polyfit([math.log(n) for n in sizes], [math.log(mean) for mean in means], 1)[0]
 
 
 def test_criterion_1_oracle_equivalence():
@@ -127,14 +136,14 @@ def test_criterion_4_oneminmax_separation(omm_records):
     r_same = cell_evals(omm_records, 50, "rnsga2")
     assert len(nsga2) == len(r_small) == len(r_same) == 200
     factor = statistics.fmean(nsga2) / statistics.fmean(r_small)
-    test = rank_sum_test(r_same, nsga2)
+    u, p_value = loop_reference_rank_sum(r_same, nsga2)
     ok = (factor >= 5.0
           and statistics.fmean(r_same) < statistics.fmean(nsga2)
-          and test.direction == "a" and test.p_value < 0.01)
+          and u < len(r_same) * len(nsga2) / 2 and p_value < 0.01)
     report("C4 OneMinMax separation", ok,
            f"n=50 means: nsga2={statistics.fmean(nsga2):.0f}, "
            f"rnsga2-n1={statistics.fmean(r_small):.0f} (factor {factor:.1f}x), "
-           f"rnsga2={statistics.fmean(r_same):.0f}, p={test.p_value:.2e}",
+           f"rnsga2={statistics.fmean(r_same):.0f}, p={p_value:.2e}",
            sweep_s + time.time() - started)
 
 
@@ -163,15 +172,31 @@ def test_criterion_5_ojzj_separation(ojzj_n30_records, ojzj_r1_curve_records):
     r_small = cell_evals(ojzj_n30_records, 30, "rnsga2-n1")
     assert len(nsga2) == len(r_small) == 200
     ratio = statistics.fmean(nsga2) / statistics.fmean(r_small)
-    test = rank_sum_test(r_small, nsga2)
-    slope = lab.loglog_slope(summarize(ojzj_r1_curve_records), "rnsga2-n1")
-    ok = (ratio >= 3.0 and test.direction == "a" and test.p_value < 0.01
+    u, p_value = loop_reference_rank_sum(r_small, nsga2)
+    slope = loglog_slope((row.n, row.mean_evals) for row in summarize(ojzj_r1_curve_records))
+    ok = (ratio >= 3.0 and u < len(r_small) * len(nsga2) / 2 and p_value < 0.01
           and 1.5 <= slope <= 3.0)
     report("C5 OneJumpZeroJump separation", ok,
            f"n=30 means: nsga2={statistics.fmean(nsga2):.0f}, "
            f"rnsga2-n1={statistics.fmean(r_small):.0f} (ratio {ratio:.1f}x), "
-           f"p={test.p_value:.2e}, rnsga2-n1 log-log slope={slope:.2f}",
+           f"p={p_value:.2e}, rnsga2-n1 log-log slope={slope:.2f}",
            n30_s + curve_s + time.time() - started)
+
+
+def test_c5_curve_matches_exact_expectations(ojzj_r1_curve_records):
+    started = time.time()
+    records, curve_s = ojzj_r1_curve_records
+    sizes = lab.preset_plans()["ojzj"].n_values
+    scores = [z_of_mean(OneJumpZeroJump(n, 2), "refpoint", 1 / n,
+                        cell_evals(records, n, "rnsga2-n1")) for n in sizes]
+    measured = loglog_slope((row.n, row.mean_evals) for row in summarize(records))
+    exact_slope = loglog_slope((n, mean) for n, (mean, _) in zip(sizes, scores))
+    ok = all(abs(z) <= Z_BOUND for _, z in scores) and 1.5 <= exact_slope <= 3.0
+    report("C5 exact", ok,
+           "rnsga2-n1 exact means " + ", ".join(f"n={n}: {mean:.1f} (z {z:+.2f})"
+                                                for n, (mean, z) in zip(sizes, scores))
+           + f"; log-log slope exact {exact_slope:.3f}, measured {measured:.2f}",
+           curve_s + time.time() - started)
 
 
 @pytest.fixture(scope="module")

@@ -330,6 +330,27 @@ def test_non_integer_env_seed_is_usage_error(tmp_path, monkeypatch, capsys, comm
     assert not out.exists()
 
 
+# a 100,000-character seed or path: each error line quotes the start of its message
+@pytest.mark.parametrize("case, code", [("EMO_LAB_SEED", 2), ("sweep --plan", 2),
+                                        ("sweep --out", 3), ("run --trace", 3),
+                                        ("plot --summary", 2)])
+def test_long_input_gives_a_short_error_line(tmp_path, monkeypatch, capsys, case, code):
+    long_text = "x" * 100_000
+    long_path, out = str(tmp_path / long_text), str(tmp_path / "results")
+    if case == "EMO_LAB_SEED":
+        monkeypatch.setenv("EMO_LAB_SEED", long_text)
+    argv = {"EMO_LAB_SEED": ["sweep", "--preset", "omm", "--out", out],
+            "sweep --plan": ["sweep", "--plan", long_path, "--out", out],
+            "sweep --out": ["sweep", "--preset", "omm", "--runs", "1", "--out", long_path],
+            "run --trace": ["run", "--problem", "omm", "--n", "3", "--algo", "nsga2",
+                            "--trace", long_path],
+            "plot --summary": ["plot", "--summary", long_path, "--out", out]}[case]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(" characters)\n") and err.count("\n") == 1
+    assert len(err.encode()) < 1024 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags", [
     ["--problem", "omm", "--n", "50", "--pop", "20001"],
     ["--problem", "omm", "--n", "1000000000", "--pop", "1"],
