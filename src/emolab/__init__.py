@@ -28,8 +28,6 @@ from .problems import (
 from .survival import (
     CrowdingDistance,
     ReferencePointDistance,
-    crowding_distance_assign,
-    fast_nondominated_sort,
     reference_distances,
     survival_select,
 )

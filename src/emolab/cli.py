@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -38,7 +39,7 @@ _ERROR_CHARACTERS = 240
 
 
 def _resolve_seed(value, default=None):
-    """--seed, else EMO_LAB_SEED, else default; a non-integer variable is a ValueError."""
+    """--seed, else EMO_LAB_SEED, else default; a variable int() refuses is a ValueError."""
     if value is not None:
         return int(value)
     env = os.environ.get("EMO_LAB_SEED")
@@ -46,8 +47,9 @@ def _resolve_seed(value, default=None):
         return default
     try:
         return int(env)
-    except ValueError:
-        raise ValueError(f"EMO_LAB_SEED must be an integer, got {env!r}") from None
+    except ValueError:  # int() also refuses a decimal string past its limit on digits
+        reason = "has too many digits" if re.fullmatch(r"\s*[+-]?\d+\s*", env) else "must be an integer"
+        raise ValueError(f"EMO_LAB_SEED {reason}, got {env!r}") from None
 
 
 def _fail(code: int, message: str) -> int:
@@ -281,7 +283,11 @@ def cmd_plot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):  # the subparsers take this class too
+        def error(self, message):  # argparse's own error line, which may echo a huge value
+            super().error(lab._cut(message, _ERROR_CHARACTERS))
+
+    parser = Parser(
         prog="emolab",
         description="NSGA-II / R-NSGA-II experiment lab on bitstring benchmarks",
     )

@@ -15,16 +15,14 @@ birth (P int64), one row per solution; selection returns row indices.
 Everything works on one sorted form: the rows sorted by (f1, f2), birth
 breaking ties, with the runs of equal vectors marked. Two kernels read it:
 `_fronts` ranks the distinct vectors and `_crowding` takes the sort as both
-of crowding's orders. The public calls sort once, run their kernel and put
-the result back in row order. A selection sorts its pool once; the sort
-shows whether the pool is a single front (the distinct f2 values then fall
+of crowding's orders. A selection sorts its pool once; the sort shows
+whether the pool is a single front (the distinct f2 values then fall
 strictly, as on every OneMinMax pool), gives the ranks when it is not, and
 hands its critical front to a kernel, or to the reference key once per
 distinct vector. One stable sort of the key over the pool in birth order
 then picks the survivors. `_fronts` gives its ranks in the smallest
 unsigned type that holds the number of fronts (uint8 up to 255, uint16 up
-to 65,535), so a selection orders them with NumPy's radix sort;
-`fast_nondominated_sort` returns them as int64.
+to 65,535), so a selection orders them with NumPy's radix sort.
 """
 
 from __future__ import annotations
@@ -131,50 +129,6 @@ def _crowding(ordered, first):
     # the ends of the f1 order, then those of the f2 order: the last run's
     # first row and the first run's last row
     dist[0] = dist[-1] = dist[starts[-1]] = dist[ends[0]] = math.inf
-    return dist
-
-
-def fast_nondominated_sort(objectives) -> np.ndarray:
-    """1-based front index of every row of a P x 2 objective array.
-
-    Front 1 holds everything non-dominated in the input; each later front is
-    non-dominated once the earlier fronts are removed. Equal objective
-    vectors always share a front. An empty input gives an empty array.
-
-    Only the distinct vectors of the (f1, f2) sort are ranked, with no
-    P x P dominance matrix; each run of duplicates takes its vector's front.
-    """
-    objectives = np.asarray(objectives, dtype=np.float64)
-    if objectives.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    order, ordered, first = _sorted_runs(objectives, np.arange(len(objectives)))
-    starts, ends = _runs(first)
-    ranks = np.empty(len(order), dtype=np.int64)
-    ranks[order] = _fronts(ordered.imag[first]).repeat(ends - starts + 1)
-    return ranks
-
-
-def crowding_distance_assign(objectives, birth) -> np.ndarray:
-    """Crowding distance of every row of one front.
-
-    Per objective the front is ordered ascending (ties on birth), the two
-    boundary rows get infinity, and each interior row accumulates the
-    normalized gap between its neighbours in that order, objective 0 first.
-    When an objective is constant across the front it contributes nothing
-    to the interior, but the boundary infinities still apply.
-
-    The rows must form one front, no row dominating another (ValueError
-    otherwise), so that one sort gives both orders.
-    """
-    objectives = np.asarray(objectives, dtype=np.float64)
-    if not len(objectives):
-        return np.zeros(0)
-    order, ordered, first = _sorted_runs(objectives, np.asarray(birth).argsort(kind="stable"))
-    distinct_f2 = ordered.imag[first]
-    if not (distinct_f2[:-1] > distinct_f2[1:]).all():
-        raise ValueError("crowding distance needs rows that form one front")
-    dist = np.empty(len(order))
-    dist[order] = _crowding(ordered, first)
     return dist
 
 

@@ -330,6 +330,18 @@ def test_non_integer_env_seed_is_usage_error(tmp_path, monkeypatch, capsys, comm
     assert not out.exists()
 
 
+def test_env_seed_past_the_digit_limit_says_so(tmp_path, monkeypatch, capsys):
+    # an integer, but one that int() refuses for its length
+    monkeypatch.setenv("EMO_LAB_SEED", "1" * 5_000)
+    out = tmp_path / "results"
+    assert main(["sweep", "--preset", "omm", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: EMO_LAB_SEED has too many digits, got '111")
+    assert captured.err.endswith("1... (5040 characters)\n") and len(captured.err.encode()) < 1024
+    assert not out.exists()
+
+
 # a 100,000-character seed or path: each error line quotes the start of its message
 @pytest.mark.parametrize("case, code", [("EMO_LAB_SEED", 2), ("sweep --plan", 2),
                                         ("sweep --out", 3), ("run --trace", 3),
@@ -348,6 +360,21 @@ def test_long_input_gives_a_short_error_line(tmp_path, monkeypatch, capsys, case
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(" characters)\n") and err.count("\n") == 1
+    assert len(err.encode()) < 1024 and "Traceback" not in err
+
+
+# argparse's own error line quotes a flag's value, cut as that line is
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "omm", "--n", "x" * 100_000, "--algo", "nsga2"],
+    ["sweep", "--preset", "x" * 100_000, "--out", "o"],
+    ["sweep", "--preset", "omm", "--seed", "1" * 5_000],
+], ids=["run --n", "sweep --preset", "sweep --seed"])
+def test_long_flag_value_gives_a_short_parser_error(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and err.endswith(" characters)\n")
     assert len(err.encode()) < 1024 and "Traceback" not in err
 
 

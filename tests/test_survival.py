@@ -16,8 +16,6 @@ from emolab.problems import (
 from emolab.survival import (
     CrowdingDistance,
     ReferencePointDistance,
-    crowding_distance_assign,
-    fast_nondominated_sort,
     reference_distances,
     survival_select,
 )
@@ -39,11 +37,6 @@ def vectors(objectives, rows):
     return [tuple(objectives[i].tolist()) for i in rows]
 
 
-def fronts_of(ranks):
-    """Row indices per front, in pool order, from 1-based ranks."""
-    return [np.flatnonzero(ranks == r).tolist() for r in range(1, int(ranks.max(initial=0)) + 1)]
-
-
 def strip_partition(objectives):
     """Brute-force oracle: repeatedly remove the non-dominated subset."""
     points = [tuple(v) for v in objectives.tolist()]
@@ -56,6 +49,27 @@ def strip_partition(objectives):
         fronts.append(front)
         remaining = [p for p in remaining if p not in front_ids]
     return fronts
+
+
+def selects_whole_fronts(objectives, birth, fronts):
+    """Whether selection keeps exactly F1..Fk, each in pool order, at every
+    capacity |F1| + ... + |Fk| that ends on a boundary of `fronts`: there it
+    admits whole fronts by their ranks, whatever the policy."""
+    admitted = []
+    for front in fronts:
+        admitted.extend(front)
+        if survival_select(objectives, birth, len(admitted), CrowdingDistance()).tolist() != admitted:
+            return False
+    return True
+
+
+def front_crowding(objectives, birth):
+    """Crowding distance of every row of one front, in row order, from the
+    kernel a selection runs on its critical front's sort."""
+    order, ordered, first = survival._sorted_runs(objectives, np.argsort(birth, kind="stable"))
+    dist = np.empty(len(order))
+    dist[order] = survival._crowding(ordered, first)
+    return dist
 
 
 def crowding_reference(objectives, birth):
@@ -163,45 +177,35 @@ def repeated_front(rng):
     return individuals(rows + vectors)  # every vector at least once
 
 
-class TestFastNondominatedSort:
+class TestFronts:
+    """Selection's ranks, read off the whole fronts it admits."""
+
     def test_three_vector_example(self):
-        objectives, _ = individuals([(2, 2), (1, 1), (0, 3)])
-        ranks = fast_nondominated_sort(objectives)
-        assert [set(vectors(objectives, f)) for f in fronts_of(ranks)] == [
-            {(2.0, 2.0), (0.0, 3.0)}, {(1.0, 1.0)}]
-        assert ranks.tolist() == [1, 2, 1]
+        objectives, birth = individuals([(2, 2), (1, 1), (0, 3)])
+        assert selects_whole_fronts(objectives, birth, [[0, 2], [1]])
 
     def test_all_equal_single_front(self):
-        fronts = fronts_of(fast_nondominated_sort(individuals([(3, 3)] * 5)[0]))
-        assert len(fronts) == 1 and len(fronts[0]) == 5
+        objectives, birth = individuals([(3, 3)] * 5)
+        assert selects_whole_fronts(objectives, birth, [[0, 1, 2, 3, 4]])
+        # the last row shares the first's front: crowding keeps both ends
+        assert survival_select(objectives, birth, 2, CrowdingDistance()).tolist() == [0, 4]
 
     def test_chain_gives_singleton_fronts(self):
-        objectives, _ = individuals([(3, 3), (2, 2), (1, 1)])
-        fronts = fronts_of(fast_nondominated_sort(objectives))
-        assert [vectors(objectives, f) for f in fronts] == [
-            [(3.0, 3.0)], [(2.0, 2.0)], [(1.0, 1.0)]]
-
-    def test_empty_population(self):
-        assert len(fast_nondominated_sort([])) == 0
+        objectives, birth = individuals([(3, 3), (2, 2), (1, 1)])
+        assert selects_whole_fronts(objectives, birth, [[0], [1], [2]])
 
     def test_matches_strip_oracle_on_random_populations(self):
         rng = stream(20_240)
         for make in (random_population, duplicate_population):
             for _ in range(200):
                 objectives, birth = make(rng)
-                ranks = fast_nondominated_sort(objectives)
-                oracle = strip_partition(objectives)
-                assert [sorted(birth[f].tolist()) for f in fronts_of(ranks)] == \
-                       [sorted(birth[f].tolist()) for f in oracle]
-                # ranks are the 1-based front indices
-                for index, front in enumerate(oracle, start=1):
-                    assert all(ranks[i] == index for i in front)
+                assert selects_whole_fronts(objectives, birth, strip_partition(objectives))
 
 
 class TestCrowdingDistance:
     def test_five_point_hand_trace(self):
         objectives, birth = individuals([(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)])
-        dist = crowding_distance_assign(objectives, birth)
+        dist = front_crowding(objectives, birth)
         assert dist[0] == math.inf
         assert dist[4] == math.inf
         assert dist[1] == pytest.approx(1.0)
@@ -210,24 +214,17 @@ class TestCrowdingDistance:
 
     def test_singleton_front(self):
         objectives, birth = individuals([(2, 2)])
-        assert crowding_distance_assign(objectives, birth)[0] == math.inf
+        assert front_crowding(objectives, birth)[0] == math.inf
 
     def test_pair_front_both_infinite(self):
-        dist = crowding_distance_assign(*individuals([(1, 3), (3, 1)]))
+        dist = front_crowding(*individuals([(1, 3), (3, 1)]))
         assert all(v == math.inf for v in dist)
 
     def test_constant_objective_contributes_zero(self):
         # within one front a constant objective means one repeated vector:
         # neither objective has a gap, so only the boundary rows count
-        dist = crowding_distance_assign(*individuals([(2, 5)] * 4))
+        dist = front_crowding(*individuals([(2, 5)] * 4))
         assert dist.tolist() == [math.inf, 0.0, 0.0, math.inf]
-
-    @pytest.mark.parametrize("rows", [[(0, 1), (1, 0), (2, 2), (1, 3)],
-                                      [(0, 5), (1, 5), (2, 5), (4, 5)], [(1, 1), (2, 2)]])
-    def test_rows_that_are_not_one_front_are_refused(self, rows):
-        # the f2 order is read off the (f1, f2) sort, which holds on one front only
-        with pytest.raises(ValueError, match="one front"):
-            crowding_distance_assign(*individuals(rows))
 
     def test_matches_loop_reference_exactly(self):
         rng = stream(4_242)
@@ -235,15 +232,9 @@ class TestCrowdingDistance:
             for _ in range(200):
                 objectives, birth = make(rng)
                 birth = rng.permutation(len(birth))
-                front = np.flatnonzero(fast_nondominated_sort(objectives) == 1)
-                front_birth = birth[front].tolist()  # a list, as callers may pass
-                got = crowding_distance_assign(objectives[front], front_birth)
-                assert got.tolist() == crowding_reference(objectives[front], front_birth)
-                # the kernel on the front's sort, as survival_select runs it
-                # on a critical front, gives the same distances in sort order
-                order, ordered, first = survival._sorted_runs(
-                    objectives[front], np.argsort(front_birth, kind="stable"))
-                assert survival._crowding(ordered, first).tolist() == got[order].tolist()
+                front = strip_partition(objectives)[0]
+                got = front_crowding(objectives[front], birth[front])
+                assert got.tolist() == crowding_reference(objectives[front], birth[front])
 
     @pytest.mark.parametrize("size, distinct", [(45_000, 40_000), (70_000, 3)],
                              ids=["40000-distinct", "3-distinct"])
@@ -255,7 +246,7 @@ class TestCrowdingDistance:
         objectives = np.column_stack((f1, distinct - f1)).astype(np.float64)
         objectives = objectives[rng.permutation(size)]
         birth = rng.permutation(size)
-        got = crowding_distance_assign(objectives, birth)
+        got = front_crowding(objectives, birth)
         assert got.tolist() == crowding_reference(objectives, birth)
         kept = survival_select(objectives, birth, size // 2, CrowdingDistance())
         assert kept.tolist() == np.lexsort((birth, -got))[:size // 2].tolist()
@@ -339,7 +330,9 @@ class TestSurvivalSelect:
             policy = (CrowdingDistance() if trial % 2 == 0
                       else ReferencePointDistance(reference))
             kept = survival_select(objectives, birth, capacity, policy).tolist()
-            ranks = fast_nondominated_sort(objectives)
+            ranks = np.empty(pool, dtype=int)
+            for index, front in enumerate(strip_partition(objectives), start=1):
+                ranks[front] = index
             # exactly capacity survivors, all drawn from the input, no repeats
             assert len(kept) == capacity
             assert len(set(kept)) == capacity
@@ -466,11 +459,10 @@ class TestSharedSort:
     def test_many_fronts(self):
         # 35,000 fronts of two rows each: front numbers past 32,767
         rng = stream(4_087)
-        objectives, _ = front_chain(35_000, rng)
+        objectives, ranks = front_chain(35_000, rng)
         birth = rng.permutation(len(objectives))
         capacity = 40_001
         kept = survival_select(objectives, birth, capacity, CrowdingDistance()).tolist()
-        ranks = fast_nondominated_sort(objectives)
         assert kept == select_from_ranks(objectives, birth, capacity, CrowdingDistance(), ranks)
 
     # a selection's ranks are in the smallest unsigned type that holds the
@@ -487,9 +479,6 @@ class TestSharedSort:
         ranks = survival._fronts(ordered.imag[first])
         assert ranks.dtype == dtype
         assert ranks.tolist() == expected[order].tolist()
-        # the public sort still gives int64
-        assert fast_nondominated_sort(objectives).dtype == np.int64
-        assert fast_nondominated_sort(objectives).tolist() == expected.tolist()
         # the last front cut to one row, then the front just past the middle
         for capacity in (2 * fronts - 1, fronts + 1):
             for policy in self.POLICIES[:2]:
@@ -518,7 +507,7 @@ class TestSharedSort:
             rows = objectives[order].tolist()
             assert ordered.tolist() == [complex(*row) for row in rows]
             assert first.tolist() == [i == 0 or rows[i] != rows[i - 1] for i in range(len(rows))]
-            # taken in row order, as fast_nondominated_sort takes it
+            # taken in row order, as when births ascend with the rows
             order, _, _ = survival._sorted_runs(objectives, np.arange(len(objectives)))
             assert order.tolist() == np.lexsort((f2, f1)).tolist()
 
