@@ -38,18 +38,26 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 _ERROR_CHARACTERS = 240
 
 
+def _integer(text: str) -> int:
+    """The argparse type of every integer flag, and EMO_LAB_SEED's parser: int(), saying why not."""
+    try:
+        return int(text)
+    except ValueError:  # int() also refuses a decimal string past its limit on digits
+        reason = "has too many digits" if re.fullmatch(r"\s*[+-]?\d+\s*", text) else "must be an integer"
+        raise argparse.ArgumentTypeError(f"{reason}, got {text!r}") from None
+
+
 def _resolve_seed(value, default=None):
     """--seed, else EMO_LAB_SEED, else default; a variable int() refuses is a ValueError."""
     if value is not None:
-        return int(value)
+        return value
     env = os.environ.get("EMO_LAB_SEED")
     if env is None:
         return default
     try:
-        return int(env)
-    except ValueError:  # int() also refuses a decimal string past its limit on digits
-        reason = "has too many digits" if re.fullmatch(r"\s*[+-]?\d+\s*", env) else "must be an integer"
-        raise ValueError(f"EMO_LAB_SEED {reason}, got {env!r}") from None
+        return _integer(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"EMO_LAB_SEED {exc}") from None
 
 
 def _fail(code: int, message: str) -> int:
@@ -298,18 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", choices=lab.PROBLEM_FAMILIES)
     group.add_argument("--plan", help="path to a plan JSON file")
     sweep.add_argument("--out", required=True, help="output directory")
-    sweep.add_argument("--runs", type=int, default=None, help="override runs per cell")
-    sweep.add_argument("--seed", type=int, default=None, help="master seed override")
-    sweep.add_argument("--parallelism", type=int,
+    sweep.add_argument("--runs", type=_integer, default=None, help="override runs per cell")
+    sweep.add_argument("--seed", type=_integer, default=None, help="master seed override")
+    sweep.add_argument("--parallelism", type=_integer,
                        default=min(os.cpu_count() or 1, lab.MAX_PARALLELISM))
     sweep.set_defaults(func=cmd_sweep)
 
     # the one (problem, n) cell that `oracle` and `run` act on
     cell = argparse.ArgumentParser(add_help=False)
     cell.add_argument("--problem", required=True, choices=lab.PROBLEM_FAMILIES)
-    cell.add_argument("--n", type=int, required=True)
-    cell.add_argument("--k", type=int, help="valley width: required on ojzj, rejected elsewhere")
-    cell.add_argument("--seed", type=int, default=None,
+    cell.add_argument("--n", type=_integer, required=True)
+    cell.add_argument("--k", type=_integer, help="valley width: required on ojzj, rejected elsewhere")
+    cell.add_argument("--seed", type=_integer, default=None,
                       help="master seed: picks the NK instance and seeds a run")
 
     oracle = sub.add_parser("oracle", parents=[cell], help="print a problem's Pareto front")
@@ -320,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     runner.add_argument("--pop", default="4*(n+1)",
                         help="population size, an integer or a rule over n (and k)")
     runner.add_argument("--rate", type=float, default=None, help="mutation rate (default 1/n)")
-    runner.add_argument("--cap", type=int, default=None, help="evaluation budget")
+    runner.add_argument("--cap", type=_integer, default=None, help="evaluation budget")
     runner.add_argument("--trace", default=None, help="write a per-generation trace CSV here")
     runner.set_defaults(func=cmd_run)
 

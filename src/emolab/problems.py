@@ -15,10 +15,10 @@ enumerates {0,1}^n once and keeps the result. enumerate_pareto_front is the
 independent oracle for everything (guarded at n <= 25), a dict from each
 front vector to its numerically smallest witness. It walks {0,1}^n in
 blocks and merges each into a running skyline. A ones-count block goes
-through the evaluator. An NK block builds its table indices from the
-evaluator's per-bit weights, gathers every row's contributions, sums them
-cheaply, and takes the exact mean, with the evaluator's bits, only of the
-rows that the cheap sums leave a chance of reaching the front.
+through the evaluator. An NK block sums its rows' objectives cheaply, as
+subset sums of each table's multilinear coefficients, and passes through
+the evaluator only the rows that those sums, within a bound on their
+rounding, leave a chance of reaching the front.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ import numpy as np
 from .core import RngStream, stream
 
 ENUMERATION_LIMIT = 25
-# Rows per enumeration block, sized for the cache rather than for numpy's
-# per-call cost: at n=25 an NK block's indices and gather buffer are 3.3 MB
-# each. Of 2^10..2^16 it measured fastest for NK at n=16 and n=20 and within
-# noise of the fastest at n=18; the ones-count problems showed no clear best.
-# A power of two, so that the bitstrings of a block share their high bits.
+# Rows per enumeration block. Of 2^12..2^15 it measured fastest for NK at
+# n=14 and n=16; larger blocks ran n=20 up to 1.3 times faster, but their
+# subset-matrix product is large enough for OpenBLAS to split over threads,
+# which made n=14 eight times slower on a busy 2-core host. The ones-count
+# problems showed no clear best. A power of two, so that the bitstrings of a
+# block share their high bits.
 ENUMERATION_BLOCK = 1 << 13
 
 
@@ -243,75 +244,99 @@ def _bits(values: np.ndarray, n: int) -> np.ndarray:
     return ((values[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
 
 
-def _nk_blocks(problem: NkLandscape):
-    """(gathered, approximate, start) for all 2^n bitstrings, ENUMERATION_BLOCK at a time.
+# A block's subset sums take their lowest bits from one product with the 0/1
+# subset matrix and every other bit from one in-place add; of 3 to 8 bits, 4 to
+# 6 measured fastest at 2^13-row blocks.
+_PRODUCT_BITS = 5
 
-    A block holds the bitstrings from start on. gathered[c, r] is bitstring
-    start + r's contribution in column c = j*n + i, objective j at position
-    i; approximate[j, r] is its objective j summed column by column and
-    divided by n, within 2n * 2^-53 of the exact mean that _means gives.
-    A table index is its column's offset plus the weights of the set bits,
-    and a block's bitstrings share their high bits. So the first block's
-    indices are built once, column-major, by doubling from the offsets, and
-    each later block adds, in place, what its high bits change.
-    Every block overwrites the same buffers, so a caller copies what it keeps.
+
+def _nk_sums(problem: NkLandscape):
+    """(sums, start) for all 2^n bitstrings, ENUMERATION_BLOCK at a time: cheap objective sums.
+
+    sums[j, r] is bitstring start + r's objective j summed over positions,
+    not divided by n, within _nk_margin of n times the evaluator's mean. A
+    block's bitstrings share their high bits, so within it each column's
+    table is a function of the column's low positions alone. A Moebius
+    transform over those table bits, done once, writes it as multilinear
+    coefficients: an entry is the sum of the coefficients of the subsets of
+    its low bits that are set. A block takes from every column the
+    coefficients at its high bits, indexed as the evaluator indexes, and bins
+    them by the positions of their subsets, both objectives at once. A row's
+    sum is then the subset sum of the bins over the low bits.
     """
-    n, offsets, weights = problem.n, problem._offsets, problem._weights.astype(np.intp)
-    values = problem.contributions.reshape(-1)
+    n, K = problem.n, problem.K
     size = min(ENUMERATION_BLOCK, 1 << n)
-    # rows 2^k to 2^(k+1) - 1 are rows 0 to 2^k - 1 plus what bit k, position n-1-k, adds
-    flat = np.empty((2 * n, size), dtype=np.intp)
-    flat[:, 0] = offsets
-    for k in range(size.bit_length() - 1):
-        np.add(flat[:, :1 << k], weights[n - 1 - k, :, None], out=flat[:, 1 << k:2 << k])
-    # fresh arrays each block would fragment the heap
-    gathered, approximate = np.empty((2 * n, size)), np.empty((2, size))
+    low_bits = size.bit_length() - 1
+    # table bit q of column j*n + i reads position i for q = K and locus K-1-q
+    # below it; shift is that position's bit in a bitstring's value
+    own = np.broadcast_to(np.arange(n)[:, None], (2, n, 1))
+    shift = n - 1 - np.concatenate((problem.loci[:, :, ::-1], own), axis=2).reshape(2 * n, K + 1)
+    low = shift < low_bits
+    coefficients = problem.contributions.reshape(2 * n, -1).copy()
+    # every column's coefficient at a block's high bits: its offset from them, and its bin
+    column, within = np.arange(2 * n), np.zeros(2 * n, dtype=np.intp)
+    bins = (column >= n) * size
+    for q in range(K + 1):
+        view = coefficients.reshape(2 * n, -1, 2, 1 << q)
+        np.subtract(view[:, :, 1], view[:, :, 0], out=view[:, :, 1], where=low[:, q, None, None])
+        more = low[column, q]
+        bins = np.concatenate((bins, bins[more] | 1 << shift[column[more], q]))
+        within = np.concatenate((within, within[more] | 1 << q))
+        column = np.concatenate((column, column[more]))
+    bits = min(_PRODUCT_BITS, low_bits)
+    subsets = np.arange(1 << bits)
+    zeta = (subsets[:, None] & subsets == subsets[:, None]).astype(float)  # [s, r]: s within r
     for start in range(0, 1 << n, size):
-        if start:  # flat[:, 0] holds the indices of the previous block's first bitstring
-            flat += (offsets + _bits(np.array([start]), n) @ weights - flat[:, 0]).T
-        # every index is in range by construction, and "clip" skips the bounds
-        # check, about half the gather's cost
-        values.take(flat, out=gathered, mode="clip")
-        gathered.reshape(2, n, size).sum(axis=1, out=approximate)
-        approximate /= n
-        yield gathered, approximate, start
+        base = problem._offsets + (_bits(np.array([start]), n) @ problem._weights).astype(np.intp)[0]
+        binned = np.bincount(bins, coefficients.take(base[column] + within), minlength=2 * size)
+        sums = binned.reshape(-1, 1 << bits) @ zeta
+        for k in range(bits, low_bits):
+            view = sums.reshape(2, -1, 2, 1 << k)
+            view[:, :, 1] += view[:, :, 0]
+        yield sums.reshape(2, size), start
 
 
-def _means(gathered: np.ndarray, rows) -> np.ndarray:
-    """The exact objectives of a block's rows: np.mean over a contiguous (m, 2, n) copy.
+def _nk_margin(problem: NkLandscape) -> float:
+    """Twice a bound on how far a sum from _nk_sums lies from n times the evaluator's mean.
 
-    np.mean is the evaluator's sum divided by n, so every objective keeps
-    the evaluator's bits.
+    A column with l positions among a block's low bits adds to a row's sum
+    signed table entries in [0, 1), at most 3^l of them counted with their
+    repeats across coefficients, through at most K + 1 rounded additions
+    per coefficient and fewer than the m coefficients a block takes for the
+    objective. Adding an exact zero does not round, so the 0/1 product's
+    terms and order change nothing. Higham's bound for a sum in any order
+    (Accuracy and Stability of Numerical Algorithms, section 4.2) puts it
+    within gamma_(m+K) times the number of entries of the exact sum, where
+    gamma_k = k u / (1 - k u) < 2 k u for the unit roundoff u = 2^-53. The
+    evaluator's mean, times n, is within n gamma_n of the exact sum, and the
+    filter's threshold n * p - margin rounds twice, by at most u n each.
     """
-    n = len(gathered) // 2
-    return np.ascontiguousarray(gathered[:, rows].T).reshape(len(rows), 2, n).mean(axis=2)
-
-
-# Any two orders of summing n values in [0, 1) give means within 2n * 2^-53
-# of each other: each rounds n - 1 partial sums below n and one quotient
-# below 1. The NK filter allows 8 times that.
-_SLACK_PER_POSITION = 16 * 2.0 ** -53
+    n, K = problem.n, problem.K
+    low_bits = min(ENUMERATION_BLOCK, 1 << n).bit_length() - 1
+    low = np.count_nonzero(problem._weights[n - low_bits:], axis=0).reshape(2, n)
+    terms, entries = (2 ** low).sum(axis=1).max(), (3.0 ** low).sum(axis=1).max()
+    return 2 * 2 * 2.0 ** -53 * ((int(terms) + K) * entries + n * n + n)
 
 
 def _nk_front(problem: NkLandscape):
-    """(front, values) of all 2^n bitstrings: the skyline of _nk_blocks.
+    """(front, values) of all 2^n bitstrings: the skyline of the rows _nk_sums leaves a chance.
 
     The pivot is the exact vector with the largest f1 + f2 among the
-    running front and the block's approximately best row. Only rows whose
-    approximate f1 or f2 comes within the slack of the pivot's get their
-    exact means (0.5-2.5% of the rows for K = 3 at n = 16 to 20); every other
-    row is strictly below the pivot in both objectives, so it cannot be on
-    the front.
+    running front and the block's cheaply best row. Only rows whose cheap
+    f1 or f2 sum comes within the margin of n times the pivot's get their
+    exact objectives, with the evaluator's bits (0.5-2.5% of the rows for
+    K = 3 at n = 16 to 20); every other row is strictly below the pivot in
+    both objectives, so it cannot be on the front.
     """
-    margin = problem.n * _SLACK_PER_POSITION
+    n, objectives_of, margin = problem.n, problem.evaluator(), _nk_margin(problem)
     front, witnesses = np.empty((0, 2)), np.empty(0, dtype=np.int64)
-    for gathered, approximate, start in _nk_blocks(problem):
-        f1, f2 = approximate
-        pivots = np.concatenate((front, _means(gathered, [np.argmax(f1 + f2)])))
+    for (s1, s2), start in _nk_sums(problem):
+        best = objectives_of(_bits(np.array([start + np.argmax(s1 + s2)]), n))
+        pivots = np.concatenate((front, best))
         p1, p2 = pivots[np.argmax(pivots[:, 0] + pivots[:, 1])]
-        rows = np.flatnonzero((f1 >= p1 - margin) | (f2 >= p2 - margin))
-        objectives = np.concatenate((front, _means(gathered, rows)))
-        front, witnesses = _skyline(objectives, np.concatenate((witnesses, rows + start)))
+        rows = np.flatnonzero((s1 >= n * p1 - margin) | (s2 >= n * p2 - margin)) + start
+        objectives = np.concatenate((front, objectives_of(_bits(rows, n))))
+        front, witnesses = _skyline(objectives, np.concatenate((witnesses, rows)))
     return front, witnesses
 
 

@@ -378,6 +378,27 @@ def test_long_flag_value_gives_a_short_parser_error(capsys, argv):
     assert len(err.encode()) < 1024 and "Traceback" not in err
 
 
+# every integer flag past int()'s limit on digits says so, as EMO_LAB_SEED does
+@pytest.mark.parametrize("command, flags", [
+    ("sweep", ["--runs", "--seed", "--parallelism"]),
+    ("run", ["--n", "--k", "--seed", "--cap"]),
+    ("oracle", ["--n", "--k", "--seed"]),
+])
+def test_integer_flag_past_the_digit_limit_says_so(capsys, command, flags):
+    argv = {"sweep": ["sweep", "--preset", "omm", "--out", "o"],
+            "run": ["run", "--problem", "omm", "--n", "3", "--algo", "nsga2"],
+            "oracle": ["oracle", "--problem", "omm", "--n", "3"]}[command]
+    for flag in flags:
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, flag, "1" * 5_000])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "Traceback" not in err
+        line = err.splitlines()[-1]
+        assert line.startswith(f"emolab {command}: error: argument {flag}: has too many digits, got '111")
+        assert err.count("error:") == 1 and len(line.encode()) < 1024
+
+
 @pytest.mark.parametrize("flags", [
     ["--problem", "omm", "--n", "50", "--pop", "20001"],
     ["--problem", "omm", "--n", "1000000000", "--pop", "1"],
