@@ -141,7 +141,8 @@ def cmd_oracle(args) -> int:
         # bounded like `run --algo rnsga2 --pop 1 --cap 1`, a cell valid on every problem
         plan = _cell_plan(args, master_seed, lab.Variant("oracle", "refpoint", 1), 1)
         print(f"oracle problem={args.problem} n={args.n} k={args.k} seed={master_seed}")
-        front = lab.build_problem(plan, args.n).front()
+        _, _, _, problem, _ = next(lab.cells(plan))
+        front = problem.front()
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
     for point in sorted(front):

@@ -48,7 +48,8 @@ DEFAULT_MASTER_SEED = 1009
 # Size bounds that keep an accepted plan in bounded memory; the presets use at
 # most 10,200 population bits, 800 NK table entries and 15,000 trials.
 MAX_POPULATION_BITS = 1_000_000  # pop_size * n: a generation peaks near 0.5 GB
-MAX_NK_TABLE = 1 << 24           # 2 * n * 2^(nk_k+1) float64 entries: 128 MiB
+MAX_NK_TABLE = 1 << 24           # 2 * n * 2^(nk_k+1) float64 entries: 128 MiB, and
+# enumeration holds its multilinear coefficients too (n=25, K=17: 241 MB max RSS)
 MAX_TRIALS = 1_000_000           # runs_per_cell * |n_values| * |variants|: ~0.4 GB
 # Processes of one sweep: its own and up to 255 helpers, all started before its first trial.
 MAX_PARALLELISM = 256
@@ -266,10 +267,9 @@ def build_problem(plan: ExperimentPlan, n: int) -> ProblemSpec:
         return OneJumpZeroJump(n, plan.k)
     if plan.problem == "ommstar":
         return OneMinMaxStar(n)
-    if plan.problem == "nk":
-        instance_seed = child_seed(plan.master_seed, "nk-instance", n)
-        return generate_nk_instance(n, plan.nk_k, instance_seed)
-    raise ValueError(f"unknown problem family {_quoted(plan.problem)}")
+    # "nk", the last of PROBLEM_FAMILIES, which a plan checks when it is built
+    instance_seed = child_seed(plan.master_seed, "nk-instance", n)
+    return generate_nk_instance(n, plan.nk_k, instance_seed)
 
 
 def reference_for(plan: ExperimentPlan, n: int, problem: ProblemSpec):

@@ -13,12 +13,12 @@ vectors, and reference_point(rng=None) its standard target vector. The
 synthetic problems build their front in closed form; an NK landscape
 enumerates {0,1}^n once and keeps the result. enumerate_pareto_front is the
 independent oracle for everything (guarded at n <= 25), a dict from each
-front vector to its numerically smallest witness. It walks {0,1}^n in
-blocks and merges each into a running skyline. A ones-count block goes
-through the evaluator. An NK block sums its rows' objectives cheaply, as
-subset sums of each table's multilinear coefficients, and passes through
-the evaluator only the rows that those sums, within a bound on their
-rounding, leave a chance of reaching the front.
+front vector to its numerically smallest witness. One loop merges blocks
+of {0,1}^n, each as rows and their objectives, into a running skyline. A
+ones-count block is a range of rows through the evaluator. An NK block
+sums its rows' objectives cheaply, as subset sums of each table's
+multilinear coefficients, and keeps only the rows that those sums, within
+a bound on their rounding, leave a chance of reaching the front.
 """
 
 from __future__ import annotations
@@ -318,65 +318,52 @@ def _nk_margin(problem: NkLandscape) -> float:
     return 2 * 2 * 2.0 ** -53 * ((int(terms) + K) * entries + n * n + n)
 
 
-def _nk_front(problem: NkLandscape):
-    """(front, values) of all 2^n bitstrings: the skyline of the rows _nk_sums leaves a chance.
+def _nk_blocks(problem: NkLandscape):
+    """(objectives, rows) per block of _nk_sums: the rows it leaves a chance of reaching the front.
 
-    The pivot is the exact vector with the largest f1 + f2 among the
-    running front and the block's cheaply best row. Only rows whose cheap
-    f1 or f2 sum comes within the margin of n times the pivot's get their
-    exact objectives, with the evaluator's bits (0.5-2.5% of the rows for
-    K = 3 at n = 16 to 20); every other row is strictly below the pivot in
-    both objectives, so it cannot be on the front.
+    The pivot is the exact vector with the largest f1 + f2 among every row
+    evaluated so far, the block's cheaply best row included; it is always on
+    the running front. Only rows whose cheap f1 or f2 sum comes within the
+    margin of n times the pivot's get their exact objectives, with the
+    evaluator's bits (0.5-2.5% of the rows for K = 3 at n = 16 to 20); every
+    other row is strictly below the pivot in both objectives, so it cannot
+    be on the front.
     """
     n, objectives_of, margin = problem.n, problem.evaluator(), _nk_margin(problem)
-    front, witnesses = np.empty((0, 2)), np.empty(0, dtype=np.int64)
+    pivot, objectives = np.empty((0, 2)), np.empty((0, 2))
     for (s1, s2), start in _nk_sums(problem):
         best = objectives_of(_bits(np.array([start + np.argmax(s1 + s2)]), n))
-        pivots = np.concatenate((front, best))
-        p1, p2 = pivots[np.argmax(pivots[:, 0] + pivots[:, 1])]
+        pivots = np.concatenate((pivot, objectives, best))
+        pivot = pivots[[np.argmax(pivots[:, 0] + pivots[:, 1])]]
+        p1, p2 = pivot[0]
         rows = np.flatnonzero((s1 >= n * p1 - margin) | (s2 >= n * p2 - margin)) + start
-        objectives = np.concatenate((front, objectives_of(_bits(rows, n))))
-        front, witnesses = _skyline(objectives, np.concatenate((witnesses, rows)))
-    return front, witnesses
-
-
-def _evaluated_blocks(problem: OneMinMax):
-    """(objectives, values) of all 2^n bitstrings through the problem's evaluator.
-
-    The bit rows are one buffer: its low columns are the same in every
-    block, and each block writes its high bits into the rest.
-    """
-    n, objectives_of = problem.n, problem.evaluator()
-    size = min(ENUMERATION_BLOCK, 1 << n)
-    low = size.bit_length() - 1
-    block = np.arange(size, dtype=np.int64)
-    bits = _bits(block, n)
-    for start in range(0, 1 << n, size):
-        bits[:, :n - low] = _bits(np.array([start >> low]), n - low)
-        yield objectives_of(bits), block + start
+        objectives = objectives_of(_bits(rows, n))
+        yield objectives, rows
 
 
 def enumerate_pareto_front(problem: ProblemSpec) -> dict:
     """Pareto front by brute-force evaluation of all 2^n bitstrings.
 
     Independent of the closed-form construction; guarded at n <= 25.
-    Bitstrings are evaluated in blocks of ENUMERATION_BLOCK, in increasing
-    numeric order, and each block is merged into a running skyline, so
-    memory stays bounded by the block size; an NK block merges only the
-    rows that _nk_front's filter keeps. The result maps each front vector
-    to its witness, the numerically smallest bitstring (read-only) that
-    evaluates to it.
+    Bitstrings come in blocks of ENUMERATION_BLOCK, in increasing numeric
+    order, as (objectives, rows), and one loop merges each block into a
+    running skyline, so memory stays bounded by the block size; an NK block
+    holds only the rows that _nk_blocks' filter keeps. The result maps each
+    front vector to its witness, the numerically smallest bitstring
+    (read-only) that evaluates to it.
     """
     n = problem.n
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration is limited to n <= {ENUMERATION_LIMIT}, got n={n}")
     if isinstance(problem, NkLandscape):
-        front, values = _nk_front(problem)
+        blocks = _nk_blocks(problem)
     else:  # a ones-count block keeps nearly every row, so no prefilter
-        front, values = np.empty((0, 2)), np.empty(0, dtype=np.int64)
-        for objectives, block in _evaluated_blocks(problem):
-            front, values = _skyline(np.concatenate((front, objectives)),
-                                     np.concatenate((values, block)))
+        size, objectives_of = min(ENUMERATION_BLOCK, 1 << n), problem.evaluator()
+        ranges = (np.arange(start, start + size) for start in range(0, 1 << n, size))
+        blocks = ((objectives_of(_bits(rows, n)), rows) for rows in ranges)
+    front, values = np.empty((0, 2)), np.empty(0, dtype=np.int64)
+    for objectives, rows in blocks:
+        front, values = _skyline(np.concatenate((front, objectives)), np.concatenate((values, rows)))
     witnesses = _bits(values, n)
     witnesses.flags.writeable = False
     return dict(zip(map(tuple, front.tolist()), witnesses))

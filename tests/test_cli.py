@@ -732,6 +732,14 @@ class TestNkCell:
                      "--cap", "500", "--trace", str(tmp_path / "trace.csv")]) == 0
         assert calls == [12]  # the reference point and the trace share one enumeration
 
+    def test_oracle_enumerates_the_front_once(self, monkeypatch):
+        calls = []
+        enumerate_front = problems.enumerate_pareto_front
+        monkeypatch.setattr(problems, "enumerate_pareto_front",
+                            lambda problem: calls.append(problem.n) or enumerate_front(problem))
+        assert main(["oracle", "--problem", "nk", "--n", "12", "--seed", "3"]) == 0
+        assert calls == [12]  # the cell's reference point and the printed front share one
+
     def test_oracle_prints_the_lab_front(self, capsys):
         assert main(["oracle", "--problem", "nk", "--n", "10", "--seed", "7"]) == 0
         front = enumerate_pareto_front(lab.build_problem(self.cell(10, 7), 10))

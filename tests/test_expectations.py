@@ -99,9 +99,12 @@ CELLS = [
     (OneMinMax(8), "refpoint", 1 / 8, None, False),
     (OneMinMax(8), "refpoint", 1 / 8, None, True),
     (OneJumpZeroJump(8, 2), "refpoint", 1 / 8, None, False),
+    (OneJumpZeroJump(8, 2), "refpoint", 1 / 8, None, True),
     (OneMinMaxStar(8), "refpoint", 1 / 8, 200, False),
+    (OneMinMaxStar(8), "refpoint", 1 / 8, 200, True),
     *((problem, "crowding", 1 / 8, 200, False)
       for problem in (OneMinMax(8), OneMinMaxStar(8), OneJumpZeroJump(8, 2))),
+    (OneMinMax(8), "crowding", 1 / 8, 200, True),
     *((problem, policy, 0.5, None, False)
       for problem in (OneMinMax(8), OneMinMaxStar(8), OneJumpZeroJump(8, 2))
       for policy in ("crowding", "refpoint")),

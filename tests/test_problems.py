@@ -338,6 +338,17 @@ class TestEnumerationOracle:
         for problem in (OneMinMax(10), OneJumpZeroJump(10, 2), OneMinMaxStar(10)):
             assert_same_front(enumerate_pareto_front(problem), evaluator_path_front(problem))
 
+    @pytest.mark.parametrize("problem", [OneMinMaxStar(14), OneJumpZeroJump(15, 3), OneMinMax(16)])
+    def test_ones_count_fronts_over_several_default_blocks(self, problem):
+        # 2, 4 and 8 blocks of ENUMERATION_BLOCK rows
+        assert (1 << problem.n) // problems.ENUMERATION_BLOCK in (2, 4, 8)
+        front = enumerate_pareto_front(problem)
+        assert set(front) == problem.front()
+        assert rows(problem, list(front.values())) == list(front)
+        # each vector has one ones count, whose smallest bitstring sets the low bits
+        for witness in front.values():
+            assert int("".join(map(str, witness)), 2) == (1 << int(witness.sum())) - 1
+
     def test_n18_nk_enumeration_memory_is_bounded(self):
         problem = generate_nk_instance(18, 3, seed=18)
         tracemalloc.start()
