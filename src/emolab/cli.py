@@ -27,8 +27,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# `run` and `oracle` have no K flag: their NK instances use the NK preset's K.
-NK_K = 3
 ALGORITHM_POLICIES = {"nsga2": "crowding", "rnsga2": "refpoint"}
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
@@ -94,7 +92,8 @@ def _cell_plan(args, master_seed: int, variant: lab.Variant,
         master_seed=master_seed,
         max_evaluations=max_evaluations,
         k=args.k,
-        nk_k=NK_K if args.problem == "nk" else None,
+        # `run` and `oracle` have no K flag: their NK instances use the NK preset's K
+        nk_k=lab.preset_plans()["nk"].nk_k if args.problem == "nk" else None,
     )
 
 

@@ -8,8 +8,9 @@ go through it. A plan checks its fields when it is built: building one from
 bad values, directly, through `plan_from_json` or `dataclasses.replace`,
 raises ValueError, so every plan the lab is given is valid. A sweep runs
 its trials in its own process and in parallelism - 1 helper processes,
-each claiming one trial at a time from a shared counter. Every trial seed
-is a pure function of (master_seed, n, variant index, trial index), so
+each claiming one trial at a time from a shared counter whose index names
+a cell and a trial in it; the claiming process derives the trial's seed,
+a pure function of (master_seed, n, variant index, trial index), so
 results are byte-for-byte reproducible and independent of the degree of
 parallelism. Capped runs (misses) contribute their cap-truncated evaluation
 totals to the means and are exposed separately through the success rate.
@@ -50,7 +51,7 @@ DEFAULT_MASTER_SEED = 1009
 MAX_POPULATION_BITS = 1_000_000  # pop_size * n: a generation peaks near 0.5 GB
 MAX_NK_TABLE = 1 << 24           # 2 * n * 2^(nk_k+1) float64 entries: 128 MiB, and
 # enumeration holds its multilinear coefficients too (n=25, K=17: 241 MB max RSS)
-MAX_TRIALS = 1_000_000           # runs_per_cell * |n_values| * |variants|: ~0.4 GB
+MAX_TRIALS = 1_000_000           # runs_per_cell * |n_values| * |variants|: records at 381 MB max RSS
 # Processes of one sweep: its own and up to 255 helpers, all started before its first trial.
 MAX_PARALLELISM = 256
 
@@ -300,7 +301,7 @@ def trial_seed(plan: ExperimentPlan, n: int, variant_index: int, trial: int) -> 
     return child_seed(plan.master_seed, "trial", n, variant_index, trial)
 
 
-def _drain(trials, counter, receivers=()) -> list:
+def _drain(plan, plan_cells, counter, receivers=()) -> list:
     """Claim trials one at a time from the shared counter and run them, until the
     counter runs out or, in the sweep's own process, a helper has something to report."""
     records = []
@@ -308,29 +309,32 @@ def _drain(trials, counter, receivers=()) -> list:
         with counter.get_lock():
             index = counter.value
             counter.value = index + 1
-        if index >= len(trials):
+        cell, trial = divmod(index, plan.runs_per_cell)
+        if cell >= len(plan_cells):
             break
-        (problem, config, template), trial, seed = trials[index]
+        n, variant_index, variant, problem, config = plan_cells[cell]
+        seed = trial_seed(plan, n, variant_index, trial)
         result = run(problem, config, seed)  # looked up here, where tests and tracers patch it
-        evaluations = result.evaluations_to_hit if result.hit else result.evaluations
-        records.append(replace(template, seed=seed, trial=trial,
-                               evaluations=evaluations, hit=result.hit))
+        records.append(TrialRecord(
+            plan.problem, n, plan.k, variant.label, variant.policy, config.pop_size, seed, trial,
+            result.evaluations_to_hit if result.hit else result.evaluations, result.hit))
     return records
 
 
-def _help(trials, counter, sender) -> None:
+def _help(plan, plan_cells, counter, sender) -> None:
     """A helper process: drain the counter, then send its records, or its error as one line."""
     try:
-        message = _drain(trials, counter)
+        message = _drain(plan, plan_cells, counter)
     except Exception as exc:
         message = " ".join(f"{type(exc).__name__}: {exc}".split())
     sender.send(message)
 
 
-def _start_helper(trials, counter):
-    """Start one helper process on the sweep's trials; returns it and the pipe it reports on."""
+def _start_helper(plan, plan_cells, counter):
+    """Start one helper process on the sweep's cells; returns it and the pipe it reports on."""
     receiver, sender = multiprocessing.Pipe(duplex=False)
-    helper = multiprocessing.Process(target=_help, args=(trials, counter, sender), daemon=True)
+    helper = multiprocessing.Process(target=_help, args=(plan, plan_cells, counter, sender),
+                                     daemon=True)
     helper.start()
     sender.close()
     return helper, receiver
@@ -339,28 +343,23 @@ def _start_helper(trials, counter):
 def run_experiment(plan: ExperimentPlan, parallelism: int = 1) -> list:
     """Execute every (n, variant, trial) cell of the plan.
 
-    The calling process and min(parallelism, trials) - 1 helper processes
-    claim trials one at a time from a shared counter. A trial that raises,
-    or a helper that dies, stops the sweep: every helper is ended before
-    the error is raised. Returns records sorted by (problem, n, variant,
-    trial); the record set does not depend on parallelism or completion order.
+    The calling process and min(parallelism, trials) - 1 helper processes claim
+    trials one at a time from a shared counter; index i is trial i % runs_per_cell
+    of cell i // runs_per_cell, whose seed and record its claimer makes. A trial
+    that raises, or a helper that dies, ends every helper, then raises. Returns
+    records sorted by (problem, n, variant, trial); the record set does not
+    depend on parallelism or completion order.
     """
     if not 1 <= parallelism <= MAX_PARALLELISM:
         raise ValueError(f"parallelism must lie in [1, {MAX_PARALLELISM}], got {parallelism}")
-    trials = []
-    for n, variant_index, variant, problem, config in cells(plan):
-        cell = (problem, config, TrialRecord(plan.problem, n, plan.k, variant.label,
-                                             variant.policy, config.pop_size, seed=0,
-                                             trial=0, evaluations=0, hit=False))
-        trials += [(cell, t, trial_seed(plan, n, variant_index, t))
-                   for t in range(plan.runs_per_cell)]
+    plan_cells = list(cells(plan))
     counter = multiprocessing.Value("q", 0)
     helpers = {}
     try:
-        for _ in range(min(parallelism, len(trials)) - 1):
-            helper, receiver = _start_helper(trials, counter)
+        for _ in range(min(parallelism, len(plan_cells) * plan.runs_per_cell) - 1):
+            helper, receiver = _start_helper(plan, plan_cells, counter)
             helpers[receiver] = helper
-        records = _drain(trials, counter, list(helpers))
+        records = _drain(plan, plan_cells, counter, list(helpers))
         pending = dict(helpers)
         while pending:
             for receiver in wait(list(pending)):

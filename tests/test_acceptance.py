@@ -88,7 +88,8 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_sorting_oracle():
-    from test_survival import random_population, selects_whole_fronts, strip_partition
+    from test_survival import (individuals, random_population, selects_whole_fronts,
+                               strip_partition)
 
     started = time.time()
     rng = stream(515)
@@ -97,9 +98,19 @@ def test_criterion_2_sorting_oracle():
         objectives, birth = random_population(rng)
         assert selects_whole_fronts(objectives, birth, strip_partition(objectives))
         checked += 1
+    # pools of integer vectors from {0..3}^2, where distinct vectors share f2:
+    # the only pools in which the side the front bisection takes matters
+    grid_rng = stream(919)
+    grid_checked = 0
+    for _ in range(200):
+        vectors = grid_rng.integers(0, 4, size=(int(grid_rng.integers(1, 33)), 2))
+        objectives, birth = individuals(vectors.tolist())
+        assert selects_whole_fronts(objectives, birth, strip_partition(objectives))
+        grid_checked += 1
     elapsed = time.time() - started
     report("C2 sorting oracle", elapsed < 10.0,
-           f"{checked} random populations matched the strip partition in {elapsed:.2f}s")
+           f"{checked} random populations and {grid_checked} pools from {{0..3}}^2 "
+           f"matched the strip partition in {elapsed:.2f}s")
 
 
 def test_criterion_3_crowding_hand_trace():

@@ -600,9 +600,9 @@ def test_failed_trial_exits_3_without_results(tmp_path, capsys, monkeypatch, fau
                         lambda plan, n: faulty(n) if n == 8 else build_problem(plan, n))
     started = []
 
-    def counting_start(trials, counter):
-        started.append(len(trials))
-        return start_helper(trials, counter)
+    def counting_start(plan, plan_cells, counter):
+        started.append(len(plan_cells) * plan.runs_per_cell)
+        return start_helper(plan, plan_cells, counter)
 
     start_helper = lab._start_helper
     monkeypatch.setattr(lab, "_start_helper", counting_start)

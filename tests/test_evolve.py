@@ -343,9 +343,11 @@ class TestSingleParentKernel:
                 for r in results} == {(True, 1, 1, 0), (True, 2, 2, 1)}
 
     @pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65, 130])
-    def test_matches_array_engine_across_packing_widths(self, n, kernel_calls):
-        # masks of 7..9 bits straddle a byte and of 63..65 bits a 64-bit word;
-        # the cap spans three blocks, and at 0.2/n most rows flip no bit. Runs
+    def test_matches_array_engine_across_sizes(self, n, kernel_calls):
+        # at n <= 8 every count change lies inside the candidate band (_BAND = 8),
+        # from n = 9 on a change can fall on its end entries; 63..65 put the flip
+        # product's rows on either side of 64 columns, and OJZJ's k grows to 8 at
+        # n = 130. The cap spans three blocks, and at 0.2/n most rows flip no bit. Runs
         # aimed at the problem's reference point mostly reach the cap, so each
         # problem is also run towards a vector near the middle, which most hit.
         problems = [OneMinMax(n), OneMinMaxStar(n)]

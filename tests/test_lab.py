@@ -322,9 +322,9 @@ class TestRunExperiment:
     def test_pool_has_at_most_one_worker_per_job(self, monkeypatch):
         started = []
 
-        def counting_start(trials, counter):
-            started.append(len(trials))
-            return start_helper(trials, counter)
+        def counting_start(plan, plan_cells, counter):
+            started.append(len(plan_cells) * plan.runs_per_cell)
+            return start_helper(plan, plan_cells, counter)
 
         start_helper = lab._start_helper
         monkeypatch.setattr(lab, "_start_helper", counting_start)
@@ -343,6 +343,24 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="parallelism"):
             run_experiment(plan, parallelism=lab.MAX_PARALLELISM + 1)
         assert started == []
+
+    def test_a_trial_seed_is_derived_when_its_trial_is_claimed(self, monkeypatch):
+        derived = []
+
+        def counting_seed(*args):
+            derived.append(args)
+            return trial_seed(*args)
+
+        def first_run(problem, config, seed):
+            raise RuntimeError("first trial")
+
+        monkeypatch.setattr(lab, "trial_seed", counting_seed)
+        monkeypatch.setattr(lab, "run", first_run)
+        plan = tiny_plan(n_values=(6,), variants=tiny_plan().variants[:1],
+                         runs_per_cell=lab.MAX_TRIALS)
+        with pytest.raises(RuntimeError, match="^first trial$"):
+            run_experiment(plan, 1)
+        assert derived == [(plan, 6, 0, 0)]  # only the claimed trial's seed
 
     def test_raising_trial_in_the_calling_process_stops_the_helpers(self, monkeypatch):
         monkeypatch.setattr(lab, "build_problem", lambda plan, n: ParentRaisingOneMinMax(n))
