@@ -115,16 +115,17 @@ def run(
     initialization and after every generation; it is how traces and
     invariant checks observe the population. An unobserved run stops after
     the evaluations of its last generation without selecting survivors
-    that nobody would read, and with N = 1 on a synthetic problem it goes
-    through _run_single; both give the same result as an observed run.
+    nobody reads; at N = 1 on a synthetic problem, _run_single takes its
+    rate, cap, stream and first individual. Both match an observed run.
     """
-    if config.pop_size == 1 and on_generation is None and not isinstance(problem, NkLandscape):
-        return _run_single(problem, config, seed)
     size, reference = config.pop_size, config.reference_point
     rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / problem.n
     cap = config.max_evaluations or math.inf
-    rng, evaluator = stream(seed), problem.evaluator()
+    rng = stream(seed)
     genomes = random_population(size, problem.n, rng)
+    if size == 1 and on_generation is None and not isinstance(problem, NkLandscape):
+        return _run_single(problem, config, genomes[0], rate, cap, rng)
+    evaluator = problem.evaluator()
     objectives, birth = evaluator(genomes), np.arange(size, dtype=np.int64)
     first = _first_hit(objectives, reference)
     hit_at = None if first is None else first + 1
@@ -187,19 +188,20 @@ def _count_rule(problem: ProblemSpec, reference, target) -> tuple:
     return verdict, marks
 
 
-def _run_single(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> RunResult:
+def _run_single(problem: ProblemSpec, config: AlgorithmConfig, genome, rate, cap, rng) -> RunResult:
     """`run` at N = 1 on a synthetic problem: a (1+1) scan over blocks of mutations.
 
-    The parent is held as its ones count and its position weights: a flip
-    at position i changes the count by +1 if bit i is 0 and by -1 if it is
-    1. Mutation draws the uniforms of a block of generations as one (G, n)
-    array, which row-major order makes consume the stream exactly as G
-    one-row draws; the stream is private to the run, so uniforms drawn past
-    its end are never seen. survival_select at capacity 1 reduces to one
-    rule: the child replaces the parent if it dominates it, or, under the
-    reference-point policy, if neither dominates the other and the child is
-    strictly closer to the reference. Every other case, equal vectors
-    included, keeps the parent, which has the earlier birth.
+    The rate, cap, stream and first individual (drawn, not evaluated) come
+    from `run`. The parent is held as its ones count and its position
+    weights: a flip at position i changes the count by +1 if bit i is 0 and
+    by -1 if it is 1. Mutation draws the uniforms of a block of generations
+    as one (G, n) array, which row-major order makes consume the stream
+    exactly as G one-row draws; the stream is private to the run, so
+    uniforms drawn past its end are never seen. survival_select at capacity
+    1 reduces to one rule: the child replaces the parent if it dominates it,
+    or, under the reference-point policy, if neither dominates the other and
+    the child is strictly closer to the reference. Every other case, equal
+    vectors included, keeps the parent, which has the earlier birth.
 
     One product of a block's flips with the weights gives every row's count
     change. These are sums of +-1 below 2^24 in magnitude, so float32
@@ -212,18 +214,13 @@ def _run_single(problem: ProblemSpec, config: AlgorithmConfig, seed: int) -> Run
     evaluation base + r + 1.
     """
     n = problem.n
-    rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n
     verdict, marks = _count_rule(problem, config.policy.reference, config.reference_point)
-    cap = config.max_evaluations
-    rng = stream(seed)
     count_type = np.float32 if n < 1 << 24 else np.float64  # exact integer sums
-    genome = random_population(1, n, rng)[0]
     ones, weights = np.count_nonzero(genome), 1 - 2 * genome.astype(count_type)
-    evaluations = 1
-    hit = verdict(ones, ones) == _HIT  # the first parent meets the target
+    evaluations, hit = 1, verdict(ones, ones) == _HIT  # the first parent meets the target
     block_rows = max(1, min(_BLOCK_GENERATIONS, _BLOCK_UNIFORMS // n))
-    while not hit and (cap is None or evaluations < cap):
-        rows = block_rows if cap is None else min(block_rows, cap - evaluations)
+    while not hit and evaluations < cap:
+        rows = min(block_rows, cap - evaluations)
         chosen = rng.random((rows, n)) < rate
         flips = chosen.astype(count_type)
         base, evaluations = evaluations, evaluations + rows

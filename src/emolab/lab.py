@@ -51,7 +51,7 @@ DEFAULT_MASTER_SEED = 1009
 MAX_POPULATION_BITS = 1_000_000  # pop_size * n: a generation peaks near 0.5 GB
 MAX_NK_TABLE = 1 << 24           # 2 * n * 2^(nk_k+1) float64 entries: 128 MiB, and
 # enumeration holds its multilinear coefficients too (n=25, K=17: 241 MB max RSS)
-MAX_TRIALS = 1_000_000           # runs_per_cell * |n_values| * |variants|: records at 381 MB max RSS
+MAX_TRIALS = 1_000_000           # runs_per_cell * |n_values| * |variants|: records at 319 MB max RSS
 # Processes of one sweep: its own and up to 255 helpers, all started before its first trial.
 MAX_PARALLELISM = 256
 
@@ -149,7 +149,7 @@ class ExperimentPlan:
             raise ValueError(f"problem sizes must be unique, got {_quoted(list(self.n_values))}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     problem: str
     n: int
@@ -163,7 +163,7 @@ class TrialRecord:
     hit: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SummaryRow:
     problem: str
     n: int
@@ -305,6 +305,8 @@ def _drain(plan, plan_cells, counter, receivers=()) -> list:
     """Claim trials one at a time from the shared counter and run them, until the
     counter runs out or, in the sweep's own process, a helper has something to report."""
     records = []
+    # The sweep's own process stops claiming at the first ready pipe. That is right only
+    # while a helper reports once, after the counter runs out, or with its error.
     while not (receivers and wait(receivers, timeout=0)):
         with counter.get_lock():
             index = counter.value
@@ -373,7 +375,6 @@ def run_experiment(plan: ExperimentPlan, parallelism: int = 1) -> list:
                 if isinstance(message, str):
                     raise RuntimeError(f"a trial in a helper process raised {message}")
                 records += message
-                helper.join()
     finally:  # ends the helpers still running when a trial raised or a helper died
         for receiver, helper in helpers.items():
             helper.terminate()
@@ -506,12 +507,9 @@ def write_trials_csv(records: Sequence[TrialRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRIALS_HEADER)
+        fields_before_hit = operator.attrgetter(*TRIALS_HEADER[:-1])
         for r in records:  # csv writes k=None as an empty field
-            writer.writerow([
-                r.problem, r.n, r.k, r.variant,
-                r.policy, r.pop_size, r.seed, r.evaluations,
-                "true" if r.hit else "false",
-            ])
+            writer.writerow((*fields_before_hit(r), "true" if r.hit else "false"))
 
 
 def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
