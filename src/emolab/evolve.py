@@ -25,7 +25,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import bitwise_mutate, random_population, stream
-from .problems import NkLandscape, ProblemSpec
 from .survival import CrowdingDistance, ReferencePointDistance, SurvivalPolicy, survival_select
 
 # The N = 1 kernel draws the mutation uniforms of up to this many generations
@@ -104,7 +103,7 @@ def _first_hit(objectives: np.ndarray, reference) -> Optional[int]:
 
 
 def run(
-    problem: ProblemSpec,
+    problem,
     config: AlgorithmConfig,
     seed: int,
     on_generation: Optional[Callable[[RunState], None]] = None,
@@ -115,7 +114,7 @@ def run(
     initialization and after every generation; it is how traces and
     invariant checks observe the population. An unobserved run stops after
     the evaluations of its last generation without selecting survivors
-    nobody reads; at N = 1 on a synthetic problem, _run_single takes its
+    nobody reads; at N = 1 with ones_table(), _run_single takes its
     rate, cap, stream and first individual. Both match an observed run.
     """
     size, reference = config.pop_size, config.reference_point
@@ -123,7 +122,7 @@ def run(
     cap = config.max_evaluations or math.inf
     rng = stream(seed)
     genomes = random_population(size, problem.n, rng)
-    if size == 1 and on_generation is None and not isinstance(problem, NkLandscape):
+    if size == 1 and on_generation is None and hasattr(problem, "ones_table"):
         return _run_single(problem, config, genomes[0], rate, cap, rng)
     evaluator = problem.evaluator()
     objectives, birth = evaluator(genomes), np.arange(size, dtype=np.int64)
@@ -154,7 +153,7 @@ def run(
 
 
 @lru_cache(maxsize=1)
-def _count_rule(problem: ProblemSpec, reference, target) -> tuple:
+def _count_rule(problem, reference, target) -> tuple:
     """Survival at N = 1 by ones counts, and its candidate table, shared by a cell's runs.
 
     verdict(parent, child) is _HIT if the child's objective vector is the
@@ -162,7 +161,8 @@ def _count_rule(problem: ProblemSpec, reference, target) -> tuple:
     is a bool row over the count changes -_BAND-1 .. _BAND+1: entry
     d + _BAND + 1 is whether a child with d more ones than the parent gets a
     nonzero verdict, and the two end entries, which stand for every change
-    outside the band, are True. Rows are built as parents are met.
+    outside the band, are True. Rows are built as parents are met. The
+    cache hashes its key: reference (None under crowding) and target are tuples.
     """
     f1, f2 = problem.ones_table().T.tolist()
     target1, target2 = target
@@ -188,8 +188,8 @@ def _count_rule(problem: ProblemSpec, reference, target) -> tuple:
     return verdict, marks
 
 
-def _run_single(problem: ProblemSpec, config: AlgorithmConfig, genome, rate, cap, rng) -> RunResult:
-    """`run` at N = 1 on a synthetic problem: a (1+1) scan over blocks of mutations.
+def _run_single(problem, config: AlgorithmConfig, genome, rate, cap, rng) -> RunResult:
+    """`run` at N = 1 on a problem with ones_table(): a (1+1) scan over blocks of mutations.
 
     The rate, cap, stream and first individual (drawn, not evaluated) come
     from `run`. The parent is held as its ones count and its position
@@ -214,7 +214,8 @@ def _run_single(problem: ProblemSpec, config: AlgorithmConfig, genome, rate, cap
     evaluation base + r + 1.
     """
     n = problem.n
-    verdict, marks = _count_rule(problem, config.policy.reference, config.reference_point)
+    reference, target = config.policy.reference, tuple(config.reference_point)
+    verdict, marks = _count_rule(problem, reference if reference is None else tuple(reference), target)
     count_type = np.float32 if n < 1 << 24 else np.float64  # exact integer sums
     ones, weights = np.count_nonzero(genome), 1 - 2 * genome.astype(count_type)
     evaluations, hit = 1, verdict(ones, ones) == _HIT  # the first parent meets the target
@@ -256,7 +257,7 @@ class GenerationTrace:
     as on_generation; .rows counts the rows written.
     """
 
-    def __init__(self, problem: ProblemSpec, reference, out):
+    def __init__(self, problem, reference, out):
         self.reference = tuple(reference)
         self.front = problem.front()
         self.writer = csv.writer(out, lineterminator="\n")

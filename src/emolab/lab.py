@@ -39,7 +39,6 @@ from .problems import (
     OneJumpZeroJump,
     OneMinMax,
     OneMinMaxStar,
-    ProblemSpec,
     generate_nk_instance,
 )
 from .survival import CrowdingDistance, ReferencePointDistance
@@ -256,7 +255,7 @@ def _check_int(name: str, value, optional: bool = False) -> None:
                          f"got {_quoted(value)}")
 
 
-def build_problem(plan: ExperimentPlan, n: int) -> ProblemSpec:
+def build_problem(plan: ExperimentPlan, n: int):
     """Instantiate the plan's problem at size n.
 
     NK instances are generated deterministically from (master_seed, n) and
@@ -273,7 +272,7 @@ def build_problem(plan: ExperimentPlan, n: int) -> ProblemSpec:
     return generate_nk_instance(n, plan.nk_k, instance_seed)
 
 
-def reference_for(plan: ExperimentPlan, n: int, problem: ProblemSpec):
+def reference_for(plan: ExperimentPlan, n: int, problem):
     """The reference point shared by all variants of a plan cell."""
     if plan.problem == "nk":
         return problem.reference_point(stream(child_seed(plan.master_seed, "nk-ref", n)))
@@ -286,14 +285,15 @@ def cells(plan: ExperimentPlan):
     A size's problem and reference point are built once and shared by its
     variants; config holds the variant's population, survival policy and budget.
     """
+    rules = [_pop_size_rule(variant.pop_size) for variant in plan.variants]
     for n in plan.n_values:
         problem = build_problem(plan, n)
         reference = reference_for(plan, n, problem)
-        for variant_index, variant in enumerate(plan.variants):
+        for variant_index, (variant, rule) in enumerate(zip(plan.variants, rules)):
             policy = (CrowdingDistance() if variant.policy == "crowding"
                       else ReferencePointDistance(reference))
             yield n, variant_index, variant, problem, AlgorithmConfig(
-                policy=policy, pop_size=resolve_pop_size(variant.pop_size, n, plan.k),
+                policy=policy, pop_size=rule(n, plan.k),
                 reference_point=reference, max_evaluations=plan.max_evaluations)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -220,9 +220,6 @@ class OneJumpZeroJump(OneMinMax):
         return (float(self.n + self.k), float(self.k))
 
 
-ProblemSpec = Union[OneMinMax, NkLandscape]
-
-
 def _skyline(objectives: np.ndarray, values: np.ndarray):
     """Distinct non-dominated rows under maximization, each with its smallest value."""
     f1, f2 = objectives[:, 0], objectives[:, 1]
@@ -341,7 +338,7 @@ def _nk_blocks(problem: NkLandscape):
         yield objectives, rows
 
 
-def enumerate_pareto_front(problem: ProblemSpec) -> dict:
+def enumerate_pareto_front(problem) -> dict:
     """Pareto front by brute-force evaluation of all 2^n bitstrings.
 
     Independent of the closed-form construction; guarded at n <= 25.

@@ -488,6 +488,17 @@ class TestSingleParentKernel:
         # the state after generation g holds the parent born in evaluation births[g] + 1
         assert births[rows:rows + 2] == [rows, rows + 1]
 
+    @pytest.mark.parametrize("container", [tuple, list, np.array], ids=["tuple", "list", "array"])
+    def test_reference_points_in_any_container(self, container, kernel_calls):
+        # the candidate table is cached by tuples, so a list or an array gives the tuple's run
+        problem = OneMinMax(6)
+        target = container([0.0, 6.0])
+        for survival in (CrowdingDistance(), ReferencePointDistance(target),
+                         ReferencePointDistance(container(off_front((0.0, 6.0))))):
+            config = AlgorithmConfig(policy=survival, pop_size=1, reference_point=target,
+                                     max_evaluations=200)
+            assert_kernel_matches_array_engine(problem, config, range(3), kernel_calls)
+
     def test_nk_observed_and_larger_runs_use_the_array_engine(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the N = 1 kernel ran")

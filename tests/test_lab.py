@@ -240,6 +240,20 @@ class TestResolvePopSize:
                                 else formulas[variant.pop_size](n, plan.k))
                     assert resolve_pop_size(variant.pop_size, n, plan.k) == expected
 
+    def test_cells_parse_each_rule_once(self, monkeypatch):
+        plan = preset_plans()["ojzj"]  # five sizes; two of the three variants have a rule string
+        parsed, parse = [], lab.ast.parse
+
+        def counted(*args, **kwargs):
+            parsed.append(args[0])
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(lab.ast, "parse", counted)
+        pop_sizes = [config.pop_size for *_, config in lab.cells(plan)]
+        assert parsed == ["4*(n-2*k+3)"] * 2
+        assert pop_sizes == [4 * (n - 2 * plan.k + 3) if variant.pop_size != 1 else 1
+                             for n in plan.n_values for variant in plan.variants]
+
     @pytest.mark.parametrize("rule", [True, 4.0, None, ["n"]])
     def test_rejects_non_rule_values(self, rule):
         with pytest.raises(ValueError):
