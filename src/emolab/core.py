@@ -10,16 +10,14 @@ trajectory is reproducible bit for bit and child streams derived from
 from __future__ import annotations
 
 import numpy as np
-
-# A stream is owned by exactly one run at a time; nothing here shares state.
-RngStream = np.random.Generator
+from numpy.random import PCG64, Generator, SeedSequence  # at import, not in a run's first draw
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def stream(seed) -> RngStream:
+def stream(seed) -> Generator:
     """Create a PCG64 stream; equal seeds yield identical streams."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return Generator(PCG64(SeedSequence(seed)))
 
 
 def child_seed(master_seed: int, *key) -> int:
@@ -35,10 +33,10 @@ def child_seed(master_seed: int, *key) -> int:
             entropy.append(int.from_bytes(part.encode("utf-8"), "little"))
         else:
             entropy.append(int(part) & _U64_MASK)
-    return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
+    return int(SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
-def random_population(size: int, n: int, rng: RngStream) -> np.ndarray:
+def random_population(size: int, n: int, rng: Generator) -> np.ndarray:
     """Draw a (size, n) batch of bits, each independently 0 or 1 with probability 1/2.
 
     The rows, and the stream after them, are those of `size` row draws
@@ -55,7 +53,7 @@ def random_population(size: int, n: int, rng: RngStream) -> np.ndarray:
     return bits.astype(np.uint8).reshape(size, -1)[:, :n]
 
 
-def bitwise_mutate(x: np.ndarray, rate: float, rng: RngStream) -> np.ndarray:
+def bitwise_mutate(x: np.ndarray, rate: float, rng: Generator) -> np.ndarray:
     """Flip each bit of x independently with the given probability.
 
     x is one bitstring or a (P, n) batch of them. One draw of x.shape

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import bitwise_mutate, random_population, stream
-from .survival import CrowdingDistance, ReferencePointDistance, SurvivalPolicy, survival_select
+from .survival import CrowdingDistance, ReferencePointDistance, survival_select
 
 # The N = 1 kernel draws the mutation uniforms of up to this many generations
 # at once, and never more than _BLOCK_UNIFORMS of them, so a block stays a
@@ -42,12 +42,12 @@ _HIT = 2  # the verdict on a child that meets the target
 class AlgorithmConfig:
     """Everything that defines one algorithm run besides the problem and seed.
 
-    mutation_rate of None means the standard 1/n. A zero rate is accepted
-    as a degenerate setting for tests. max_evaluations of None runs without
-    a budget.
+    reference_point, the target, is kept as a tuple of two floats. mutation_rate
+    of None means the standard 1/n. A zero rate is accepted as a degenerate
+    setting for tests. max_evaluations of None runs without a budget.
     """
 
-    policy: SurvivalPolicy
+    policy: CrowdingDistance | ReferencePointDistance
     pop_size: int
     reference_point: tuple
     mutation_rate: Optional[float] = None
@@ -58,8 +58,9 @@ class AlgorithmConfig:
             raise TypeError(f"unknown survival policy: {self.policy!r}")
         if self.pop_size < 1:
             raise ValueError("population size must be at least 1")
-        if len(self.reference_point) != 2:
+        if isinstance(self.reference_point, str) or len(self.reference_point) != 2:
             raise ValueError("reference point must have exactly 2 objectives")
+        object.__setattr__(self, "reference_point", tuple(map(float, self.reference_point)))
         if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation rate must lie in [0, 1]")
         if self.max_evaluations is not None and self.max_evaluations < 1:
@@ -161,8 +162,8 @@ def _count_rule(problem, reference, target) -> tuple:
     is a bool row over the count changes -_BAND-1 .. _BAND+1: entry
     d + _BAND + 1 is whether a child with d more ones than the parent gets a
     nonzero verdict, and the two end entries, which stand for every change
-    outside the band, are True. Rows are built as parents are met. The
-    cache hashes its key: reference (None under crowding) and target are tuples.
+    outside the band, are True. Rows are built as parents are met. Its cache key
+    is the problem (so it must be hashable), the reference pair or None, and the target pair.
     """
     f1, f2 = problem.ones_table().T.tolist()
     target1, target2 = target
@@ -192,16 +193,17 @@ def _run_single(problem, config: AlgorithmConfig, genome, rate, cap, rng) -> Run
     """`run` at N = 1 on a problem with ones_table(): a (1+1) scan over blocks of mutations.
 
     The rate, cap, stream and first individual (drawn, not evaluated) come
-    from `run`. The parent is held as its ones count and its position
-    weights: a flip at position i changes the count by +1 if bit i is 0 and
-    by -1 if it is 1. Mutation draws the uniforms of a block of generations
-    as one (G, n) array, which row-major order makes consume the stream
-    exactly as G one-row draws; the stream is private to the run, so
-    uniforms drawn past its end are never seen. survival_select at capacity
-    1 reduces to one rule: the child replaces the parent if it dominates it,
-    or, under the reference-point policy, if neither dominates the other and
-    the child is strictly closer to the reference. Every other case, equal
-    vectors included, keeps the parent, which has the earlier birth.
+    from `run`, and the reference and target float pairs from `config` as
+    they are. The parent is held as its ones count and its position weights:
+    a flip at position i changes the count by +1 if bit i is 0 and by -1 if
+    it is 1. Mutation draws the uniforms of a block of generations as one
+    (G, n) array, which row-major order makes consume the stream exactly as
+    G one-row draws; the stream is private to the run, so uniforms drawn
+    past its end are never seen. survival_select at capacity 1 reduces to
+    one rule: the child replaces the parent if it dominates it, or, under
+    the reference-point policy, if neither dominates the other and the child
+    is strictly closer to the reference. Every other case, equal vectors
+    included, keeps the parent, which has the earlier birth.
 
     One product of a block's flips with the weights gives every row's count
     change. These are sums of +-1 below 2^24 in magnitude, so float32
@@ -214,8 +216,7 @@ def _run_single(problem, config: AlgorithmConfig, genome, rate, cap, rng) -> Run
     evaluation base + r + 1.
     """
     n = problem.n
-    reference, target = config.policy.reference, tuple(config.reference_point)
-    verdict, marks = _count_rule(problem, reference if reference is None else tuple(reference), target)
+    verdict, marks = _count_rule(problem, config.policy.reference, config.reference_point)
     count_type = np.float32 if n < 1 << 24 else np.float64  # exact integer sums
     ones, weights = np.count_nonzero(genome), 1 - 2 * genome.astype(count_type)
     evaluations, hit = 1, verdict(ones, ones) == _HIT  # the first parent meets the target

@@ -105,8 +105,9 @@ class ExperimentPlan:
             raise ValueError(f"the plan has {_quoted(trials)} trials, "
                              f"above the limit of {MAX_TRIALS}")
         labels = [v.label for v in self.variants]
-        if not all(isinstance(text, str) for text in (self.name, *labels)):
-            raise ValueError("the plan name and every variant label must be strings")
+        if not all(isinstance(text, str) and text.encode("utf-8", "replace").decode() == text
+                   for text in (self.name, *labels)):  # UTF-8 replaces a surrogate
+            raise ValueError("the plan name and every variant label must be strings without surrogates")
         if len(set(labels)) != len(labels):
             raise ValueError(f"variant labels must be unique, got {_quoted(labels)}")
         for variant in self.variants:

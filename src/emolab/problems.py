@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import RngStream, stream
+from .core import stream
 
 ENUMERATION_LIMIT = 25
 # Rows per enumeration block. Of 2^12..2^15 it measured fastest for NK at
@@ -106,7 +106,7 @@ class NkLandscape:
             self._front = frozenset(enumerate_pareto_front(self))
         return self._front
 
-    def reference_point(self, rng: Optional[RngStream] = None):
+    def reference_point(self, rng: Optional[np.random.Generator] = None):
         """A uniformly random member of the front: a stream is required."""
         if rng is None:
             raise ValueError("an RNG stream is required to pick an NK reference point")
@@ -167,7 +167,7 @@ class OneMinMax:
     def front(self) -> frozenset:
         return frozenset((float(i), float(self.n - i)) for i in range(self.n + 1))
 
-    def reference_point(self, rng: Optional[RngStream] = None):
+    def reference_point(self, rng: Optional[np.random.Generator] = None):
         return (0.0, float(self.n))
 
 
@@ -185,7 +185,7 @@ class OneMinMaxStar(OneMinMax):
         points = {(float(i), float(n - i)) for i in range(n)}
         return frozenset(points | {(float(-n), float(2 * n))})
 
-    def reference_point(self, rng: Optional[RngStream] = None):
+    def reference_point(self, rng: Optional[np.random.Generator] = None):
         return (float(-self.n), float(2 * self.n))
 
 
@@ -216,7 +216,7 @@ class OneJumpZeroJump(OneMinMax):
         points = {(float(i), float(n + 2 * k - i)) for i in range(2 * k, n + 1)}
         return frozenset(points | {(float(k), float(n + k)), (float(n + k), float(k))})
 
-    def reference_point(self, rng: Optional[RngStream] = None):
+    def reference_point(self, rng: Optional[np.random.Generator] = None):
         return (float(self.n + self.k), float(self.k))
 
 

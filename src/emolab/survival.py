@@ -32,7 +32,7 @@ from bisect import bisect_right
 from collections.abc import Sized
 from dataclasses import dataclass
 from numbers import Real
-from typing import ClassVar, Union
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,17 +46,16 @@ class CrowdingDistance:
 
 @dataclass(frozen=True)
 class ReferencePointDistance:
-    """Order the critical front by Euclidean distance to a reference point, ascending."""
+    """Order the critical front by Euclidean distance to a reference point, ascending.
+    The point is kept as a tuple of two floats, whatever container it came in."""
 
     reference: tuple
 
     def __post_init__(self):
         if not (isinstance(self.reference, Sized) and len(self.reference) == 2
-                and all(isinstance(v, Real) for v in self.reference)):
+                and all(type(v) is float or isinstance(v, Real) for v in self.reference)):
             raise ValueError(f"the reference point must be two numbers, got {self.reference!r}")
-
-
-SurvivalPolicy = Union[CrowdingDistance, ReferencePointDistance]
+        object.__setattr__(self, "reference", tuple(map(float, self.reference)))
 
 
 def _sorted_runs(objectives, by_birth):
@@ -137,7 +136,7 @@ def reference_distances(objectives, reference) -> np.ndarray:
     return np.array([math.dist(v, reference) for v in np.asarray(objectives).tolist()])
 
 
-def survival_select(objectives, birth, capacity: int, policy: SurvivalPolicy) -> np.ndarray:
+def survival_select(objectives, birth, capacity: int, policy) -> np.ndarray:
     """Row indices of the next population of exactly `capacity` from the pool.
 
     Fronts are admitted whole while they fit (filling to exactly capacity

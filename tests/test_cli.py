@@ -246,6 +246,9 @@ MALFORMED_PLANS = {
     "nk_k on ojzj": _plan_doc(problem="ojzj", n_values=[8], k=2, nk_k=2),
     "nk_k not below n": _plan_doc(problem="nk", nk_k=6),
     "size 0": _plan_doc(n_values=[0]),
+    # JSON escapes a lone surrogate, which no UTF-8 trials.csv can hold
+    "lone surrogate in a label": _plan_doc(
+        variants=[{"label": "a\udb68b", "policy": "crowding", "pop_size": 4}]),
     # raw text: nested past the JSON parser's recursion limit
     "nested too deeply": "[" * 200_000 + "]" * 200_000,
     # each was once echoed whole to stderr, 200 to 400 KB

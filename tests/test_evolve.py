@@ -118,6 +118,21 @@ class TestInitialize:
         with pytest.raises(TypeError):
             AlgorithmConfig(policy="refpoint", pop_size=1, reference_point=(0.0, 1.0))
 
+    @pytest.mark.parametrize("target", [("a", "b"), (None, 1), "12"],
+                             ids=["strings", "None", "string"])
+    def test_a_target_that_is_not_two_numbers_fails_when_built(self, target):
+        with pytest.raises((TypeError, ValueError)):
+            AlgorithmConfig(policy=CrowdingDistance(), pop_size=2, reference_point=target)
+
+    def test_equal_points_in_any_container_give_one_config(self):
+        configs = [AlgorithmConfig(policy=ReferencePointDistance(container([1, 7.0])), pop_size=2,
+                                   reference_point=container([0, 8.0]))
+                   for container in (tuple, list, np.array)]
+        assert configs[0] == configs[1] == configs[2]
+        assert len({hash(config) for config in configs}) == 1
+        assert configs[2].reference_point == (0.0, 8.0)
+        assert [type(v) for v in configs[2].reference_point] == [float, float]
+
 
 class TestGenerations:
     def test_evaluations_increase_by_population_size(self):
@@ -490,7 +505,7 @@ class TestSingleParentKernel:
 
     @pytest.mark.parametrize("container", [tuple, list, np.array], ids=["tuple", "list", "array"])
     def test_reference_points_in_any_container(self, container, kernel_calls):
-        # the candidate table is cached by tuples, so a list or an array gives the tuple's run
+        # a policy and a config keep float pairs, so a list or an array gives the tuple's run
         problem = OneMinMax(6)
         target = container([0.0, 6.0])
         for survival in (CrowdingDistance(), ReferencePointDistance(target),

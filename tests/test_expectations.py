@@ -1,4 +1,4 @@
-"""Exact expectations of N = 1 runs, against runs of the real code.
+"""Exact expectations of N = 1 and N = 2 runs, against runs of the real code.
 
 At N = 1 a run on OneMinMax, OneMinMax* or OneJumpZeroJump is a Markov chain
 on its parent's number of ones. A child keeps a binomial number of the
@@ -10,12 +10,19 @@ ones. One linear solve gives the mean of evaluations_to_hit, a second its
 variance, and a matrix power the chance of a hit within a budget. The rule
 is written here apart from `evolve._count_rule`, which the runs go through.
 
+At N = 2 the chain's state is both survivors' ones counts in survivor order
+with their birth ranks, and each selection is the suite's own reference
+(`test_survival.select_reference`: strip partition and loop crowding, birth
+breaking ties), so the chain is apart from `survival`. Besides the mean it
+gives the chance that the hit comes from row 0, which survivor order sets.
+
 The z bound, the master seed and the number of runs were fixed before the
 first run. A cell whose mean is out of any test's reach (crowding, whose
 parent never moves on these problems, and OneMinMax*'s trap) compares the
 share of runs that hit within a cap instead.
 """
 
+import itertools
 import math
 import statistics
 
@@ -26,10 +33,12 @@ from emolab.core import child_seed
 from emolab.evolve import AlgorithmConfig, run
 from emolab.problems import OneJumpZeroJump, OneMinMax, OneMinMaxStar
 from emolab.survival import CrowdingDistance, ReferencePointDistance
+from test_survival import select_reference
 
 Z_BOUND = 3.5      # two-sided; Bonferroni at 1% over about 20 comparisons
 CHAIN_SEED = 2027  # master seed of every cell's runs
 RUNS = 400
+PAIR_RUNS = 1000   # per N = 2 cell
 
 
 def binomial(m, p):
@@ -141,8 +150,81 @@ def test_runs_match_the_exact_chain(cell):
     assert abs(z) <= Z_BOUND
 
 
+def pair_chain(problem, policy, rate):
+    """(Q, hit, start, first_hit) of an N = 2 run's chain, over states
+    (counts, births): the survivors' ones counts in survivor order, neither
+    at the target, and their birth ranks. Q[s, t] is the chance that a
+    generation from state s hits nowhere and leaves state t, hit[s] the
+    chance that its row 0 hits; start[s] is the chance that the first
+    population is state s, and first_hit that its row 0 hits. Offspring i is
+    row i's child, born after every survivor in survivor order; the pool is
+    the parents then the offspring, and its survivors, in order, are those
+    of the suite's own selection, `test_survival.select_reference`."""
+    n, target = problem.n, problem.reference_point()
+    table = problem.ones_table()
+    live = [count for count, v in enumerate(table.tolist()) if tuple(v) != target]
+    children = [np.convolve(binomial(c, rate)[::-1], binomial(n - c, rate)) for c in range(n + 1)]
+    survival = ReferencePointDistance(target) if policy == "refpoint" else CrowdingDistance()
+    states = [(counts, births) for counts in itertools.product(live, repeat=2)
+              for births in ((0, 1), (1, 0))]
+    index = {state: i for i, state in enumerate(states)}
+    q, hit = np.zeros((len(states), len(states))), np.zeros(len(states))
+    for (counts, births), row in index.items():
+        hit[row] = 1 - children[counts[0]][live].sum()
+        pool_birth = births + (2, 3)
+        for offspring in itertools.product(live, repeat=2):
+            pool = counts + offspring
+            first, second = select_reference(table[list(pool)], np.array(pool_birth), 2, survival)
+            ranks = (0, 1) if pool_birth[first] < pool_birth[second] else (1, 0)
+            q[row, index[(pool[first], pool[second]), ranks]] += (
+                children[counts[0]][offspring[0]] * children[counts[1]][offspring[1]])
+    initial = binomial(n, 0.5)
+    start = np.zeros(len(states))
+    for counts in itertools.product(live, repeat=2):
+        start[index[counts, (0, 1)]] = initial[counts[0]] * initial[counts[1]]
+    return q, hit, start, 1 - initial[live].sum()
+
+
+def pair_moments(q, hit, start, first_hit):
+    """Mean and variance of an N = 2 run's evaluations_to_hit, and the chance
+    that its hit comes from row 0 (an odd evaluations_to_hit)."""
+    free = np.eye(len(q)) - q
+    # a generation, or the first population, costs 1 evaluation if its row 0
+    # hits and else 2, whether its row 1 hits or the run goes on
+    steps = np.linalg.solve(free, 2 - hit)
+    squares = np.linalg.solve(free, 4 - 3 * hit + 4 * q @ steps)
+    row_0 = np.linalg.solve(free, hit)
+    mean = 2 - first_hit + start @ steps
+    second = 4 - 3 * first_hit + start @ (4 * steps + squares)
+    return mean, second - mean ** 2, first_hit + start @ row_0
+
+
+@pytest.mark.parametrize("policy", ["crowding", "refpoint"])
+def test_pair_runs_match_the_exact_chain(policy):
+    problem, rate = OneMinMax(8), 1 / 8
+    mean, variance, row_0 = pair_moments(*pair_chain(problem, policy, rate))
+    # the means of a scratch chain whose selections were survival_select's
+    assert round(mean, 2) == {"crowding": 84.72, "refpoint": 38.24}[policy]
+    target = problem.reference_point()
+    config = AlgorithmConfig(
+        policy=ReferencePointDistance(target) if policy == "refpoint" else CrowdingDistance(),
+        pop_size=2, reference_point=target, mutation_rate=rate)
+    evaluations = [run(problem, config, child_seed(CHAIN_SEED, "pair", policy, trial))
+                   .evaluations_to_hit for trial in range(PAIR_RUNS)]
+    z_mean = (statistics.fmean(evaluations) - mean) / math.sqrt(variance / PAIR_RUNS)
+    share = sum(e % 2 for e in evaluations) / PAIR_RUNS
+    z_row_0 = (share - row_0) / math.sqrt(row_0 * (1 - row_0) / PAIR_RUNS)
+    print(f"\npair {policy}: mean {statistics.fmean(evaluations):.4g}, exact {mean:.4g}, "
+          f"z {z_mean:+.2f}; row-0 hits {share:.4g}, exact {row_0:.4g}, z {z_row_0:+.2f}")
+    assert abs(z_mean) <= Z_BOUND and abs(z_row_0) <= Z_BOUND
+
+
 def test_chain_of_one_bit():
     # rate 1 flips the bit: a hit at evaluation 1 or 2, each with chance 1/2
     mean, variance = hit_moments(*exact(OneMinMax(1), "refpoint", 1.0))
     assert (mean, variance) == (1.5, 0.25)
     assert hit_within(*exact(OneMinMax(1), "crowding", 1.0), 1) == 0.5
+    # at N = 2 the first population hits at evaluation 1 or 2, and else the
+    # first generation hits at 3, with chances 1/2, 1/4 and 1/4
+    assert pair_moments(*pair_chain(OneMinMax(1), "refpoint", 1.0)) == pytest.approx(
+        (1.75, 0.6875, 0.75))

@@ -429,6 +429,11 @@ class TestPlanChecks:
         ({"runs_per_cell": 0, "variants": (), "master_seed": "7"},
          "master_seed must be an integer, got '7'"),
         ({"n_values": (6, 10 ** 7), "variants": ()}, "plan needs at least one variant"),
+        # two lone surrogates that JSON would read back as one character
+        ({"name": "a\udb68\udd3e"},
+         "the plan name and every variant label must be strings without surrogates"),
+        ({"variants": (Variant("a\udb68", "crowding", 4),)},
+         "the plan name and every variant label must be strings without surrogates"),
     ])
     def test_building_an_invalid_plan_raises(self, changes, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -3,13 +3,20 @@
 Cases either mutate the JSON of the four presets and read it with
 `plan_from_json`, or give the fields of a preset fuzzed values through
 `dataclasses.replace` and `with_overrides`. The corpus is fixed by SEEDS and
-CASES; a failing case is reported with its seed and index, and
-`fuzz_case(route, seed, index)` rebuilds it.
+CASES; a failing case is reported with its route, seed and index, and
+`fuzz_case(route, seed, index)` rebuilds it. A longer campaign runs from the
+command line, under the same time and message bounds,
+
+    PYTHONPATH=src python tests/test_plan_fuzz.py --seed 7 --cases 5000
+
+running both routes, printing each failing case and exiting 1 if there is one.
 """
 
+import argparse
 import json
 import math
 import random
+import sys
 import time
 from dataclasses import asdict, fields, replace
 
@@ -172,27 +179,65 @@ def fuzz_case(route, seed, index):
     return ROUTES[route](rng)
 
 
+def check_case(route, seed, index):
+    """Build one case: ("plan" or "ValueError", None), or (None, why the case fails)."""
+    build = fuzz_case(route, seed, index)
+    start = time.perf_counter()
+    try:
+        plan = build()
+    except ValueError as exc:
+        outcome = "ValueError"
+        message = str(exc).encode("utf-8", "surrogatepass")
+        if len(message) >= MESSAGE_BYTES:
+            return None, f"case {route} {seed} {index}: {message[:200]}"
+    except Exception as exc:
+        return None, f"case {route} {seed} {index} raised {type(exc).__name__}: {str(exc)[:200]}"
+    else:
+        outcome = "plan"
+        # an accepted plan reads back from its own JSON
+        if plan_from_json(json.dumps(asdict(plan))) != plan:
+            return None, f"case {route} {seed} {index}: the plan does not read back from its JSON"
+    elapsed = time.perf_counter() - start
+    if elapsed >= CASE_SECONDS:
+        return None, f"case {route} {seed} {index} took {elapsed:.2f} s"
+    return outcome, None
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_every_case_builds_a_plan_or_raises_a_short_value_error(route, seed):
     outcomes = {"plan": 0, "ValueError": 0}
     for index in range(CASES):
-        build = fuzz_case(route, seed, index)
-        start = time.perf_counter()
-        try:
-            plan = build()
-        except ValueError as exc:
-            outcomes["ValueError"] += 1
-            message = str(exc).encode("utf-8", "surrogatepass")
-            assert len(message) < MESSAGE_BYTES, f"case {route} {seed} {index}: {message[:200]}"
-        except Exception as exc:
-            pytest.fail(f"case {route} {seed} {index} raised {type(exc).__name__}: "
-                        f"{str(exc)[:200]}")
-        else:
-            outcomes["plan"] += 1
-            # an accepted plan reads back from its own JSON
-            assert plan_from_json(json.dumps(asdict(plan))) == plan
-        elapsed = time.perf_counter() - start
-        assert elapsed < CASE_SECONDS, f"case {route} {seed} {index} took {elapsed:.2f} s"
+        outcome, failure = check_case(route, seed, index)
+        assert failure is None, failure
+        outcomes[outcome] += 1
     # the corpus reaches both outcomes, not only the first check that rejects
     assert min(outcomes.values()) >= CASES // 20, outcomes
+
+
+# campaign cases that once built a plan whose JSON read back as another plan: its name
+# held two lone surrogates, which JSON reads back as one other character
+@pytest.mark.parametrize("seed, index", [(1009, 935), (1009, 1191), (1010, 439)])
+def test_pinned_cases(seed, index):
+    assert check_case("replace", seed, index) == ("ValueError", None)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--cases", type=int, default=CASES, help="cases per route")
+    parser.add_argument("--seed", type=int, default=SEEDS[0])
+    args = parser.parse_args(argv)
+    outcomes = {"plan": 0, "ValueError": 0, "failed": 0}
+    for route in sorted(ROUTES):
+        for index in range(args.cases):
+            outcome, failure = check_case(route, args.seed, index)
+            if failure is not None:
+                print(failure)
+            outcomes[outcome or "failed"] += 1
+    print(f"{args.cases} cases per route at seed {args.seed}: {outcomes['plan']} plans, "
+          f"{outcomes['ValueError']} ValueErrors, {outcomes['failed']} failed")
+    return 1 if outcomes["failed"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

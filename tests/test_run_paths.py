@@ -9,10 +9,16 @@ families, NK at K = 0..3, or a plain object that answers only `n`,
 `evaluator()`, `front()` and `reference_point()`), n, N from 1 to 12, the
 target, the survival policy, the mutation rate, the cap and the container of
 the reference points, and checks that the unobserved run gives the RunResult
-of the same run observed by a no-op.
+of the same run observed by a no-op, or on the kernel's cases by an observer
+that keeps its states. On those cases it also checks the trajectory, which a capped run's RunResult
+does not show: the kernel's replacements, logged from the verdicts of
+`evolve._count_rule`, are the observed run's changes of parent. One band
+case to every ten corpus cases draws an N = 1 run whose count changes often
+leave the kernel's candidate band, which the corpus cases seldom do.
 
-The Tier-1 corpus is fixed by SEED and CASES; `draw_case(seed, index)`
-rebuilds a failing case. A longer campaign runs from the command line,
+The Tier-1 corpus is fixed by SEED and CASES; `draw_case(seed, index)` and
+`draw_band_case(seed, index)` rebuild a failing case. A longer campaign runs
+from the command line,
 
     PYTHONPATH=src python tests/test_run_paths.py --cases 2000 --seed 7
 
@@ -55,6 +61,18 @@ class Plain:
 
 def observe_nothing(state):
     """An observer that keeps a run on the array engine and changes nothing."""
+
+
+def parent_changes(states, hit):
+    """The ones counts an observed N = 1 run's parent takes, in order, from its
+    RunStates. The generation of a hit is left out: the kernel stops at the
+    hit, before selection."""
+    counts, born = [], states[0].birth[0]
+    for state in states[1:-1] if hit else states[1:]:
+        if state.birth[0] != born:
+            counts.append(int(state.genomes[0].sum()))
+            born = state.birth[0]
+    return counts
 
 
 def draw_case(seed, index):
@@ -100,38 +118,101 @@ def draw_case(seed, index):
     return what, Plain(problem) if plain else problem, config, rng.randrange(1 << 32)
 
 
+def draw_band_case(seed, index):
+    """Band case `index` at `seed`, as draw_case gives a case: an N = 1 run on a
+    ones-count problem whose children often change the count by more than the
+    kernel's candidate band (evolve._BAND), so that its end entries are read.
+    At rate 1 a child is its parent's complement and at rate 0.5 a uniform
+    string, and the target's ones count lies beyond the band from n/2 on
+    either side, so the parent is drawn across the middle towards it."""
+    rng = random.Random(f"run-paths-band-{seed}-{index}")
+    family, k = rng.choice(FAMILIES[:3]), None
+    if family == "ojzj":
+        n = rng.randint(24, 48)
+        k = rng.randint(2, n // 8)
+        problem = OneJumpZeroJump(n, k)
+    else:
+        n = rng.randint(24, 70)
+        problem = OneMinMax(n) if family == "omm" else OneMinMaxStar(n)
+    far = [count for count in range(n + 1) if abs(2 * count - n) > 2 * evolve._BAND]
+    target = tuple(problem.ones_table()[rng.choice(far)].tolist())
+    policy = rng.choice(["refpoint at the target", "refpoint off the front"])
+    reference = target if policy == "refpoint at the target" else (target[0] + 1.5,
+                                                                  target[1] - 0.5)
+    rate, cap, container = rng.choice([1.0, 0.5]), rng.randint(2, 300), rng.choice(list(CONTAINERS))
+    as_container = CONTAINERS[container]
+    config = AlgorithmConfig(policy=ReferencePointDistance(as_container(reference)), pop_size=1,
+                             reference_point=as_container(target), mutation_rate=rate,
+                             max_evaluations=cap)
+    what = dict(seed=seed, index=index, band=True, family=family, n=n, k=k, plain=False,
+                target=target, policy=policy, rate=rate, pop_size=1, cap=cap, container=container)
+    return what, problem, config, rng.randrange(1 << 32)
+
+
 def campaign(seed, cases) -> list:
-    """Run the corpus: each case's (what, whether the kernel ran, unobserved and observed result)."""
-    kernel, ran, outcomes = evolve._run_single, [], []
+    """Run the corpus: each case's (what, whether the kernel ran, unobserved and observed
+    result, and on the kernel's cases the kernel's and the observed parent changes)."""
+    kernel, rule, ran, replaced, outcomes = evolve._run_single, evolve._count_rule, [], [], []
 
     def counted(*args):
         ran.append(True)
         return kernel(*args)
 
-    evolve._run_single = counted
+    def logged_rule(*args):
+        verdict, marks = rule(*args)
+
+        def logged(parent, child):
+            outcome = verdict(parent, child)
+            if outcome and outcome != evolve._HIT:  # the kernel takes the child as its parent
+                replaced.append(child)
+            return outcome
+        return logged, marks
+
+    evolve._run_single, evolve._count_rule = counted, logged_rule
     try:
-        for index in range(cases):
-            what, problem, config, run_seed = draw_case(seed, index)
+        # one band case to every ten corpus cases
+        drawn = [(draw_case, index) for index in range(cases)]
+        for draw, index in drawn + [(draw_band_case, index) for index in range(cases // 10)]:
+            what, problem, config, run_seed = draw(seed, index)
             ran.clear()
+            replaced.clear()
             unobserved = run(problem, config, run_seed)
             used_kernel = bool(ran)
-            observed = run(problem, config, run_seed, on_generation=observe_nothing)
-            outcomes.append((what, used_kernel, unobserved, observed))
+            states = []
+            observed = run(problem, config, run_seed,
+                           on_generation=states.append if used_kernel else observe_nothing)
+            trajectory = None
+            if used_kernel:
+                trajectory = list(replaced), parent_changes(states, observed.hit)
+            outcomes.append((what, used_kernel, unobserved, observed, trajectory))
     finally:
-        evolve._run_single = kernel
+        evolve._run_single, evolve._count_rule = kernel, rule
     return outcomes
 
 
+def mismatch(unobserved, observed, trajectory):
+    """What tells the unobserved run from the observed one, or None."""
+    if unobserved != observed:
+        return f"unobserved {unobserved}, observed {observed}"
+    if trajectory is not None and trajectory[0] != trajectory[1]:
+        return f"kernel parents {trajectory[0]}, observed parents {trajectory[1]}"
+    return None
+
+
 def test_unobserved_runs_match_observed_runs():
-    mismatches, paths = [], set()
-    for what, used_kernel, unobserved, observed in campaign(SEED, CASES):
-        if unobserved != observed:
-            mismatches.append((what, unobserved, observed))
+    mismatches, paths, kernel_runs, moved = [], set(), 0, 0
+    for what, used_kernel, unobserved, observed, trajectory in campaign(SEED, CASES):
+        found = mismatch(unobserved, observed, trajectory)
+        if found is not None:
+            mismatches.append((what, found))
+        kernel_runs += used_kernel
+        moved += used_kernel and bool(trajectory[0])
         # the kernel takes exactly the unobserved N = 1 runs on a ones-count problem
         assert used_kernel == (what["pop_size"] == 1 and not what["plain"]
                                and what["family"] != "nk"), what
         paths.add((used_kernel, what["pop_size"] == 1, what["plain"], what["container"]))
     assert not mismatches
+    assert moved >= kernel_runs // 4  # the trajectories compared are not all empty
     # every path, with plain problems on both array paths, and each container on each path
     assert paths == {(kernel, single, plain, container)
                      for kernel, single in ((True, True), (False, True), (False, False))
@@ -158,11 +239,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=SEED)
     args = parser.parse_args(argv)
     kernel_runs = mismatches = 0
-    for what, used_kernel, unobserved, observed in campaign(args.seed, args.cases):
+    for what, used_kernel, unobserved, observed, trajectory in campaign(args.seed, args.cases):
         kernel_runs += used_kernel
-        if unobserved != observed:
+        found = mismatch(unobserved, observed, trajectory)
+        if found is not None:
             mismatches += 1
-            print(f"mismatch: {what}: unobserved {unobserved}, observed {observed}")
+            print(f"mismatch: {what}: {found}")
     print(f"{args.cases} cases at seed {args.seed}: {kernel_runs} on the N = 1 kernel, "
           f"{mismatches} mismatches")
     return 1 if mismatches else 0

@@ -1,6 +1,8 @@
 """Non-dominated sorting, crowding distance, and capacity-N truncation."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -277,10 +279,29 @@ class TestPolicies:
     def test_crowding_has_no_reference(self):
         assert CrowdingDistance().reference is None
 
-    @pytest.mark.parametrize("reference", [None, (1.0, 2.0, 3.0)], ids=["None", "3-vector"])
+    @pytest.mark.parametrize("reference", [None, (1.0, 2.0, 3.0), "12", ("a", "b"), (None, 1.0),
+                                           (Decimal(1), 2.0), np.zeros((2, 2))],
+                             ids=["None", "3-vector", "string", "strings", "None-pair", "Decimal",
+                                  "pair-of-rows"])
     def test_reference_must_be_two_numbers(self, reference):
         with pytest.raises(ValueError):
             ReferencePointDistance(reference)
+
+    @pytest.mark.parametrize("reference", [(1.5, -2.0), (1, 2), (True, False),
+                                           (np.float32(0.5), np.int64(3)), (Fraction(1, 3), 2.0),
+                                           np.array([1.5, 2.0]), [0, 6]],
+                             ids=["floats", "ints", "bools", "numpy-scalars", "Fraction", "array",
+                                  "list"])
+    def test_reference_is_kept_as_two_floats(self, reference):
+        kept = ReferencePointDistance(reference).reference
+        assert type(kept) is tuple and [type(v) for v in kept] == [float, float]
+        assert kept == tuple(float(v) for v in reference)
+
+    def test_equal_points_in_any_container_give_one_policy(self):
+        policies = [ReferencePointDistance(container([0, 6.0]))
+                    for container in (tuple, list, np.array)]
+        assert policies[0] == policies[1] == policies[2]
+        assert len({hash(policy) for policy in policies}) == 1
 
 
 class TestSurvivalSelect:
