@@ -348,6 +348,7 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    sys.stdout.reconfigure(errors="surrogateescape")  # argv bytes that are not UTF-8, as given
     try:
         code = main()
         sys.stdout.flush()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -56,15 +57,15 @@ class AlgorithmConfig:
     def __post_init__(self):
         if not isinstance(self.policy, (CrowdingDistance, ReferencePointDistance)):
             raise TypeError(f"unknown survival policy: {self.policy!r}")
-        if self.pop_size < 1:
-            raise ValueError("population size must be at least 1")
+        budget = () if self.max_evaluations is None else (self.max_evaluations,)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+                   for v in (self.pop_size, *budget)):  # Python or NumPy integers, not bools
+            raise ValueError("pop_size and max_evaluations must be positive integers")
         if isinstance(self.reference_point, str) or len(self.reference_point) != 2:
             raise ValueError("reference point must have exactly 2 objectives")
         object.__setattr__(self, "reference_point", tuple(map(float, self.reference_point)))
         if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation rate must lie in [0, 1]")
-        if self.max_evaluations is not None and self.max_evaluations < 1:
-            raise ValueError("max_evaluations must be positive when set")
 
 
 @dataclass(frozen=True)
@@ -115,15 +116,16 @@ def run(
     initialization and after every generation; it is how traces and
     invariant checks observe the population. An unobserved run stops after
     the evaluations of its last generation without selecting survivors
-    nobody reads; at N = 1 with ones_table(), _run_single takes its
-    rate, cap, stream and first individual. Both match an observed run.
+    nobody reads; at N = 1 on a hashable problem with ones_table(), _run_single
+    takes its rate, cap, stream and first individual. Both match an observed run.
     """
     size, reference = config.pop_size, config.reference_point
     rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / problem.n
     cap = config.max_evaluations or math.inf
     rng = stream(seed)
     genomes = random_population(size, problem.n, rng)
-    if size == 1 and on_generation is None and hasattr(problem, "ones_table"):
+    if (size == 1 and on_generation is None and hasattr(problem, "ones_table")
+            and isinstance(problem, Hashable)):  # the kernel caches its rule by the problem
         return _run_single(problem, config, genomes[0], rate, cap, rng)
     evaluator = problem.evaluator()
     objectives, birth = evaluator(genomes), np.arange(size, dtype=np.int64)
@@ -162,12 +164,11 @@ def _count_rule(problem, reference, target) -> tuple:
     is a bool row over the count changes -_BAND-1 .. _BAND+1: entry
     d + _BAND + 1 is whether a child with d more ones than the parent gets a
     nonzero verdict, and the two end entries, which stand for every change
-    outside the band, are True. Rows are built as parents are met. Its cache key
-    is the problem (so it must be hashable), the reference pair or None, and the target pair.
+    outside the band, are True. marks memoizes its rows as parents are met, and
+    the rule is cached by the problem, the reference pair or None, and the target pair.
     """
     f1, f2 = problem.ones_table().T.tolist()
     target1, target2 = target
-    rows = {}
 
     def verdict(parent, child):
         c1, c2, p1, p2 = f1[child], f2[child], f1[parent], f2[parent]
@@ -178,14 +179,11 @@ def _count_rule(problem, reference, target) -> tuple:
         return (reference is not None and (c1 > p1 or c2 > p2)
                 and math.dist((c1, c2), reference) < math.dist((p1, p2), reference))
 
+    @lru_cache(maxsize=None)
     def marks(parent):
-        row = rows.get(parent)
-        if row is None:
-            children = range(parent - _BAND, parent + _BAND + 1)
-            row = rows[parent] = np.array(
-                [True, *(0 <= child <= problem.n and bool(verdict(parent, child))
-                         for child in children), True])
-        return row
+        children = range(parent - _BAND, parent + _BAND + 1)
+        return np.array([True, *(0 <= child <= problem.n and bool(verdict(parent, child))
+                                 for child in children), True])
     return verdict, marks
 
 

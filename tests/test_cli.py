@@ -644,6 +644,23 @@ def test_closed_stdout_exits_3_without_traceback(tmp_path):
         assert b"Traceback" not in stderr.read()
 
 
+@pytest.mark.parametrize("command, code", [("plot", 2), ("run", 0), ("sweep", 0)])
+def test_a_path_that_is_not_utf8_is_echoed_as_its_bytes(tmp_path, command, code):
+    # on a strict UTF-8 stdout, the default under a UTF-8 locale, printing such a path
+    # once raised UnicodeEncodeError: a traceback and exit 1
+    path = os.fsencode(tmp_path) + b"/\xff"
+    argv = {"plot": ["--summary", path, "--out", tmp_path / "chart.svg"],
+            "run": ["--problem", "omm", "--n", "6", "--algo", "rnsga2", "--pop", "1",
+                    "--trace", path],
+            "sweep": ["--plan", tiny_plan_file(tmp_path), "--out", path, "--parallelism", "1"]}
+    result = subprocess.run([sys.executable, "-m", "emolab", command, *argv[command]],
+                            capture_output=True, timeout=60, check=False,
+                            env=dict(package_env(), PYTHONIOENCODING="utf-8:strict"))
+    assert result.returncode == code, result.stderr
+    assert b"Traceback" not in result.stderr
+    assert path in result.stdout
+
+
 class TestOracle:
     def test_oneminmax_front(self, capsys):
         assert main(["oracle", "--problem", "omm", "--n", "4"]) == 0

@@ -118,6 +118,22 @@ class TestInitialize:
         with pytest.raises(TypeError):
             AlgorithmConfig(policy="refpoint", pop_size=1, reference_point=(0.0, 1.0))
 
+    # each was once accepted, and then ran on the array engine (2, 2.5), failed in the N = 1
+    # kernel (1, 2.5) or failed in the run
+    @pytest.mark.parametrize("pop_size, cap", [(2, 2.5), (1, 2.5), (2.5, None), (True, None),
+                                               (2.0, 10), (2, True), (1, np.float64(3.0))])
+    def test_sizes_and_budgets_that_are_not_integers_fail_when_built(self, pop_size, cap):
+        with pytest.raises(ValueError, match="must be positive integers"):
+            AlgorithmConfig(policy=CrowdingDistance(), pop_size=pop_size,
+                            reference_point=(0.0, 1.0), max_evaluations=cap)
+
+    @pytest.mark.parametrize("pop_size", [1, 3])
+    def test_numpy_integer_sizes_and_budgets_run_on_every_path(self, pop_size):
+        config = omm_config(8, np.int64(pop_size), max_evaluations=np.int32(40))
+        expected = run(OneMinMax(8), omm_config(8, pop_size, max_evaluations=40), seed=3)
+        assert run(OneMinMax(8), config, seed=3) == expected
+        assert observed(OneMinMax(8), config, seed=3)[-1].evaluations == expected.evaluations
+
     @pytest.mark.parametrize("target", [("a", "b"), (None, 1), "12"],
                              ids=["strings", "None", "string"])
     def test_a_target_that_is_not_two_numbers_fails_when_built(self, target):

@@ -15,6 +15,8 @@ with their birth ranks, and each selection is the suite's own reference
 (`test_survival.select_reference`: strip partition and loop crowding, birth
 breaking ties), so the chain is apart from `survival`. Besides the mean it
 gives the chance that the hit comes from row 0, which survivor order sets.
+Its cells are OneMinMax(8), whose pools are one front, and
+OneJumpZeroJump(8, 2), whose pools hold several.
 
 The z bound, the master seed and the number of runs were fixed before the
 first run. A cell whose mean is out of any test's reach (crowding, whose
@@ -38,7 +40,7 @@ from test_survival import select_reference
 Z_BOUND = 3.5      # two-sided; Bonferroni at 1% over about 20 comparisons
 CHAIN_SEED = 2027  # master seed of every cell's runs
 RUNS = 400
-PAIR_RUNS = 1000   # per N = 2 cell
+PAIR_RUNS = 1000   # per N = 2 cell, but 400 for OneJumpZeroJump under crowding
 
 
 def binomial(m, p):
@@ -199,24 +201,42 @@ def pair_moments(q, hit, start, first_hit):
     return mean, second - mean ** 2, first_hit + start @ row_0
 
 
-@pytest.mark.parametrize("policy", ["crowding", "refpoint"])
-def test_pair_runs_match_the_exact_chain(policy):
-    problem, rate = OneMinMax(8), 1 / 8
+def check_pair_runs(problem, policy, runs, key):
+    """Hold `runs` unobserved N = 2 runs at rate 1/8, seeded by child_seed(CHAIN_SEED, *key,
+    trial), to the exact chain's mean of evaluations_to_hit and its share of hits from row
+    0; return the exact mean."""
+    rate = 1 / 8
     mean, variance, row_0 = pair_moments(*pair_chain(problem, policy, rate))
-    # the means of a scratch chain whose selections were survival_select's
-    assert round(mean, 2) == {"crowding": 84.72, "refpoint": 38.24}[policy]
     target = problem.reference_point()
     config = AlgorithmConfig(
         policy=ReferencePointDistance(target) if policy == "refpoint" else CrowdingDistance(),
         pop_size=2, reference_point=target, mutation_rate=rate)
-    evaluations = [run(problem, config, child_seed(CHAIN_SEED, "pair", policy, trial))
-                   .evaluations_to_hit for trial in range(PAIR_RUNS)]
-    z_mean = (statistics.fmean(evaluations) - mean) / math.sqrt(variance / PAIR_RUNS)
-    share = sum(e % 2 for e in evaluations) / PAIR_RUNS
-    z_row_0 = (share - row_0) / math.sqrt(row_0 * (1 - row_0) / PAIR_RUNS)
-    print(f"\npair {policy}: mean {statistics.fmean(evaluations):.4g}, exact {mean:.4g}, "
-          f"z {z_mean:+.2f}; row-0 hits {share:.4g}, exact {row_0:.4g}, z {z_row_0:+.2f}")
+    evaluations = [run(problem, config, child_seed(CHAIN_SEED, *key, trial)).evaluations_to_hit
+                   for trial in range(runs)]
+    z_mean = (statistics.fmean(evaluations) - mean) / math.sqrt(variance / runs)
+    share = sum(e % 2 for e in evaluations) / runs
+    z_row_0 = (share - row_0) / math.sqrt(row_0 * (1 - row_0) / runs)
+    print(f"\npair {cell_id((problem, policy, rate, None, False))}: mean "
+          f"{statistics.fmean(evaluations):.4g}, exact {mean:.4g}, z {z_mean:+.2f}; "
+          f"row-0 hits {share:.4g}, exact {row_0:.4g}, z {z_row_0:+.2f}")
     assert abs(z_mean) <= Z_BOUND and abs(z_row_0) <= Z_BOUND
+    return mean
+
+
+@pytest.mark.parametrize("policy", ["crowding", "refpoint"])
+def test_pair_runs_match_the_exact_chain(policy):
+    mean = check_pair_runs(OneMinMax(8), policy, PAIR_RUNS, ("pair", policy))
+    # the means of a scratch chain whose selections were survival_select's
+    assert round(mean, 2) == {"crowding": 84.72, "refpoint": 38.24}[policy]
+
+
+# OneJumpZeroJump pools hold several fronts; its crowding runs are about 2.5 times as long,
+# so they get fewer
+@pytest.mark.parametrize("policy, runs", [("crowding", 400), ("refpoint", PAIR_RUNS)])
+def test_jump_pair_runs_match_the_exact_chain(policy, runs):
+    mean = check_pair_runs(OneJumpZeroJump(8, 2), policy, runs, ("pair-ojzj", policy))
+    # the means of a scratch chain whose selections were select_reference's
+    assert round(mean, 2) == {"crowding": 297.5, "refpoint": 151.67}[policy]
 
 
 def test_chain_of_one_bit():

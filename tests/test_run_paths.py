@@ -1,12 +1,13 @@
 """Every path through `run` gives one RunResult: a seeded differential corpus.
 
-`run` takes one of three paths. An unobserved N = 1 run on a problem with
-ones_table() goes through the (1+1) kernel, `_run_single`; any other
+`run` takes one of three paths. An unobserved N = 1 run on a hashable problem
+with ones_table() goes through the (1+1) kernel, `_run_single`; any other
 unobserved run goes through the array engine, which stops after its last
 evaluations; an observed run goes through the array engine and selects
 survivors every generation. Each case draws the problem (one of the four
-families, NK at K = 0..3, or a plain object that answers only `n`,
-`evaluator()`, `front()` and `reference_point()`), n, N from 1 to 12, the
+families, NK at K = 0..3, a plain object that answers only `n`,
+`evaluator()`, `front()` and `reference_point()`, or an unhashable plain
+`@dataclass` that answers `ones_table()` too), n, N from 1 to 12, the
 target, the survival policy, the mutation rate, the cap and the container of
 the reference points, and checks that the unobserved run gives the RunResult
 of the same run observed by a no-op, or on the kernel's cases by an observer
@@ -28,6 +29,7 @@ printing each mismatch and exiting 1 if there is one.
 import argparse
 import random
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +59,19 @@ class Plain:
 
     def reference_point(self, rng=None):
         return self._problem.reference_point(rng)
+
+
+@dataclass
+class Unhashable(Plain):
+    """A plain problem with ones_table(), written as a plain @dataclass, whose generated
+    __eq__ sets __hash__ to None; the kernel caches by the problem, so it runs on the
+    array engine at every N."""
+
+    n: int
+    _problem: object
+
+    def ones_table(self):
+        return self._problem.ones_table()
 
 
 def observe_nothing(state):
@@ -101,7 +116,8 @@ def draw_case(seed, index):
     if (family == "omm" and standard and policy == "refpoint at the target" and rate is None
             and n <= 16 and rng.random() < 0.5):
         cap = None
-    plain = rng.random() < 0.2
+    wrap = rng.random()
+    wrapper = "plain" if wrap < 0.2 else "unhashable" if wrap < 0.3 and family != "nk" else None
     container = rng.choice(list(CONTAINERS))
     as_container = CONTAINERS[container]
     if policy == "crowding":
@@ -113,9 +129,10 @@ def draw_case(seed, index):
     config = AlgorithmConfig(policy=survival, pop_size=pop_size,
                              reference_point=as_container(target), mutation_rate=rate,
                              max_evaluations=cap)
-    what = dict(seed=seed, index=index, family=family, n=n, k=k, plain=plain, target=target,
+    what = dict(seed=seed, index=index, family=family, n=n, k=k, wrapper=wrapper, target=target,
                 policy=policy, rate=rate, pop_size=pop_size, cap=cap, container=container)
-    return what, Plain(problem) if plain else problem, config, rng.randrange(1 << 32)
+    wrapped = {None: problem, "plain": Plain(problem), "unhashable": Unhashable(n, problem)}
+    return what, wrapped[wrapper], config, rng.randrange(1 << 32)
 
 
 def draw_band_case(seed, index):
@@ -144,7 +161,7 @@ def draw_band_case(seed, index):
     config = AlgorithmConfig(policy=ReferencePointDistance(as_container(reference)), pop_size=1,
                              reference_point=as_container(target), mutation_rate=rate,
                              max_evaluations=cap)
-    what = dict(seed=seed, index=index, band=True, family=family, n=n, k=k, plain=False,
+    what = dict(seed=seed, index=index, band=True, family=family, n=n, k=k, wrapper=None,
                 target=target, policy=policy, rate=rate, pop_size=1, cap=cap, container=container)
     return what, problem, config, rng.randrange(1 << 32)
 
@@ -207,16 +224,18 @@ def test_unobserved_runs_match_observed_runs():
             mismatches.append((what, found))
         kernel_runs += used_kernel
         moved += used_kernel and bool(trajectory[0])
-        # the kernel takes exactly the unobserved N = 1 runs on a ones-count problem
-        assert used_kernel == (what["pop_size"] == 1 and not what["plain"]
-                               and what["family"] != "nk"), what
-        paths.add((used_kernel, what["pop_size"] == 1, what["plain"], what["container"]))
+        # the kernel takes exactly the unobserved N = 1 runs on a hashable ones-count problem
+        ones_count = what["family"] != "nk" and what["wrapper"] != "plain"
+        hashable = what["wrapper"] != "unhashable"
+        assert used_kernel == (what["pop_size"] == 1 and ones_count and hashable), what
+        paths.add((used_kernel, what["pop_size"] == 1, what["wrapper"], what["container"]))
     assert not mismatches
     assert moved >= kernel_runs // 4  # the trajectories compared are not all empty
-    # every path, with plain problems on both array paths, and each container on each path
-    assert paths == {(kernel, single, plain, container)
+    # every path, with plain and unhashable problems on both array paths, and each
+    # container on each path
+    assert paths == {(kernel, single, wrapper, container)
                      for kernel, single in ((True, True), (False, True), (False, False))
-                     for plain in ((False,) if kernel else (False, True))
+                     for wrapper in ((None,) if kernel else (None, "plain", "unhashable"))
                      for container in CONTAINERS}
 
 
@@ -231,6 +250,21 @@ def test_a_problem_without_a_ones_table_runs_unobserved_at_n_1():
                 result = run(Plain(problem), config, seed)
                 assert result == run(Plain(problem), config, seed, on_generation=observe_nothing)
                 assert result == run(problem, config, seed)
+
+
+def test_an_unhashable_problem_with_a_ones_table_runs_unobserved_at_n_1():
+    # it once raised TypeError: unhashable type here; it takes the array engine, and gives
+    # the kernel's result on the problem it wraps: at seed 3 a hit at evaluation 43
+    problem = OneMinMax(8)
+    target = problem.reference_point()
+    results = []
+    for survival, cap in ((ReferencePointDistance(target), None), (CrowdingDistance(), 300)):
+        config = AlgorithmConfig(policy=survival, pop_size=1, reference_point=target,
+                                 max_evaluations=cap)
+        results.append(run(Unhashable(8, problem), config, 3))
+        assert results[-1] == run(Unhashable(8, problem), config, 3, on_generation=observe_nothing)
+        assert results[-1] == run(problem, config, 3)
+    assert results[0].evaluations_to_hit == 43
 
 
 def main(argv=None) -> int:
