@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -26,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import bitwise_mutate, random_population, stream
-from .survival import CrowdingDistance, ReferencePointDistance, survival_select
+from .survival import CrowdingDistance, ReferencePointDistance, float_pair, survival_select
 
 # The N = 1 kernel draws the mutation uniforms of up to this many generations
 # at once, and never more than _BLOCK_UNIFORMS of them, so a block stays a
@@ -61,9 +60,7 @@ class AlgorithmConfig:
         if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
                    for v in (self.pop_size, *budget)):  # Python or NumPy integers, not bools
             raise ValueError("pop_size and max_evaluations must be positive integers")
-        if isinstance(self.reference_point, str) or len(self.reference_point) != 2:
-            raise ValueError("reference point must have exactly 2 objectives")
-        object.__setattr__(self, "reference_point", tuple(map(float, self.reference_point)))
+        object.__setattr__(self, "reference_point", float_pair(self.reference_point))
         if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation rate must lie in [0, 1]")
 
@@ -116,16 +113,15 @@ def run(
     initialization and after every generation; it is how traces and
     invariant checks observe the population. An unobserved run stops after
     the evaluations of its last generation without selecting survivors
-    nobody reads; at N = 1 on a hashable problem with ones_table(), _run_single
-    takes its rate, cap, stream and first individual. Both match an observed run.
+    nobody reads; at N = 1 on a problem with ones_table(), _run_single takes
+    its rate, cap, stream and first individual. Both match an observed run.
     """
     size, reference = config.pop_size, config.reference_point
     rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / problem.n
     cap = config.max_evaluations or math.inf
     rng = stream(seed)
     genomes = random_population(size, problem.n, rng)
-    if (size == 1 and on_generation is None and hasattr(problem, "ones_table")
-            and isinstance(problem, Hashable)):  # the kernel caches its rule by the problem
+    if size == 1 and on_generation is None and hasattr(problem, "ones_table"):
         return _run_single(problem, config, genomes[0], rate, cap, rng)
     evaluator = problem.evaluator()
     objectives, birth = evaluator(genomes), np.arange(size, dtype=np.int64)
@@ -164,8 +160,9 @@ def _count_rule(problem, reference, target) -> tuple:
     is a bool row over the count changes -_BAND-1 .. _BAND+1: entry
     d + _BAND + 1 is whether a child with d more ones than the parent gets a
     nonzero verdict, and the two end entries, which stand for every change
-    outside the band, are True. marks memoizes its rows as parents are met, and
-    the rule is cached by the problem, the reference pair or None, and the target pair.
+    outside the band, are True. marks memoizes its rows as parents are met. The rule is
+    cached by the problem, the reference pair or None, and the target pair; for a
+    problem that cannot be hashed, _run_single builds it through __wrapped__.
     """
     f1, f2 = problem.ones_table().T.tolist()
     target1, target2 = target
@@ -214,7 +211,16 @@ def _run_single(problem, config: AlgorithmConfig, genome, rate, cap, rng) -> Run
     evaluation base + r + 1.
     """
     n = problem.n
-    verdict, marks = _count_rule(problem, config.policy.reference, config.reference_point)
+    key = problem, config.policy.reference, config.reference_point
+    try:
+        verdict, marks = _count_rule(*key)
+    except TypeError:
+        try:
+            hash(key)
+        except TypeError:  # the cache cannot hash the problem
+            verdict, marks = _count_rule.__wrapped__(*key)
+        else:
+            raise  # from building the rule
     count_type = np.float32 if n < 1 << 24 else np.float64  # exact integer sums
     ones, weights = np.count_nonzero(genome), 1 - 2 * genome.astype(count_type)
     evaluations, hit = 1, verdict(ones, ones) == _HIT  # the first parent meets the target

@@ -37,6 +37,14 @@ from typing import ClassVar
 import numpy as np
 
 
+def float_pair(point) -> tuple:
+    """`point` as a tuple of two floats; ValueError unless it is a sized pair of real numbers."""
+    if not (isinstance(point, Sized) and len(point) == 2
+            and all(type(v) is float or isinstance(v, Real) for v in point)):
+        raise ValueError(f"the reference point must be two numbers, got {point!r}")
+    return tuple(map(float, point))
+
+
 @dataclass(frozen=True)
 class CrowdingDistance:
     """Order the critical front by crowding distance, descending."""
@@ -52,10 +60,7 @@ class ReferencePointDistance:
     reference: tuple
 
     def __post_init__(self):
-        if not (isinstance(self.reference, Sized) and len(self.reference) == 2
-                and all(type(v) is float or isinstance(v, Real) for v in self.reference)):
-            raise ValueError(f"the reference point must be two numbers, got {self.reference!r}")
-        object.__setattr__(self, "reference", tuple(map(float, self.reference)))
+        object.__setattr__(self, "reference", float_pair(self.reference))
 
 
 def _sorted_runs(objectives, by_birth):

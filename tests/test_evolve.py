@@ -5,6 +5,7 @@ import io
 import math
 import os
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -134,10 +135,13 @@ class TestInitialize:
         assert run(OneMinMax(8), config, seed=3) == expected
         assert observed(OneMinMax(8), config, seed=3)[-1].evaluations == expected.evaluations
 
-    @pytest.mark.parametrize("target", [("a", "b"), (None, 1), "12"],
-                             ids=["strings", "None", "string"])
+    # float() reads the last three as (1.0, 2.0); the policy's check refuses them too
+    @pytest.mark.parametrize("target", [("a", "b"), (None, 1), "12", ("1", "2"), (b"1", 2.0),
+                                        (Decimal(1), 2)],
+                             ids=["strings", "None", "string", "numeric-strings", "bytes",
+                                  "Decimal"])
     def test_a_target_that_is_not_two_numbers_fails_when_built(self, target):
-        with pytest.raises((TypeError, ValueError)):
+        with pytest.raises(ValueError, match="must be two numbers"):
             AlgorithmConfig(policy=CrowdingDistance(), pop_size=2, reference_point=target)
 
     def test_equal_points_in_any_container_give_one_config(self):

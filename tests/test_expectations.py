@@ -1,4 +1,4 @@
-"""Exact expectations of N = 1 and N = 2 runs, against runs of the real code.
+"""Exact expectations of runs with 1, 2 and 3 survivors, against runs of the real code.
 
 At N = 1 a run on OneMinMax, OneMinMax* or OneJumpZeroJump is a Markov chain
 on its parent's number of ones. A child keeps a binomial number of the
@@ -10,13 +10,14 @@ ones. One linear solve gives the mean of evaluations_to_hit, a second its
 variance, and a matrix power the chance of a hit within a budget. The rule
 is written here apart from `evolve._count_rule`, which the runs go through.
 
-At N = 2 the chain's state is both survivors' ones counts in survivor order
+With N survivors the chain's state is their ones counts in survivor order
 with their birth ranks, and each selection is the suite's own reference
 (`test_survival.select_reference`: strip partition and loop crowding, birth
 breaking ties), so the chain is apart from `survival`. Besides the mean it
 gives the chance that the hit comes from row 0, which survivor order sets.
-Its cells are OneMinMax(8), whose pools are one front, and
-OneJumpZeroJump(8, 2), whose pools hold several.
+Its N = 2 cells are OneMinMax(8), whose pools are one front, and
+OneJumpZeroJump(8, 2), whose pools hold several; its N = 3 cells are
+OneMinMax(4).
 
 The z bound, the master seed and the number of runs were fixed before the
 first run. A cell whose mean is out of any test's reach (crowding, whose
@@ -41,6 +42,7 @@ Z_BOUND = 3.5      # two-sided; Bonferroni at 1% over about 20 comparisons
 CHAIN_SEED = 2027  # master seed of every cell's runs
 RUNS = 400
 PAIR_RUNS = 1000   # per N = 2 cell, but 400 for OneJumpZeroJump under crowding
+TRIPLE_RUNS = 2000  # per N = 3 cell
 
 
 def binomial(m, p):
@@ -152,71 +154,76 @@ def test_runs_match_the_exact_chain(cell):
     assert abs(z) <= Z_BOUND
 
 
-def pair_chain(problem, policy, rate):
-    """(Q, hit, start, first_hit) of an N = 2 run's chain, over states
-    (counts, births): the survivors' ones counts in survivor order, neither
-    at the target, and their birth ranks. Q[s, t] is the chance that a
-    generation from state s hits nowhere and leaves state t, hit[s] the
-    chance that its row 0 hits; start[s] is the chance that the first
-    population is state s, and first_hit that its row 0 hits. Offspring i is
-    row i's child, born after every survivor in survivor order; the pool is
-    the parents then the offspring, and its survivors, in order, are those
-    of the suite's own selection, `test_survival.select_reference`."""
+def population_chain(problem, policy, rate, size):
+    """(Q, hits, start, first_hits) of the chain of a run with `size`
+    survivors, over states (counts, births): the survivors' ones counts in
+    survivor order, none at the target, and their birth ranks. Q[s, t] is
+    the chance that a generation from state s hits nowhere and leaves state
+    t, and hits[s, i] the chance that its first hit is row i's; start[s] is
+    the chance that the first population is state s, and first_hits[i] that
+    its first hit is row i's. Offspring i is row i's child, born after every
+    survivor in survivor order; the pool is the parents then the offspring,
+    and its survivors, in order, are those of the suite's own selection,
+    `test_survival.select_reference`."""
     n, target = problem.n, problem.reference_point()
     table = problem.ones_table()
     live = [count for count, v in enumerate(table.tolist()) if tuple(v) != target]
     children = [np.convolve(binomial(c, rate)[::-1], binomial(n - c, rate)) for c in range(n + 1)]
     survival = ReferencePointDistance(target) if policy == "refpoint" else CrowdingDistance()
-    states = [(counts, births) for counts in itertools.product(live, repeat=2)
-              for births in ((0, 1), (1, 0))]
+    states = [(counts, births) for counts in itertools.product(live, repeat=size)
+              for births in itertools.permutations(range(size))]
     index = {state: i for i, state in enumerate(states)}
-    q, hit = np.zeros((len(states), len(states))), np.zeros(len(states))
+    q, hits = np.zeros((len(states), len(states))), np.zeros((len(states), size))
     for (counts, births), row in index.items():
-        hit[row] = 1 - children[counts[0]][live].sum()
-        pool_birth = births + (2, 3)
-        for offspring in itertools.product(live, repeat=2):
+        misses = np.array([children[c][live].sum() for c in counts])
+        hits[row] = np.cumprod([1, *misses[:-1]]) * (1 - misses)
+        pool_birth = births + tuple(range(size, 2 * size))
+        for offspring in itertools.product(live, repeat=size):
             pool = counts + offspring
-            first, second = select_reference(table[list(pool)], np.array(pool_birth), 2, survival)
-            ranks = (0, 1) if pool_birth[first] < pool_birth[second] else (1, 0)
-            q[row, index[(pool[first], pool[second]), ranks]] += (
-                children[counts[0]][offspring[0]] * children[counts[1]][offspring[1]])
+            keep = select_reference(table[list(pool)], np.array(pool_birth), size, survival)
+            ranks = tuple(np.argsort([pool_birth[i] for i in keep]).argsort().tolist())
+            q[row, index[tuple(pool[i] for i in keep), ranks]] += math.prod(
+                children[c][child] for c, child in zip(counts, offspring))
     initial = binomial(n, 0.5)
     start = np.zeros(len(states))
-    for counts in itertools.product(live, repeat=2):
-        start[index[counts, (0, 1)]] = initial[counts[0]] * initial[counts[1]]
-    return q, hit, start, 1 - initial[live].sum()
+    for counts in itertools.product(live, repeat=size):
+        start[index[counts, tuple(range(size))]] = math.prod(initial[c] for c in counts)
+    miss = initial[live].sum()
+    return q, hits, start, miss ** np.arange(size) * (1 - miss)
 
 
-def pair_moments(q, hit, start, first_hit):
-    """Mean and variance of an N = 2 run's evaluations_to_hit, and the chance
-    that its hit comes from row 0 (an odd evaluations_to_hit)."""
-    free = np.eye(len(q)) - q
-    # a generation, or the first population, costs 1 evaluation if its row 0
-    # hits and else 2, whether its row 1 hits or the run goes on
-    steps = np.linalg.solve(free, 2 - hit)
-    squares = np.linalg.solve(free, 4 - 3 * hit + 4 * q @ steps)
-    row_0 = np.linalg.solve(free, hit)
-    mean = 2 - first_hit + start @ steps
-    second = 4 - 3 * first_hit + start @ (4 * steps + squares)
-    return mean, second - mean ** 2, first_hit + start @ row_0
+def chain_moments(q, hits, start, first_hits):
+    """Mean and variance of the chain's evaluations_to_hit, and the chance
+    that its hit comes from row 0."""
+    size = len(first_hits)
+    free, cost = np.eye(len(q)) - q, np.arange(1, size + 1)
+    # a generation, or the first population, costs i + 1 evaluations if its
+    # first hit is row i's and else `size`, as the run then goes on
+    steps = np.linalg.solve(free, hits @ cost + size * (1 - hits.sum(1)))
+    squares = np.linalg.solve(free, hits @ cost ** 2 + size ** 2 * (1 - hits.sum(1))
+                              + 2 * size * q @ steps)
+    row_0 = np.linalg.solve(free, hits[:, 0])
+    first_miss = 1 - first_hits.sum()
+    mean = first_hits @ cost + size * first_miss + start @ steps
+    second = first_hits @ cost ** 2 + size ** 2 * first_miss + start @ (2 * size * steps + squares)
+    return mean, second - mean ** 2, first_hits[0] + start @ row_0
 
 
-def check_pair_runs(problem, policy, runs, key):
-    """Hold `runs` unobserved N = 2 runs at rate 1/8, seeded by child_seed(CHAIN_SEED, *key,
-    trial), to the exact chain's mean of evaluations_to_hit and its share of hits from row
-    0; return the exact mean."""
-    rate = 1 / 8
-    mean, variance, row_0 = pair_moments(*pair_chain(problem, policy, rate))
+def check_population_runs(problem, policy, size, rate, runs, key):
+    """Hold `runs` unobserved runs with `size` survivors, seeded by child_seed(CHAIN_SEED,
+    *key, trial), to the exact chain's mean of evaluations_to_hit and its share of hits
+    from row 0 (evaluations_to_hit - 1 a multiple of `size`); return the exact mean."""
+    mean, variance, row_0 = chain_moments(*population_chain(problem, policy, rate, size))
     target = problem.reference_point()
     config = AlgorithmConfig(
         policy=ReferencePointDistance(target) if policy == "refpoint" else CrowdingDistance(),
-        pop_size=2, reference_point=target, mutation_rate=rate)
+        pop_size=size, reference_point=target, mutation_rate=rate)
     evaluations = [run(problem, config, child_seed(CHAIN_SEED, *key, trial)).evaluations_to_hit
                    for trial in range(runs)]
     z_mean = (statistics.fmean(evaluations) - mean) / math.sqrt(variance / runs)
-    share = sum(e % 2 for e in evaluations) / runs
+    share = sum((e - 1) % size == 0 for e in evaluations) / runs
     z_row_0 = (share - row_0) / math.sqrt(row_0 * (1 - row_0) / runs)
-    print(f"\npair {cell_id((problem, policy, rate, None, False))}: mean "
+    print(f"\nN = {size} {cell_id((problem, policy, rate, None, False))}: mean "
           f"{statistics.fmean(evaluations):.4g}, exact {mean:.4g}, z {z_mean:+.2f}; "
           f"row-0 hits {share:.4g}, exact {row_0:.4g}, z {z_row_0:+.2f}")
     assert abs(z_mean) <= Z_BOUND and abs(z_row_0) <= Z_BOUND
@@ -225,7 +232,7 @@ def check_pair_runs(problem, policy, runs, key):
 
 @pytest.mark.parametrize("policy", ["crowding", "refpoint"])
 def test_pair_runs_match_the_exact_chain(policy):
-    mean = check_pair_runs(OneMinMax(8), policy, PAIR_RUNS, ("pair", policy))
+    mean = check_population_runs(OneMinMax(8), policy, 2, 1 / 8, PAIR_RUNS, ("pair", policy))
     # the means of a scratch chain whose selections were survival_select's
     assert round(mean, 2) == {"crowding": 84.72, "refpoint": 38.24}[policy]
 
@@ -234,9 +241,17 @@ def test_pair_runs_match_the_exact_chain(policy):
 # so they get fewer
 @pytest.mark.parametrize("policy, runs", [("crowding", 400), ("refpoint", PAIR_RUNS)])
 def test_jump_pair_runs_match_the_exact_chain(policy, runs):
-    mean = check_pair_runs(OneJumpZeroJump(8, 2), policy, runs, ("pair-ojzj", policy))
+    mean = check_population_runs(OneJumpZeroJump(8, 2), policy, 2, 1 / 8, runs,
+                                 ("pair-ojzj", policy))
     # the means of a scratch chain whose selections were select_reference's
     assert round(mean, 2) == {"crowding": 297.5, "refpoint": 151.67}[policy]
+
+
+@pytest.mark.parametrize("policy", ["crowding", "refpoint"])
+def test_triple_runs_match_the_exact_chain(policy):
+    mean = check_population_runs(OneMinMax(4), policy, 3, 1 / 4, TRIPLE_RUNS, ("triple", policy))
+    # the means of a scratch chain whose selections were survival_select's
+    assert round(mean, 2) == {"crowding": 18.14, "refpoint": 13.33}[policy]
 
 
 def test_chain_of_one_bit():
@@ -246,5 +261,8 @@ def test_chain_of_one_bit():
     assert hit_within(*exact(OneMinMax(1), "crowding", 1.0), 1) == 0.5
     # at N = 2 the first population hits at evaluation 1 or 2, and else the
     # first generation hits at 3, with chances 1/2, 1/4 and 1/4
-    assert pair_moments(*pair_chain(OneMinMax(1), "refpoint", 1.0)) == pytest.approx(
+    assert chain_moments(*population_chain(OneMinMax(1), "refpoint", 1.0, 2)) == pytest.approx(
         (1.75, 0.6875, 0.75))
+    # at N = 3 at evaluation 1, 2 or 3, and else at 4, with chances 1/2, 1/4, 1/8 and 1/8
+    assert chain_moments(*population_chain(OneMinMax(1), "refpoint", 1.0, 3)) == pytest.approx(
+        (1.875, 1.109375, 0.625))

@@ -1,21 +1,23 @@
 """Every path through `run` gives one RunResult: a seeded differential corpus.
 
-`run` takes one of three paths. An unobserved N = 1 run on a hashable problem
-with ones_table() goes through the (1+1) kernel, `_run_single`; any other
+`run` takes one of three paths. An unobserved N = 1 run on a problem with
+ones_table() goes through the (1+1) kernel, `_run_single`; any other
 unobserved run goes through the array engine, which stops after its last
 evaluations; an observed run goes through the array engine and selects
 survivors every generation. Each case draws the problem (one of the four
 families, NK at K = 0..3, a plain object that answers only `n`,
-`evaluator()`, `front()` and `reference_point()`, or an unhashable plain
-`@dataclass` that answers `ones_table()` too), n, N from 1 to 12, the
-target, the survival policy, the mutation rate, the cap and the container of
-the reference points, and checks that the unobserved run gives the RunResult
-of the same run observed by a no-op, or on the kernel's cases by an observer
-that keeps its states. On those cases it also checks the trajectory, which a capped run's RunResult
-does not show: the kernel's replacements, logged from the verdicts of
-`evolve._count_rule`, are the observed run's changes of parent. One band
-case to every ten corpus cases draws an N = 1 run whose count changes often
-leave the kernel's candidate band, which the corpus cases seldom do.
+`evaluator()`, `front()` and `reference_point()`, or one that answers
+`ones_table()` too but cannot be hashed: a plain `@dataclass`, whose type
+has no hash, or a frozen one holding a list, whose value has none), n, N
+from 1 to 12, the target, the survival policy, the mutation rate, the cap
+and the container of the reference points, and checks that the unobserved
+run gives the RunResult of the same run observed by a no-op, or on the
+kernel's cases by an observer that keeps its states. On those cases it also
+checks the trajectory, which a capped run's RunResult does not show: the
+kernel's replacements, logged from the verdicts of `evolve._count_rule`,
+cached or built for one run, are the observed run's changes of parent. One
+band case to every ten corpus cases draws an N = 1 run whose count changes
+often leave the kernel's candidate band, which the corpus cases seldom do.
 
 The Tier-1 corpus is fixed by SEED and CASES; `draw_case(seed, index)` and
 `draw_band_case(seed, index)` rebuild a failing case. A longer campaign runs
@@ -29,9 +31,10 @@ printing each mismatch and exiting 1 if there is one.
 import argparse
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+import pytest
 
 from emolab import evolve
 from emolab.evolve import AlgorithmConfig, run
@@ -61,17 +64,29 @@ class Plain:
         return self._problem.reference_point(rng)
 
 
+class Ones(Plain):
+    """A plain problem with ones_table(), which puts it on the kernel at N = 1."""
+
+    def ones_table(self):
+        return self._problem.ones_table()
+
+
 @dataclass
-class Unhashable(Plain):
-    """A plain problem with ones_table(), written as a plain @dataclass, whose generated
-    __eq__ sets __hash__ to None; the kernel caches by the problem, so it runs on the
-    array engine at every N."""
+class Unhashable(Ones):
+    """Written as a plain @dataclass, whose generated __eq__ sets __hash__ to None."""
 
     n: int
     _problem: object
 
-    def ones_table(self):
-        return self._problem.ones_table()
+
+@dataclass(frozen=True)
+class UnhashableValue(Ones):
+    """Written as a frozen @dataclass, whose type has a hash that its list field makes
+    raise TypeError: unhashable type: 'list'."""
+
+    n: int
+    _problem: object
+    tags: list = field(default_factory=list)
 
 
 def observe_nothing(state):
@@ -117,7 +132,8 @@ def draw_case(seed, index):
             and n <= 16 and rng.random() < 0.5):
         cap = None
     wrap = rng.random()
-    wrapper = "plain" if wrap < 0.2 else "unhashable" if wrap < 0.3 and family != "nk" else None
+    wrapper = ("plain" if wrap < 0.2 else None if family == "nk" or wrap >= 0.4
+               else "unhashable" if wrap < 0.3 else "unhashable value")
     container = rng.choice(list(CONTAINERS))
     as_container = CONTAINERS[container]
     if policy == "crowding":
@@ -131,7 +147,8 @@ def draw_case(seed, index):
                              max_evaluations=cap)
     what = dict(seed=seed, index=index, family=family, n=n, k=k, wrapper=wrapper, target=target,
                 policy=policy, rate=rate, pop_size=pop_size, cap=cap, container=container)
-    wrapped = {None: problem, "plain": Plain(problem), "unhashable": Unhashable(n, problem)}
+    wrapped = {None: problem, "plain": Plain(problem), "unhashable": Unhashable(n, problem),
+               "unhashable value": UnhashableValue(n, problem)}
     return what, wrapped[wrapper], config, rng.randrange(1 << 32)
 
 
@@ -175,16 +192,21 @@ def campaign(seed, cases) -> list:
         ran.append(True)
         return kernel(*args)
 
-    def logged_rule(*args):
-        verdict, marks = rule(*args)
+    def logging(build):
+        def logged_rule(*args):
+            verdict, marks = build(*args)
 
-        def logged(parent, child):
-            outcome = verdict(parent, child)
-            if outcome and outcome != evolve._HIT:  # the kernel takes the child as its parent
-                replaced.append(child)
-            return outcome
-        return logged, marks
+            def logged(parent, child):
+                outcome = verdict(parent, child)
+                if outcome and outcome != evolve._HIT:  # the kernel takes the child as its parent
+                    replaced.append(child)
+                return outcome
+            return logged, marks
+        return logged_rule
 
+    # the cached rule, and the one the kernel builds for a problem the cache cannot hash
+    logged_rule = logging(rule)
+    logged_rule.__wrapped__ = logging(rule.__wrapped__)
     evolve._run_single, evolve._count_rule = counted, logged_rule
     try:
         # one band case to every ten corpus cases
@@ -224,19 +246,21 @@ def test_unobserved_runs_match_observed_runs():
             mismatches.append((what, found))
         kernel_runs += used_kernel
         moved += used_kernel and bool(trajectory[0])
-        # the kernel takes exactly the unobserved N = 1 runs on a hashable ones-count problem
+        # the kernel takes exactly the unobserved N = 1 runs on a ones-count problem,
+        # hashable or not
         ones_count = what["family"] != "nk" and what["wrapper"] != "plain"
-        hashable = what["wrapper"] != "unhashable"
-        assert used_kernel == (what["pop_size"] == 1 and ones_count and hashable), what
+        assert used_kernel == (what["pop_size"] == 1 and ones_count), what
         paths.add((used_kernel, what["pop_size"] == 1, what["wrapper"], what["container"]))
     assert not mismatches
     assert moved >= kernel_runs // 4  # the trajectories compared are not all empty
-    # every path, with plain and unhashable problems on both array paths, and each
-    # container on each path
+    # every path with each container, the kernel's with both unhashable problems, and
+    # N = 1 on the array engine with NK landscapes and plain problems
+    unhashable = ("unhashable", "unhashable value")
     assert paths == {(kernel, single, wrapper, container)
-                     for kernel, single in ((True, True), (False, True), (False, False))
-                     for wrapper in ((None,) if kernel else (None, "plain", "unhashable"))
-                     for container in CONTAINERS}
+                     for kernel, single, wrappers in ((True, True, (None, *unhashable)),
+                                                      (False, True, (None, "plain")),
+                                                      (False, False, (None, "plain", *unhashable)))
+                     for wrapper in wrappers for container in CONTAINERS}
 
 
 def test_a_problem_without_a_ones_table_runs_unobserved_at_n_1():
@@ -252,19 +276,52 @@ def test_a_problem_without_a_ones_table_runs_unobserved_at_n_1():
                 assert result == run(problem, config, seed)
 
 
-def test_an_unhashable_problem_with_a_ones_table_runs_unobserved_at_n_1():
-    # it once raised TypeError: unhashable type here; it takes the array engine, and gives
-    # the kernel's result on the problem it wraps: at seed 3 a hit at evaluation 43
+def check_seed_3_on_the_kernel(wrap, monkeypatch):
+    """Run OneMinMax(8) wrapped by `wrap` at N = 1 and seed 3, under both policies: each
+    unobserved run goes through the kernel and gives the observed run's RunResult and the
+    kernel's on the bare problem, at the standard target a hit at evaluation 43."""
+    kernel, kernel_runs = evolve._run_single, []
+    monkeypatch.setattr(evolve, "_run_single",
+                        lambda *args: kernel_runs.append(args[0]) or kernel(*args))
     problem = OneMinMax(8)
     target = problem.reference_point()
     results = []
     for survival, cap in ((ReferencePointDistance(target), None), (CrowdingDistance(), 300)):
         config = AlgorithmConfig(policy=survival, pop_size=1, reference_point=target,
                                  max_evaluations=cap)
-        results.append(run(Unhashable(8, problem), config, 3))
-        assert results[-1] == run(Unhashable(8, problem), config, 3, on_generation=observe_nothing)
+        results.append(run(wrap(8, problem), config, 3))
+        assert results[-1] == run(wrap(8, problem), config, 3, on_generation=observe_nothing)
         assert results[-1] == run(problem, config, 3)
+    assert [type(p) for p in kernel_runs] == [wrap, OneMinMax] * 2
     assert results[0].evaluations_to_hit == 43
+
+
+def test_an_unhashable_problem_with_a_ones_table_runs_unobserved_at_n_1(monkeypatch):
+    # a plain @dataclass has no hash, so the kernel builds its rule for the run alone
+    check_seed_3_on_the_kernel(Unhashable, monkeypatch)
+
+
+def test_a_problem_whose_value_cannot_be_hashed_runs_unobserved_at_n_1(monkeypatch):
+    # its type has a hash, but its value raises TypeError: unhashable type: 'list' at the
+    # rule's cache key, so the kernel builds its rule for the run alone
+    check_seed_3_on_the_kernel(UnhashableValue, monkeypatch)
+
+
+@pytest.mark.parametrize("wrap", [Ones, Unhashable])
+def test_a_type_error_from_the_ones_table_is_raised_once(wrap):
+    # the kernel falls back to an uncached rule only when the cache cannot hash the problem
+    class Failing(wrap):
+        def ones_table(self):
+            calls.append(self)
+            raise TypeError("no table")
+
+    calls, problem = [], OneMinMax(8)
+    config = AlgorithmConfig(policy=CrowdingDistance(), pop_size=1,
+                             reference_point=problem.reference_point(), max_evaluations=10)
+    failing = Failing(problem) if wrap is Ones else Failing(8, problem)
+    with pytest.raises(TypeError, match="no table"):
+        run(failing, config, 0)
+    assert len(calls) == 1
 
 
 def main(argv=None) -> int:
