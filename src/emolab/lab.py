@@ -8,12 +8,14 @@ go through it. A plan checks its fields when it is built: building one from
 bad values, directly, through `plan_from_json` or `dataclasses.replace`,
 raises ValueError, so every plan the lab is given is valid. A sweep runs
 its trials in its own process and in parallelism - 1 helper processes,
-each claiming one trial at a time from a shared counter whose index names
-a cell and a trial in it; the claiming process derives the trial's seed,
-a pure function of (master_seed, n, variant index, trial index), so
-results are byte-for-byte reproducible and independent of the degree of
-parallelism. Capped runs (misses) contribute their cap-truncated evaluation
-totals to the means and are exposed separately through the success rate.
+each claiming one trial at a time from a shared counter. Its index is an
+entry of a results table shared by the sweep's processes, in trials.csv
+order (n, variant label, trial); the claimer derives the trial's seed, a
+pure function of (master_seed, n, variant index, trial index), runs it and
+writes its entry in place, so results are byte-for-byte reproducible and
+independent of the degree of parallelism. Capped runs (misses) contribute
+their cap-truncated evaluation totals to the means and are exposed
+separately through the success rate.
 The lab compares no algorithms itself: the acceptance tests that do carry
 their own rank-sum test and log-log fit.
 """
@@ -28,9 +30,10 @@ import multiprocessing
 import operator
 import statistics
 from dataclasses import astuple, dataclass, fields, replace
-from itertools import groupby
 from multiprocessing.connection import wait
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .core import child_seed, stream
 from .evolve import AlgorithmConfig, run
@@ -50,7 +53,9 @@ DEFAULT_MASTER_SEED = 1009
 MAX_POPULATION_BITS = 1_000_000  # pop_size * n: a generation peaks near 0.5 GB
 MAX_NK_TABLE = 1 << 24           # 2 * n * 2^(nk_k+1) float64 entries: 128 MiB, and
 # enumeration holds its multilinear coefficients too (n=25, K=17: 241 MB max RSS)
-MAX_TRIALS = 1_000_000           # runs_per_cell * |n_values| * |variants|: records at 319 MB max RSS
+MAX_TRIALS = 1_000_000           # runs_per_cell * |n_values| * |variants|: records at 244 MB max RSS
+# A sweep's results table: one entry a trial (17 bytes), its seed, evaluations and hit
+TRIAL_ENTRY = np.dtype([("seed", "<u8"), ("evaluations", "<i8"), ("hit", "?")])
 # Processes of one sweep: its own and up to 255 helpers, all started before its first trial.
 MAX_PARALLELISM = 256
 
@@ -302,41 +307,38 @@ def trial_seed(plan: ExperimentPlan, n: int, variant_index: int, trial: int) -> 
     return child_seed(plan.master_seed, "trial", n, variant_index, trial)
 
 
-def _drain(plan, plan_cells, counter, receivers=()) -> list:
-    """Claim trials one at a time from the shared counter and run them, until the
-    counter runs out or, in the sweep's own process, a helper has something to report."""
-    records = []
+def _drain(plan, plan_cells, counter, table, receivers=()) -> None:
+    """Claim trials one at a time from the shared counter, run them and write their entries
+    in the table, until the counter runs out or, in the sweep's own process, a helper reports."""
+    entries = np.frombuffer(table, TRIAL_ENTRY)
     # The sweep's own process stops claiming at the first ready pipe. That is right only
     # while a helper reports once, after the counter runs out, or with its error.
     while not (receivers and wait(receivers, timeout=0)):
         with counter.get_lock():
             index = counter.value
             counter.value = index + 1
-        cell, trial = divmod(index, plan.runs_per_cell)
-        if cell >= len(plan_cells):
+        if index >= len(entries):
             break
-        n, variant_index, variant, problem, config = plan_cells[cell]
-        seed = trial_seed(plan, n, variant_index, trial)
+        n, variant_index, _, problem, config = plan_cells[index // plan.runs_per_cell]
+        seed = trial_seed(plan, n, variant_index, index % plan.runs_per_cell)
         result = run(problem, config, seed)  # looked up here, where tests and tracers patch it
-        records.append(TrialRecord(
-            plan.problem, n, plan.k, variant.label, variant.policy, config.pop_size, seed, trial,
-            result.evaluations_to_hit if result.hit else result.evaluations, result.hit))
-    return records
+        entries[index] = (seed, result.evaluations_to_hit if result.hit else result.evaluations,
+                          result.hit)
 
 
-def _help(plan, plan_cells, counter, sender) -> None:
-    """A helper process: drain the counter, then send its records, or its error as one line."""
+def _help(plan, plan_cells, counter, table, sender) -> None:
+    """A helper process: drain the counter, then send None, or its error as one line."""
     try:
-        message = _drain(plan, plan_cells, counter)
+        message = _drain(plan, plan_cells, counter, table)
     except Exception as exc:
         message = " ".join(f"{type(exc).__name__}: {exc}".split())
     sender.send(message)
 
 
-def _start_helper(plan, plan_cells, counter):
+def _start_helper(plan, plan_cells, counter, table):
     """Start one helper process on the sweep's cells; returns it and the pipe it reports on."""
     receiver, sender = multiprocessing.Pipe(duplex=False)
-    helper = multiprocessing.Process(target=_help, args=(plan, plan_cells, counter, sender),
+    helper = multiprocessing.Process(target=_help, args=(plan, plan_cells, counter, table, sender),
                                      daemon=True)
     helper.start()
     sender.close()
@@ -346,23 +348,26 @@ def _start_helper(plan, plan_cells, counter):
 def run_experiment(plan: ExperimentPlan, parallelism: int = 1) -> list:
     """Execute every (n, variant, trial) cell of the plan.
 
+    The sweep's results are one table shared by its processes, with an entry
+    (seed, evaluations, hit) per trial, in (n, variant label, trial) order.
     The calling process and min(parallelism, trials) - 1 helper processes claim
-    trials one at a time from a shared counter; index i is trial i % runs_per_cell
-    of cell i // runs_per_cell, whose seed and record its claimer makes. A trial
-    that raises, or a helper that dies, ends every helper, then raises. Returns
-    records sorted by (problem, n, variant, trial); the record set does not
-    depend on parallelism or completion order.
+    table indices one at a time from a shared counter, and each claimer runs its
+    trial and writes its entry in place. A trial that raises, or a helper that
+    dies, ends every helper, then raises. Returns the records read from the
+    table in its order; they do not depend on parallelism or completion order.
     """
     if not 1 <= parallelism <= MAX_PARALLELISM:
         raise ValueError(f"parallelism must lie in [1, {MAX_PARALLELISM}], got {parallelism}")
-    plan_cells = list(cells(plan))
+    plan_cells = sorted(cells(plan), key=lambda cell: (cell[0], cell[2].label))
+    trials = len(plan_cells) * plan.runs_per_cell
     counter = multiprocessing.Value("q", 0)
+    table = multiprocessing.RawArray("B", TRIAL_ENTRY.itemsize * trials)
     helpers = {}
     try:
-        for _ in range(min(parallelism, len(plan_cells) * plan.runs_per_cell) - 1):
-            helper, receiver = _start_helper(plan, plan_cells, counter)
+        for _ in range(min(parallelism, trials) - 1):
+            helper, receiver = _start_helper(plan, plan_cells, counter, table)
             helpers[receiver] = helper
-        records = _drain(plan, plan_cells, counter, list(helpers))
+        _drain(plan, plan_cells, counter, table, list(helpers))
         pending = dict(helpers)
         while pending:
             for receiver in wait(list(pending)):
@@ -373,25 +378,29 @@ def run_experiment(plan: ExperimentPlan, parallelism: int = 1) -> list:
                     helper.join()
                     raise RuntimeError(f"a helper process ended with exit code "
                                        f"{helper.exitcode} before it reported") from None
-                if isinstance(message, str):
+                if message is not None:
                     raise RuntimeError(f"a trial in a helper process raised {message}")
-                records += message
     finally:  # ends the helpers still running when a trial raised or a helper died
         for receiver, helper in helpers.items():
             helper.terminate()
             helper.join()
             receiver.close()
-    return sorted(records, key=lambda r: (r.problem, r.n, r.variant, r.trial))
+    entries = np.frombuffer(table, TRIAL_ENTRY).reshape(len(plan_cells), -1)
+    return [TrialRecord(plan.problem, n, plan.k, variant.label, variant.policy, config.pop_size,
+                        seed, trial, evaluations, hit)
+            for (n, _, variant, _, config), row in zip(plan_cells, entries)
+            for trial, (seed, evaluations, hit) in enumerate(map(np.void.item, row))]
 
 
 def summarize(records: Sequence[TrialRecord]) -> list:
     """Mean, sample standard deviation, and success rate per (problem, n, variant)."""
     if not records:
         raise ValueError("cannot summarize an empty record set")
-    key = operator.attrgetter("problem", "n", "variant")
+    groups = {}
+    for r in records:
+        groups.setdefault((r.problem, r.n, r.variant), []).append(r)
     rows = []
-    for (problem, n, variant), group in groupby(sorted(records, key=key), key):
-        cell = list(group)
+    for (problem, n, variant), cell in sorted(groups.items()):
         evals = [r.evaluations for r in cell]
         rows.append(SummaryRow(
             problem=problem, n=n, variant=variant,

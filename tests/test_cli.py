@@ -123,6 +123,28 @@ def test_sweep_outputs_match_pins(tmp_path, preset):
     assert digests == SWEEP_PINS[preset]
 
 
+# sha256 of trials.csv, recorded while the sweep still sorted its records at the end,
+# for a plan whose sizes and labels are out of order
+UNORDERED_PLAN_PIN = "82f44dc73d6bb729d3b8d0fd71d70ee11b996307c568826208d71afa72c6f4fa"
+
+
+def test_trials_rows_are_in_size_label_trial_order(tmp_path):
+    plan_path = tiny_plan_file(tmp_path, n_values=(8, 6),
+                               variants=(Variant("rnsga2-n1", "refpoint", 1),
+                                         Variant("nsga2", "crowding", "4*(n+1)")))
+    written = []
+    for parallelism in ("1", "3"):
+        out = tmp_path / f"p{parallelism}"
+        assert main(["sweep", "--plan", str(plan_path), "--parallelism", parallelism,
+                     "--out", str(out)]) == 0
+        written.append((out / "trials.csv").read_bytes())
+    assert written[0] == written[1]
+    assert hashlib.sha256(written[0]).hexdigest() == UNORDERED_PLAN_PIN
+    rows = [line.split(",") for line in written[0].decode().splitlines()[1:]]
+    assert [(int(n), label) for _, n, _, label, *_ in rows] == [
+        (n, label) for n in (6, 8) for label in ("nsga2", "rnsga2-n1") for _ in range(4)]
+
+
 # sha256 of `oracle` stdout and of the `run --trace` CSV, recorded while fronts
 # were still wrapped in a ParetoFront type; the omm, ommstar and nk oracle pins
 # were re-recorded when their config line began to print k=None, with the
@@ -603,9 +625,9 @@ def test_failed_trial_exits_3_without_results(tmp_path, capsys, monkeypatch, fau
                         lambda plan, n: faulty(n) if n == 8 else build_problem(plan, n))
     started = []
 
-    def counting_start(plan, plan_cells, counter):
-        started.append(len(plan_cells) * plan.runs_per_cell)
-        return start_helper(plan, plan_cells, counter)
+    def counting_start(*args):
+        started.append(args)
+        return start_helper(*args)
 
     start_helper = lab._start_helper
     monkeypatch.setattr(lab, "_start_helper", counting_start)
@@ -619,7 +641,7 @@ def test_failed_trial_exits_3_without_results(tmp_path, capsys, monkeypatch, fau
                  "--parallelism", "2"]) == 3
     # the sweep's own process stops claiming once the helper reports: not 8 x 0.5 s
     assert time.perf_counter() - start < 2.0
-    assert started == [16]
+    assert len(started) == 1
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and errors[0].startswith("error: sweep stopped, no results written")
     assert reason in errors[0]

@@ -336,9 +336,9 @@ class TestRunExperiment:
     def test_pool_has_at_most_one_worker_per_job(self, monkeypatch):
         started = []
 
-        def counting_start(plan, plan_cells, counter):
-            started.append(len(plan_cells) * plan.runs_per_cell)
-            return start_helper(plan, plan_cells, counter)
+        def counting_start(*args):
+            started.append(args)
+            return start_helper(*args)
 
         start_helper = lab._start_helper
         monkeypatch.setattr(lab, "_start_helper", counting_start)
@@ -346,10 +346,10 @@ class TestRunExperiment:
         serial = run_experiment(plan)
         assert started == []  # parallelism 1 runs every trial in the calling process
         assert run_experiment(plan, parallelism=lab.MAX_PARALLELISM) == serial
-        assert started == [4] * 3  # helpers beyond the trial count would find nothing to claim
+        assert len(started) == 3  # helpers beyond the trial count would find nothing to claim
         started.clear()
         assert run_experiment(plan, parallelism=2) == serial
-        assert started == [4]
+        assert len(started) == 1
         started.clear()
         run_experiment(tiny_plan(n_values=(6,), variants=tiny_plan().variants[:1],
                                  runs_per_cell=1), parallelism=2)
