@@ -35,7 +35,7 @@ _BLOCK_UNIFORMS = 1 << 18
 # The kernel's candidate table covers children within this many ones of their
 # parent; a child further away is always visited. It keeps a table row small.
 _BAND = 8
-_HIT = 2  # the verdict on a child that meets the target
+_HIT = 2  # a verdict's bit for a child that meets the target; bit 1 is for one that survives
 
 
 @dataclass(frozen=True)
@@ -111,18 +111,19 @@ def run(
 
     on_generation, when given, is called with a RunState after
     initialization and after every generation; it is how traces and
-    invariant checks observe the population. An unobserved run stops after
-    the evaluations of its last generation without selecting survivors
-    nobody reads; at N = 1 on a problem with ones_table(), _run_single takes
-    its rate, cap, stream and first individual. Both match an observed run.
+    invariant checks observe the population. At N = 1 on a problem with
+    ones_table(), observed or not, _run_single takes the rate, cap, stream,
+    first individual and observer. An unobserved array-engine run stops
+    after the evaluations of its last generation without selecting
+    survivors nobody reads; it gives the observed run's result.
     """
     size, reference = config.pop_size, config.reference_point
     rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / problem.n
     cap = config.max_evaluations or math.inf
     rng = stream(seed)
     genomes = random_population(size, problem.n, rng)
-    if size == 1 and on_generation is None and hasattr(problem, "ones_table"):
-        return _run_single(problem, config, genomes[0], rate, cap, rng)
+    if size == 1 and hasattr(problem, "ones_table"):
+        return _run_single(problem, config, genomes[0], rate, cap, rng, on_generation)
     evaluator = problem.evaluator()
     objectives, birth = evaluator(genomes), np.arange(size, dtype=np.int64)
     first = _first_hit(objectives, reference)
@@ -155,8 +156,8 @@ def run(
 def _count_rule(problem, reference, target) -> tuple:
     """Survival at N = 1 by ones counts, and its candidate table, shared by a cell's runs.
 
-    verdict(parent, child) is _HIT if the child's objective vector is the
-    target, truthy if the child replaces the parent, else falsy. marks(parent)
+    verdict(parent, child) has the bit _HIT if the child's objective vector
+    is the target and the bit 1 if the child replaces the parent. marks(parent)
     is a bool row over the count changes -_BAND-1 .. _BAND+1: entry
     d + _BAND + 1 is whether a child with d more ones than the parent gets a
     nonzero verdict, and the two end entries, which stand for every change
@@ -169,12 +170,11 @@ def _count_rule(problem, reference, target) -> tuple:
 
     def verdict(parent, child):
         c1, c2, p1, p2 = f1[child], f2[child], f1[parent], f2[parent]
-        if c1 == target1 and c2 == target2:
-            return _HIT
+        hit = _HIT if c1 == target1 and c2 == target2 else 0
         if c1 >= p1 and c2 >= p2:
-            return c1 != p1 or c2 != p2
-        return (reference is not None and (c1 > p1 or c2 > p2)
-                and math.dist((c1, c2), reference) < math.dist((p1, p2), reference))
+            return hit | (c1 != p1 or c2 != p2)
+        return hit | (reference is not None and (c1 > p1 or c2 > p2)
+                      and math.dist((c1, c2), reference) < math.dist((p1, p2), reference))
 
     @lru_cache(maxsize=None)
     def marks(parent):
@@ -184,21 +184,21 @@ def _count_rule(problem, reference, target) -> tuple:
     return verdict, marks
 
 
-def _run_single(problem, config: AlgorithmConfig, genome, rate, cap, rng) -> RunResult:
+def _run_single(problem, config, genome, rate, cap, rng, on_generation) -> RunResult:
     """`run` at N = 1 on a problem with ones_table(): a (1+1) scan over blocks of mutations.
 
-    The rate, cap, stream and first individual (drawn, not evaluated) come
-    from `run`, and the reference and target float pairs from `config` as
-    they are. The parent is held as its ones count and its position weights:
-    a flip at position i changes the count by +1 if bit i is 0 and by -1 if
-    it is 1. Mutation draws the uniforms of a block of generations as one
-    (G, n) array, which row-major order makes consume the stream exactly as
-    G one-row draws; the stream is private to the run, so uniforms drawn
-    past its end are never seen. survival_select at capacity 1 reduces to
-    one rule: the child replaces the parent if it dominates it, or, under
-    the reference-point policy, if neither dominates the other and the child
-    is strictly closer to the reference. Every other case, equal vectors
-    included, keeps the parent, which has the earlier birth.
+    The rate, cap, stream, first individual (drawn, not evaluated) and
+    observer come from `run`, and the reference and target float pairs from
+    `config` as they are. The parent is held as its ones count and its
+    position weights: a flip at position i changes the count by +1 if bit i
+    is 0 and by -1 if it is 1. Mutation draws the uniforms of a block of
+    generations as one (G, n) array, which row-major order makes consume the
+    stream exactly as G one-row draws; the stream is private to the run, so
+    uniforms drawn past its end are never seen. survival_select at capacity 1
+    reduces to one rule: the child replaces the parent if it dominates it,
+    or, under the reference-point policy, if neither dominates the other and
+    the child is strictly closer to the reference. Every other case, equal
+    vectors included, keeps the parent, which has the earlier birth.
 
     One product of a block's flips with the weights gives every row's count
     change. These are sums of +-1 below 2^24 in magnitude, so float32
@@ -208,24 +208,36 @@ def _run_single(problem, config: AlgorithmConfig, genome, rate, cap, rng) -> Run
     each under the exact rule. A replacement turns around the weights of the
     positions it flipped, and the rows after it are scanned again with one
     more product. Row r of a block that starts after evaluation `base` is
-    evaluation base + r + 1.
+    evaluation base + r + 1 and gives generation base + r's state. An
+    observer gets the array engine's RunStates, a block's before the next
+    draw: the parent's genome read off its weights, its ones-table row and
+    its birth; under crowding a hit child that does not dominate it loses.
     """
     n = problem.n
-    key = problem, config.policy.reference, config.reference_point
     try:
-        verdict, marks = _count_rule(*key)
-    except TypeError:
-        try:
-            hash(key)
-        except TypeError:  # the cache cannot hash the problem
-            verdict, marks = _count_rule.__wrapped__(*key)
-        else:
-            raise  # from building the rule
+        hash(problem)  # the reference and target float pairs always hash
+        rule = _count_rule
+    except TypeError:  # the cache cannot hash the problem
+        rule = _count_rule.__wrapped__
+    verdict, marks = rule(problem, config.policy.reference, config.reference_point)
     count_type = np.float32 if n < 1 << 24 else np.float64  # exact integer sums
     ones, weights = np.count_nonzero(genome), 1 - 2 * genome.astype(count_type)
-    evaluations, hit = 1, verdict(ones, ones) == _HIT  # the first parent meets the target
+    evaluations, hit = 1, verdict(ones, ones) >= _HIT  # the first parent meets the target
+    born = shown = 0  # the parent's birth, and the number of states handed on
+    table = None if on_generation is None else problem.ones_table()
+
+    def report(stop):  # the states of generations shown .. stop - 1, all of the current parent
+        population = (weights < 0).astype(np.uint8)[None], table[[ones]], np.array([born])
+        for g in range(shown, stop):
+            on_generation(RunState(*population, g, g + 1, evaluations if hit else None))
+        return stop
+
     block_rows = max(1, min(_BLOCK_GENERATIONS, _BLOCK_UNIFORMS // n))
-    while not hit and evaluations < cap:
+    while True:
+        if on_generation is not None:
+            shown = report(evaluations)
+        if hit or evaluations >= cap:
+            break
         rows = min(block_rows, cap - evaluations)
         chosen = rng.random((rows, n)) < rate
         flips = chosen.astype(count_type)
@@ -240,11 +252,13 @@ def _run_single(problem, config: AlgorithmConfig, genome, rate, cap, rng) -> Run
                 outcome = verdict(ones, child)
                 if outcome:
                     row += scanned
-                    if outcome == _HIT:
-                        hit, evaluations = True, base + row + 1
-                    else:
+                    if on_generation is not None:
+                        shown = report(base + row)
+                    if outcome & 1:
                         np.negative(weights, out=weights, where=chosen[row])
-                        ones, first = child, row + 1
+                        ones, born, first = child, base + row, row + 1
+                    if outcome >= _HIT:
+                        hit, evaluations = True, base + row + 1
                     break
         del chosen, flips  # so that the next block's draw is the only one held
     return RunResult(hit=hit, evaluations_to_hit=evaluations if hit else None,

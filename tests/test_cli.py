@@ -159,15 +159,31 @@ ORACLE_PINS = {
     "nk": (["--n", "12", "--seed", "7"],
            "349d5c2361aecb34ed42c76b6db1bd28bde5bf76f18101767cf7a9fb4c3a41eb"),
 }
+# the -n1 traces were recorded while an observed N = 1 run went through the array engine;
+# they now come from the N = 1 kernel: OneMinMax* for 100,001 lines, OJZJ hitting at
+# evaluation 137, crowding, and count changes outside the candidate band at rate 0.5
 TRACE_PINS = {
-    "omm": (["--n", "12", "--algo", "nsga2"],
+    "omm": (["--problem", "omm", "--n", "12", "--algo", "nsga2", "--seed", "3"],
             "7f8089edd4d0f0e6b181e5a226e6e7fe08daad21ed1d43a75791ba03e7525186"),
-    "ojzj": (["--n", "12", "--k", "2", "--algo", "rnsga2"],
+    "ojzj": (["--problem", "ojzj", "--n", "12", "--k", "2", "--algo", "rnsga2", "--seed", "3"],
              "63a70f143ed4a4a01f4e0b6d719481607b6f1e43b0e6c1984a2b73d343da9b60"),
-    "ommstar": (["--n", "12", "--algo", "nsga2", "--cap", "2000"],
+    "ommstar": (["--problem", "ommstar", "--n", "12", "--algo", "nsga2", "--cap", "2000",
+                 "--seed", "3"],
                 "80ede25a2321f612140fcdedd092f6f0ce8c6f9ecf79e2baf536da76b640b72b"),
-    "nk": (["--n", "12", "--algo", "rnsga2", "--cap", "2000"],
+    "nk": (["--problem", "nk", "--n", "12", "--algo", "rnsga2", "--cap", "2000", "--seed", "3"],
            "f4f0da910f5870dc78ca5f59caae28addbc191aea5168add72a1080def2d02af"),
+    "ommstar-n1": (["--problem", "ommstar", "--n", "30", "--algo", "rnsga2", "--pop", "1",
+                    "--cap", "100000", "--seed", "7"],
+                   "0167cce6222fba0ebc401799c91967687d1048250d2e7b39668708829e4c157f"),
+    "ojzj-n1": (["--problem", "ojzj", "--n", "12", "--k", "2", "--algo", "rnsga2", "--pop", "1",
+                 "--seed", "3"],
+                "a888ad42bde3c0eea7dc05e88c2fe5a648a8060269ceb76232297e3ad401d3c9"),
+    "omm-n1-crowding": (["--problem", "omm", "--n", "12", "--algo", "nsga2", "--pop", "1",
+                         "--cap", "2000", "--seed", "3"],
+                        "58cd91db7883c7c8f205df23549ea10d30a99067cf8e54efe956bc93b7d9372b"),
+    "omm-n1-rate-0.5": (["--problem", "omm", "--n", "40", "--algo", "rnsga2", "--pop", "1",
+                         "--rate", "0.5", "--cap", "3000", "--seed", "2"],
+                        "4a7ffa9f75de029aa8dd52d4cee2344f781bc747b84a38be82cbe9b29460d450"),
 }
 
 
@@ -216,8 +232,7 @@ def test_module_forms_print_the_pinned_oracle(module):
 def test_run_trace_matches_pins(tmp_path, problem):
     flags, digest = TRACE_PINS[problem]
     trace = tmp_path / "trace.csv"
-    assert main(["run", "--problem", problem, *flags, "--seed", "3",
-                 "--trace", str(trace)]) == 0
+    assert main(["run", *flags, "--trace", str(trace)]) == 0
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
 
 

@@ -20,6 +20,7 @@ from emolab.problems import (
     generate_nk_instance,
 )
 from emolab.survival import CrowdingDistance, ReferencePointDistance
+from test_run_paths import Plain, observed_run
 
 
 def row_draw(n, rng):
@@ -288,7 +289,7 @@ class TestRun:
 
 
 def observe_nothing(state):
-    """An observer that forces run onto the array engine and changes nothing."""
+    """An observer that changes nothing."""
 
 
 @pytest.fixture
@@ -306,13 +307,18 @@ def kernel_calls(monkeypatch):
 
 
 def assert_kernel_matches_array_engine(problem, config, seeds, kernel_calls):
+    """Each seed's run goes through the kernel, unobserved and observed, and gives the
+    RunResult and the RunStates of the array engine's run of Plain(problem), which has no
+    ones_table()."""
     results = []
     for seed in seeds:
         before = len(kernel_calls)
         result = run(problem, config, seed)
-        assert len(kernel_calls) == before + 1
-        assert result == run(problem, config, seed, on_generation=observe_nothing)
-        assert len(kernel_calls) == before + 1
+        observed = observed_run(problem, config, seed)
+        assert len(kernel_calls) == before + 2
+        assert observed == observed_run(Plain(problem), config, seed)
+        assert observed[0] == result
+        assert len(kernel_calls) == before + 2
         results.append(result)
     return results
 
@@ -327,8 +333,8 @@ VALLEY_SEEDS = (5, 81, 140)
 
 
 class TestSingleParentKernel:
-    """An unobserved N = 1 run on a synthetic problem takes the (1+1) kernel;
-    the array engine, forced by an observer, is its oracle."""
+    """An N = 1 run on a synthetic problem takes the (1+1) kernel, observed or not;
+    the array engine, reached by the problem wrapped without ones_table(), is its oracle."""
 
     @pytest.mark.parametrize("rate", [None, 0.0, 1.0], ids=["1/n", "0", "1"])
     @pytest.mark.parametrize("policy", ["crowding", "refpoint", "refpoint-off-front"])
@@ -460,7 +466,9 @@ class TestSingleParentKernel:
         # a problem of the same size has its own rule, so the relocated
         # all-zeros vector stays OneMinMax*'s
         assert not evolve._count_rule(OneMinMax(10), reference, reference)[0](1, 0)
-        assert evolve._count_rule(OneMinMaxStar(10), reference, reference)[0](1, 0) == evolve._HIT
+        # the relocated vector is the target, and it replaces the parent
+        assert evolve._count_rule(OneMinMaxStar(10), reference, reference)[0](1, 0) == \
+            evolve._HIT | 1
         assert len(built) == 2
 
     def test_a_cells_runs_share_one_candidate_table(self):
@@ -471,14 +479,15 @@ class TestSingleParentKernel:
                                  reference_point=target, max_evaluations=30)
         for seed in range(3):
             run(problem, config, seed)
-        assert evolve._count_rule.cache_info()[:2] == (2, 1)  # hits, misses
+        run(problem, config, 3, on_generation=observe_nothing)  # an observed run shares it too
+        assert evolve._count_rule.cache_info()[:2] == (3, 1)  # hits, misses
         # OneMinMax*'s relocated all-zeros vector is one flip from a one-bit parent
         verdict, marks = evolve._count_rule(problem, target, target)
-        assert verdict(1, 0) == evolve._HIT and marks(1)[evolve._BAND]
+        assert verdict(1, 0) == evolve._HIT | 1 and marks(1)[evolve._BAND]
         # an off-front survival reference, and OneMinMax of the same n, get their own tables
         for other, reference in ((problem, off_front(target)), (OneMinMax(10), target)):
             run(other, dataclasses.replace(config, policy=ReferencePointDistance(reference)), 0)
-        assert evolve._count_rule.cache_info()[:2] == (3, 3)
+        assert evolve._count_rule.cache_info()[:2] == (4, 3)
         verdict, marks = evolve._count_rule(OneMinMax(10), target, target)
         assert not verdict(1, 0) and not marks(1)[evolve._BAND]
 
@@ -534,18 +543,20 @@ class TestSingleParentKernel:
                                      max_evaluations=200)
             assert_kernel_matches_array_engine(problem, config, range(3), kernel_calls)
 
-    def test_nk_observed_and_larger_runs_use_the_array_engine(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the N = 1 kernel ran")
-
-        monkeypatch.setattr(evolve, "_run_single", refuse)
+    def test_nk_observed_and_larger_runs_use_the_array_engine(self, kernel_calls):
         nk = generate_nk_instance(8, 2, seed=3)
         reference = nk.reference_point(stream(11))
-        run(nk, AlgorithmConfig(policy=ReferencePointDistance(reference), pop_size=1,
-                                reference_point=reference, max_evaluations=50), seed=0)
+        for on_generation in (None, observe_nothing):
+            run(nk, AlgorithmConfig(policy=ReferencePointDistance(reference), pop_size=1,
+                                    reference_point=reference, max_evaluations=50), seed=0,
+                on_generation=on_generation)
+            run(OneMinMax(8), omm_config(8, 2, max_evaluations=50), seed=0,
+                on_generation=on_generation)
+        assert not kernel_calls
+        # an observer does not choose the engine: an observed N = 1 OneMinMax run takes the kernel
         run(OneMinMax(8), omm_config(8, 1, max_evaluations=50), seed=0,
             on_generation=observe_nothing)
-        run(OneMinMax(8), omm_config(8, 2, max_evaluations=50), seed=0)
+        assert len(kernel_calls) == 1
 
 
 def target_for(problem, size, seed, case):

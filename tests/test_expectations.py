@@ -17,7 +17,10 @@ breaking ties), so the chain is apart from `survival`. Besides the mean it
 gives the chance that the hit comes from row 0, which survivor order sets.
 Its N = 2 cells are OneMinMax(8), whose pools are one front, and
 OneJumpZeroJump(8, 2), whose pools hold several; its N = 3 cells are
-OneMinMax(4).
+OneMinMax(4). Means barely see survivor order, so OneJumpZeroJump(8, 2) at
+N = 2 is also held one generation at a time: every step of an observed run
+between two generations without a hit must have a nonzero chance in the
+chain. A run that put the offspring first in its pool fails that.
 
 The z bound, the master seed and the number of runs were fixed before the
 first run. A cell whose mean is out of any test's reach (crowding, whose
@@ -36,6 +39,7 @@ from emolab.core import child_seed
 from emolab.evolve import AlgorithmConfig, run
 from emolab.problems import OneJumpZeroJump, OneMinMax, OneMinMaxStar
 from emolab.survival import CrowdingDistance, ReferencePointDistance
+from test_run_paths import Plain
 from test_survival import select_reference
 
 Z_BOUND = 3.5      # two-sided; Bonferroni at 1% over about 20 comparisons
@@ -43,6 +47,8 @@ CHAIN_SEED = 2027  # master seed of every cell's runs
 RUNS = 400
 PAIR_RUNS = 1000   # per N = 2 cell, but 400 for OneJumpZeroJump under crowding
 TRIPLE_RUNS = 2000  # per N = 3 cell
+TRANSITION_RUNS = 2000       # per N = 2 cell whose steps are checked one by one,
+TRANSITION_GENERATIONS = 40  # each run capped at this many generations
 
 
 def binomial(m, p):
@@ -106,7 +112,8 @@ def z_of_mean(problem, policy, rate, evaluations):
 
 # (problem, policy, rate, cap, observed): no cap compares the mean of
 # evaluations_to_hit, a cap the share of runs that hit within it; observed
-# runs go through the array engine, the others through the N = 1 kernel
+# runs are of the problem wrapped in Plain, without ones_table(), so they go
+# through the array engine, the others through the N = 1 kernel
 CELLS = [
     (OneMinMax(2), "refpoint", 0.5, None, False),  # mean 4: one evaluation is 4 sd of the mean
     (OneMinMax(8), "refpoint", 1 / 8, None, False),
@@ -139,7 +146,8 @@ def test_runs_match_the_exact_chain(cell):
     config = AlgorithmConfig(
         policy=ReferencePointDistance(target) if policy == "refpoint" else CrowdingDistance(),
         pop_size=1, reference_point=target, mutation_rate=rate, max_evaluations=cap)
-    results = [run(problem, config, child_seed(CHAIN_SEED, cell_id(cell), trial),
+    results = [run(Plain(problem) if observed else problem, config,
+                   child_seed(CHAIN_SEED, cell_id(cell), trial),
                    on_generation=(lambda state: None) if observed else None)
                for trial in range(RUNS)]
     if cap is None:
@@ -152,6 +160,14 @@ def test_runs_match_the_exact_chain(cell):
     print(f"\n{cell_id(cell)}: {'mean' if cap is None else 'hit rate'} "
           f"{measured:.4g}, exact {expected:.4g}, z {z:+.2f}")
     assert abs(z) <= Z_BOUND
+
+
+def chain_states(problem, size):
+    """The ones counts not at the target, and population_chain's states in its order."""
+    target = problem.reference_point()
+    live = [count for count, v in enumerate(problem.ones_table().tolist()) if tuple(v) != target]
+    return live, [(counts, births) for counts in itertools.product(live, repeat=size)
+                  for births in itertools.permutations(range(size))]
 
 
 def population_chain(problem, policy, rate, size):
@@ -167,11 +183,9 @@ def population_chain(problem, policy, rate, size):
     `test_survival.select_reference`."""
     n, target = problem.n, problem.reference_point()
     table = problem.ones_table()
-    live = [count for count, v in enumerate(table.tolist()) if tuple(v) != target]
+    live, states = chain_states(problem, size)
     children = [np.convolve(binomial(c, rate)[::-1], binomial(n - c, rate)) for c in range(n + 1)]
     survival = ReferencePointDistance(target) if policy == "refpoint" else CrowdingDistance()
-    states = [(counts, births) for counts in itertools.product(live, repeat=size)
-              for births in itertools.permutations(range(size))]
     index = {state: i for i, state in enumerate(states)}
     q, hits = np.zeros((len(states), len(states))), np.zeros((len(states), size))
     for (counts, births), row in index.items():
@@ -245,6 +259,47 @@ def test_jump_pair_runs_match_the_exact_chain(policy, runs):
                                  ("pair-ojzj", policy))
     # the means of a scratch chain whose selections were select_reference's
     assert round(mean, 2) == {"crowding": 297.5, "refpoint": 151.67}[policy]
+
+
+def chain_state(state):
+    """A RunState as population_chain's state: the survivors' ones counts in survivor order
+    and their birth ranks; None once the run has hit."""
+    if state.evaluations_to_hit is not None:
+        return None
+    births = state.birth.tolist()
+    return tuple(state.genomes.sum(axis=1).tolist()), tuple(map(sorted(births).index, births))
+
+
+# OneJumpZeroJump pools hold several fronts, so survivor order shows; the count of runs and
+# their cap were fixed before the first run
+@pytest.mark.parametrize("policy", ["crowding", "refpoint"])
+def test_jump_pair_transitions_all_have_a_chance_under_the_chain(policy):
+    problem, size, rate = OneJumpZeroJump(8, 2), 2, 1 / 8
+    q, _, start, _ = population_chain(problem, policy, rate, size)
+    index = {state: i for i, state in enumerate(chain_states(problem, size)[1])}
+    target = problem.reference_point()
+    config = AlgorithmConfig(
+        policy=ReferencePointDistance(target) if policy == "refpoint" else CrowdingDistance(),
+        pop_size=size, reference_point=target, mutation_rate=rate,
+        max_evaluations=size * (TRANSITION_GENERATIONS + 1))
+    transitions, impossible = 0, []
+    for trial in range(TRANSITION_RUNS):
+        states = []
+        run(problem, config, child_seed(CHAIN_SEED, "transitions", policy, trial),
+            on_generation=lambda state: states.append(chain_state(state)))
+        if states[0] is not None:
+            assert start[index[states[0]]] > 0
+        # every generation that ends without a hit is one step of the chain
+        for before, after in zip(states, states[1:]):
+            if after is None:
+                break
+            transitions += 1
+            if q[index[before], index[after]] == 0:
+                impossible.append((trial, before, after))
+    print(f"\nN = 2 OneJumpZeroJump-n8-{policy}: {transitions} transitions, "
+          f"{len(impossible)} of chance 0")
+    assert transitions > TRANSITION_RUNS * TRANSITION_GENERATIONS // 2
+    assert not impossible
 
 
 @pytest.mark.parametrize("policy", ["crowding", "refpoint"])

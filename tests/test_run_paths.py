@@ -1,23 +1,24 @@
 """Every path through `run` gives one RunResult: a seeded differential corpus.
 
-`run` takes one of three paths. An unobserved N = 1 run on a problem with
-ones_table() goes through the (1+1) kernel, `_run_single`; any other
+`run` takes one of three paths. An N = 1 run on a problem with ones_table()
+goes through the (1+1) kernel, `_run_single`, observed or not; any other
 unobserved run goes through the array engine, which stops after its last
-evaluations; an observed run goes through the array engine and selects
-survivors every generation. Each case draws the problem (one of the four
-families, NK at K = 0..3, a plain object that answers only `n`,
+evaluations; any other observed run goes through the array engine and
+selects survivors every generation. Each case draws the problem (one of the
+four families, NK at K = 0..3, a plain object that answers only `n`,
 `evaluator()`, `front()` and `reference_point()`, or one that answers
 `ones_table()` too but cannot be hashed: a plain `@dataclass`, whose type
 has no hash, or a frozen one holding a list, whose value has none), n, N
 from 1 to 12, the target, the survival policy, the mutation rate, the cap
 and the container of the reference points, and checks that the unobserved
-run gives the RunResult of the same run observed by a no-op, or on the
-kernel's cases by an observer that keeps its states. On those cases it also
-checks the trajectory, which a capped run's RunResult does not show: the
-kernel's replacements, logged from the verdicts of `evolve._count_rule`,
-cached or built for one run, are the observed run's changes of parent. One
-band case to every ten corpus cases draws an N = 1 run whose count changes
-often leave the kernel's candidate band, which the corpus cases seldom do.
+run gives the RunResult of the same run observed. On the kernel's cases it
+also runs the problem wrapped in `Plain`, without ones_table(), observed on
+the array engine, and checks the trajectory, which a capped run's RunResult
+does not show: the kernel, with its rule cached or built for one run, hands
+its observer the array engine's RunStates, array for array (values, dtype
+and shape) and counter for counter. One band case to every ten corpus cases
+draws an N = 1 run whose count changes often leave the kernel's candidate
+band, which the corpus cases seldom do.
 
 The Tier-1 corpus is fixed by SEED and CASES; `draw_case(seed, index)` and
 `draw_band_case(seed, index)` rebuild a failing case. A longer campaign runs
@@ -90,19 +91,20 @@ class UnhashableValue(Ones):
 
 
 def observe_nothing(state):
-    """An observer that keeps a run on the array engine and changes nothing."""
+    """An observer that changes nothing."""
 
 
-def parent_changes(states, hit):
-    """The ones counts an observed N = 1 run's parent takes, in order, from its
-    RunStates. The generation of a hit is left out: the kernel stops at the
-    hit, before selection."""
-    counts, born = [], states[0].birth[0]
-    for state in states[1:-1] if hit else states[1:]:
-        if state.birth[0] != born:
-            counts.append(int(state.genomes[0].sum()))
-            born = state.birth[0]
-    return counts
+def state_key(state):
+    """A RunState as a comparable tuple: each array as its dtype, shape and bytes."""
+    return tuple((value.dtype.str, value.shape, value.tobytes())
+                 if isinstance(value, np.ndarray) else value for value in vars(state).values())
+
+
+def observed_run(problem, config, seed):
+    """A run's RunResult and the state_key of every RunState handed to its observer."""
+    states = []
+    result = run(problem, config, seed, on_generation=lambda state: states.append(state_key(state)))
+    return result, states
 
 
 def draw_case(seed, index):
@@ -183,69 +185,57 @@ def draw_band_case(seed, index):
     return what, problem, config, rng.randrange(1 << 32)
 
 
+def mismatch(unobserved, observed, engine):
+    """What tells the unobserved run from the observed one, or on the kernel's cases
+    the kernel's observed run, (RunResult, states), from the array engine's; or None."""
+    if unobserved != observed[0]:
+        return f"unobserved {unobserved}, observed {observed[0]}"
+    if engine is not None and engine != observed:
+        if engine[0] != observed[0]:
+            return f"kernel {observed[0]}, array engine {engine[0]}"
+        generation = next((g for g, (a, b) in enumerate(zip(observed[1], engine[1])) if a != b),
+                          min(len(observed[1]), len(engine[1])))
+        return f"kernel and array engine states differ from generation {generation}"
+    return None
+
+
 def campaign(seed, cases) -> list:
-    """Run the corpus: each case's (what, whether the kernel ran, unobserved and observed
-    result, and on the kernel's cases the kernel's and the observed parent changes)."""
-    kernel, rule, ran, replaced, outcomes = evolve._run_single, evolve._count_rule, [], [], []
+    """Run the corpus: each case's (what, whether the kernel ran, whether the kernel's parent
+    changed, mismatch)."""
+    kernel, ran, outcomes = evolve._run_single, [], []
 
     def counted(*args):
         ran.append(True)
         return kernel(*args)
 
-    def logging(build):
-        def logged_rule(*args):
-            verdict, marks = build(*args)
-
-            def logged(parent, child):
-                outcome = verdict(parent, child)
-                if outcome and outcome != evolve._HIT:  # the kernel takes the child as its parent
-                    replaced.append(child)
-                return outcome
-            return logged, marks
-        return logged_rule
-
-    # the cached rule, and the one the kernel builds for a problem the cache cannot hash
-    logged_rule = logging(rule)
-    logged_rule.__wrapped__ = logging(rule.__wrapped__)
-    evolve._run_single, evolve._count_rule = counted, logged_rule
+    evolve._run_single = counted
     try:
         # one band case to every ten corpus cases
         drawn = [(draw_case, index) for index in range(cases)]
         for draw, index in drawn + [(draw_band_case, index) for index in range(cases // 10)]:
             what, problem, config, run_seed = draw(seed, index)
             ran.clear()
-            replaced.clear()
             unobserved = run(problem, config, run_seed)
-            used_kernel = bool(ran)
-            states = []
-            observed = run(problem, config, run_seed,
-                           on_generation=states.append if used_kernel else observe_nothing)
-            trajectory = None
+            used_kernel, engine, moved = bool(ran), None, False
             if used_kernel:
-                trajectory = list(replaced), parent_changes(states, observed.hit)
-            outcomes.append((what, used_kernel, unobserved, observed, trajectory))
+                observed = observed_run(problem, config, run_seed)
+                engine = observed_run(Plain(problem), config, run_seed)
+                moved = len({key[2] for key in observed[1]}) > 1  # births
+            else:
+                observed = run(problem, config, run_seed, on_generation=observe_nothing), None
+            outcomes.append((what, used_kernel, moved, mismatch(unobserved, observed, engine)))
     finally:
-        evolve._run_single, evolve._count_rule = kernel, rule
+        evolve._run_single = kernel
     return outcomes
-
-
-def mismatch(unobserved, observed, trajectory):
-    """What tells the unobserved run from the observed one, or None."""
-    if unobserved != observed:
-        return f"unobserved {unobserved}, observed {observed}"
-    if trajectory is not None and trajectory[0] != trajectory[1]:
-        return f"kernel parents {trajectory[0]}, observed parents {trajectory[1]}"
-    return None
 
 
 def test_unobserved_runs_match_observed_runs():
     mismatches, paths, kernel_runs, moved = [], set(), 0, 0
-    for what, used_kernel, unobserved, observed, trajectory in campaign(SEED, CASES):
-        found = mismatch(unobserved, observed, trajectory)
+    for what, used_kernel, parent_moved, found in campaign(SEED, CASES):
         if found is not None:
             mismatches.append((what, found))
         kernel_runs += used_kernel
-        moved += used_kernel and bool(trajectory[0])
+        moved += parent_moved
         # the kernel takes exactly the unobserved N = 1 runs on a ones-count problem,
         # hashable or not
         ones_count = what["family"] != "nk" and what["wrapper"] != "plain"
@@ -263,8 +253,11 @@ def test_unobserved_runs_match_observed_runs():
                      for wrapper in wrappers for container in CONTAINERS}
 
 
-def test_a_problem_without_a_ones_table_runs_unobserved_at_n_1():
-    # it takes the array engine, and gives the kernel's result on the problem it wraps
+def test_a_problem_without_a_ones_table_runs_unobserved_at_n_1(monkeypatch):
+    # it takes the array engine, and gives the kernel's result and states on the problem it wraps
+    kernel, kernel_runs = evolve._run_single, []
+    monkeypatch.setattr(evolve, "_run_single",
+                        lambda *args: kernel_runs.append(args[0]) or kernel(*args))
     for problem in (OneMinMaxStar(9), OneJumpZeroJump(12, 3)):
         target = problem.reference_point()
         for survival in (CrowdingDistance(), ReferencePointDistance(target)):
@@ -273,13 +266,19 @@ def test_a_problem_without_a_ones_table_runs_unobserved_at_n_1():
             for seed in range(3):
                 result = run(Plain(problem), config, seed)
                 assert result == run(Plain(problem), config, seed, on_generation=observe_nothing)
+                assert not kernel_runs
                 assert result == run(problem, config, seed)
+                assert observed_run(Plain(problem), config, seed) == observed_run(problem, config,
+                                                                                  seed)
+                assert kernel_runs == [problem, problem]
+                kernel_runs.clear()
 
 
 def check_seed_3_on_the_kernel(wrap, monkeypatch):
-    """Run OneMinMax(8) wrapped by `wrap` at N = 1 and seed 3, under both policies: each
-    unobserved run goes through the kernel and gives the observed run's RunResult and the
-    kernel's on the bare problem, at the standard target a hit at evaluation 43."""
+    """Run OneMinMax(8) wrapped by `wrap` at N = 1 and seed 3, under both policies: each run
+    goes through the kernel and gives the kernel's RunResult on the bare problem, at the
+    standard target a hit at evaluation 43, and observed, the array engine's RunResult and
+    states on the problem wrapped in Plain."""
     kernel, kernel_runs = evolve._run_single, []
     monkeypatch.setattr(evolve, "_run_single",
                         lambda *args: kernel_runs.append(args[0]) or kernel(*args))
@@ -290,9 +289,11 @@ def check_seed_3_on_the_kernel(wrap, monkeypatch):
         config = AlgorithmConfig(policy=survival, pop_size=1, reference_point=target,
                                  max_evaluations=cap)
         results.append(run(wrap(8, problem), config, 3))
-        assert results[-1] == run(wrap(8, problem), config, 3, on_generation=observe_nothing)
         assert results[-1] == run(problem, config, 3)
-    assert [type(p) for p in kernel_runs] == [wrap, OneMinMax] * 2
+        observed = observed_run(wrap(8, problem), config, 3)
+        assert observed == observed_run(Plain(problem), config, 3)
+        assert observed[0] == results[-1]
+    assert [type(p) for p in kernel_runs] == [wrap, OneMinMax, wrap] * 2
     assert results[0].evaluations_to_hit == 43
 
 
@@ -330,9 +331,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=SEED)
     args = parser.parse_args(argv)
     kernel_runs = mismatches = 0
-    for what, used_kernel, unobserved, observed, trajectory in campaign(args.seed, args.cases):
+    for what, used_kernel, _, found in campaign(args.seed, args.cases):
         kernel_runs += used_kernel
-        found = mismatch(unobserved, observed, trajectory)
         if found is not None:
             mismatches += 1
             print(f"mismatch: {what}: {found}")

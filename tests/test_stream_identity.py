@@ -23,6 +23,7 @@ from emolab.problems import (
     generate_nk_instance,
 )
 from emolab.survival import CrowdingDistance, ReferencePointDistance
+from test_run_paths import Plain
 
 GOLDEN = Path(__file__).with_name("golden_runs.json")
 SEEDS = (0, 1, 2)
@@ -57,17 +58,19 @@ def grid():
 
 
 def observe_nothing(state):
-    """An observer that keeps an N = 1 run on the array engine."""
+    """An observer that changes nothing."""
 
 
-def execute(cell, on_generation=None):
+def execute(cell, on_generation=None, wrap=None):
+    """The cell's result; `wrap`, if given, wraps its problem."""
     problem, reference = problem_and_reference(cell["problem"])
     policy = (CrowdingDistance() if cell["policy"] == "crowding"
               else ReferencePointDistance(reference))
     config = AlgorithmConfig(policy=policy, pop_size=cell["pop_size"],
                              reference_point=reference, mutation_rate=cell["rate"],
                              max_evaluations=cell["cap"])
-    result = run(problem, config, cell["seed"], on_generation=on_generation)
+    result = run(problem if wrap is None else wrap(problem), config, cell["seed"],
+                 on_generation=on_generation)
     return [result.hit, result.evaluations_to_hit, result.evaluations, result.generations]
 
 
@@ -76,8 +79,9 @@ def record():
 
 
 def test_runs_reproduce_golden_results():
-    # an unobserved synthetic N = 1 cell runs on the (1+1) kernel, so it is
-    # also run observed, on the array engine; both must give the golden result
+    # a synthetic N = 1 cell runs on the (1+1) kernel, so it is also run observed, and
+    # observed on the array engine through Plain, which has no ones_table(); each
+    # must give the golden result
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert [entry["cell"] for entry in golden] == list(grid())
     observed = [entry for entry in golden
@@ -87,8 +91,8 @@ def test_runs_reproduce_golden_results():
                   for entry in golden
                   if (got := execute(entry["cell"])) != entry["result"]]
     mismatches += [(entry["cell"], entry["result"], got)
-                   for entry in observed
-                   if (got := execute(entry["cell"], observe_nothing)) != entry["result"]]
+                   for entry in observed for wrap in (None, Plain)
+                   if (got := execute(entry["cell"], observe_nothing, wrap)) != entry["result"]]
     assert not mismatches
 
 
