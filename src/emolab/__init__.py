@@ -9,9 +9,9 @@ from .core import (
 )
 from .evolve import AlgorithmConfig, GenerationTrace, RunResult, RunState, run
 from .lab import (
+    CellTrials,
     ExperimentPlan,
     SummaryRow,
-    TrialRecord,
     Variant,
     preset_plans,
     run_experiment,

@@ -120,16 +120,16 @@ def cmd_sweep(args) -> int:
           f"master_seed={plan.master_seed} cap={plan.max_evaluations} "
           f"parallelism={args.parallelism} out={args.out}")
     try:
-        records = lab.run_experiment(plan, parallelism=args.parallelism)
+        cells = lab.run_experiment(plan, parallelism=args.parallelism)
     except Exception as exc:  # a trial that raised, or a helper process that died
         return _fail(EXIT_IO, f"sweep stopped, no results written: {type(exc).__name__}: {exc}")
-    summary = lab.summarize(records)
+    summary = lab.summarize(cells)
     try:
-        lab.write_trials_csv(records, out_dir / "trials.csv")
+        lab.write_trials_csv(cells, out_dir / "trials.csv")
         lab.write_summary_csv(summary, out_dir / "summary.csv")
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write results: {exc}")
-    print(f"wrote {len(records)} trials to {out_dir / 'trials.csv'} "
+    print(f"wrote {sum(len(cell.hits) for cell in cells)} trials to {out_dir / 'trials.csv'} "
           f"and {len(summary)} summary rows to {out_dir / 'summary.csv'}")
     return EXIT_OK
 

@@ -74,6 +74,7 @@ class RunState:
     is the 0-based number of the evaluation that created the row, so it
     rises with creation order, and the next offspring's is `evaluations`.
     `evaluations_to_hit` stays None until some evaluation meets the target.
+    The engines hand the arrays read-only: writing to one raises ValueError.
     """
 
     genomes: np.ndarray
@@ -131,6 +132,8 @@ def run(
     generations, evaluations = 0, size
     while True:
         if on_generation is not None:
+            for array in (genomes, objectives, birth):  # the engine's own: the observer only reads
+                array.flags.writeable = False
             on_generation(RunState(genomes, objectives, birth, generations, evaluations, hit_at))
         if hit_at is not None or evaluations >= cap:
             break
@@ -228,6 +231,8 @@ def _run_single(problem, config, genome, rate, cap, rng, on_generation) -> RunRe
 
     def report(stop):  # the states of generations shown .. stop - 1, all of the current parent
         population = (weights < 0).astype(np.uint8)[None], table[[ones]], np.array([born])
+        for array in population:  # shared by these states, so no observer may change them
+            array.flags.writeable = False
         for g in range(shown, stop):
             on_generation(RunState(*population, g, g + 1, evaluations if hit else None))
         return stop

@@ -13,9 +13,11 @@ entry of a results table shared by the sweep's processes, in trials.csv
 order (n, variant label, trial); the claimer derives the trial's seed, a
 pure function of (master_seed, n, variant index, trial index), runs it and
 writes its entry in place, so results are byte-for-byte reproducible and
-independent of the degree of parallelism. Capped runs (misses) contribute
-their cap-truncated evaluation totals to the means and are exposed
-separately through the success rate.
+independent of the degree of parallelism. The sweep returns one CellTrials
+per cell: its settings once, and its trials' seeds, evaluations and hits as
+columns read off the table. `summarize` gives one row per cell. Capped runs
+(misses) contribute their cap-truncated evaluation totals to the means and
+are exposed separately through the success rate.
 The lab compares no algorithms itself: the acceptance tests that do carry
 their own rank-sum test and log-log fit.
 """
@@ -53,7 +55,7 @@ DEFAULT_MASTER_SEED = 1009
 MAX_POPULATION_BITS = 1_000_000  # pop_size * n: a generation peaks near 0.5 GB
 MAX_NK_TABLE = 1 << 24           # 2 * n * 2^(nk_k+1) float64 entries: 128 MiB, and
 # enumeration holds its multilinear coefficients too (n=25, K=17: 241 MB max RSS)
-MAX_TRIALS = 1_000_000           # runs_per_cell * |n_values| * |variants|: records at 244 MB max RSS
+MAX_TRIALS = 1_000_000           # runs_per_cell * |n_values| * |variants|: cells at 128 MB max RSS
 # A sweep's results table: one entry a trial (17 bytes), its seed, evaluations and hit
 TRIAL_ENTRY = np.dtype([("seed", "<u8"), ("evaluations", "<i8"), ("hit", "?")])
 # Processes of one sweep: its own and up to 255 helpers, all started before its first trial.
@@ -155,17 +157,16 @@ class ExperimentPlan:
 
 
 @dataclass(frozen=True, slots=True)
-class TrialRecord:
+class CellTrials:
     problem: str
     n: int
     k: Optional[int]
     variant: str
     policy: str
     pop_size: int
-    seed: int
-    trial: int
-    evaluations: int
-    hit: bool
+    seeds: tuple
+    evaluations: tuple
+    hits: tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,8 +354,9 @@ def run_experiment(plan: ExperimentPlan, parallelism: int = 1) -> list:
     The calling process and min(parallelism, trials) - 1 helper processes claim
     table indices one at a time from a shared counter, and each claimer runs its
     trial and writes its entry in place. A trial that raises, or a helper that
-    dies, ends every helper, then raises. Returns the records read from the
-    table in its order; they do not depend on parallelism or completion order.
+    dies, ends every helper, then raises. Returns one CellTrials per cell, in
+    table order, each column one tolist() of the cell's part of the table;
+    they do not depend on parallelism or completion order.
     """
     if not 1 <= parallelism <= MAX_PARALLELISM:
         raise ValueError(f"parallelism must lie in [1, {MAX_PARALLELISM}], got {parallelism}")
@@ -386,29 +388,20 @@ def run_experiment(plan: ExperimentPlan, parallelism: int = 1) -> list:
             helper.join()
             receiver.close()
     entries = np.frombuffer(table, TRIAL_ENTRY).reshape(len(plan_cells), -1)
-    return [TrialRecord(plan.problem, n, plan.k, variant.label, variant.policy, config.pop_size,
-                        seed, trial, evaluations, hit)
-            for (n, _, variant, _, config), row in zip(plan_cells, entries)
-            for trial, (seed, evaluations, hit) in enumerate(map(np.void.item, row))]
+    return [CellTrials(plan.problem, n, plan.k, variant.label, variant.policy, config.pop_size,
+                       *(tuple(row[name].tolist()) for name in TRIAL_ENTRY.names))
+            for (n, _, variant, _, config), row in zip(plan_cells, entries)]
 
 
-def summarize(records: Sequence[TrialRecord]) -> list:
-    """Mean, sample standard deviation, and success rate per (problem, n, variant)."""
-    if not records:
-        raise ValueError("cannot summarize an empty record set")
-    groups = {}
-    for r in records:
-        groups.setdefault((r.problem, r.n, r.variant), []).append(r)
-    rows = []
-    for (problem, n, variant), cell in sorted(groups.items()):
-        evals = [r.evaluations for r in cell]
-        rows.append(SummaryRow(
-            problem=problem, n=n, variant=variant,
-            mean_evals=statistics.fmean(evals),
-            std_evals=statistics.stdev(evals) if len(evals) > 1 else 0.0,
-            success_rate=sum(r.hit for r in cell) / len(cell), runs=len(cell),
-        ))
-    return rows
+def summarize(cells: Sequence[CellTrials]) -> list:
+    """One SummaryRow per cell, in order: mean, sample standard deviation and success rate."""
+    if not cells:
+        raise ValueError("cannot summarize an empty set of cells")
+    return [SummaryRow(problem=cell.problem, n=cell.n, variant=cell.variant,
+                       mean_evals=statistics.fmean(cell.evaluations),
+                       std_evals=statistics.stdev(cell.evaluations) if len(cell.hits) > 1 else 0.0,
+                       success_rate=sum(cell.hits) / len(cell.hits), runs=len(cell.hits))
+            for cell in cells]
 
 
 def preset_plans() -> dict:
@@ -513,13 +506,14 @@ TRIALS_HEADER = ["problem", "n", "k", "variant", "policy", "pop_size",
 SUMMARY_HEADER = [f.name for f in fields(SummaryRow)]
 
 
-def write_trials_csv(records: Sequence[TrialRecord], path) -> None:
+def write_trials_csv(cells: Sequence[CellTrials], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRIALS_HEADER)
-        fields_before_hit = operator.attrgetter(*TRIALS_HEADER[:-1])
-        for r in records:  # csv writes k=None as an empty field
-            writer.writerow((*fields_before_hit(r), "true" if r.hit else "false"))
+        settings_of = operator.attrgetter(*TRIALS_HEADER[:6])
+        for cell in cells:  # csv writes k=None as an empty field
+            settings, hits = settings_of(cell), ("true" if hit else "false" for hit in cell.hits)
+            writer.writerows((*settings, *row) for row in zip(cell.seeds, cell.evaluations, hits))
 
 
 def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:

@@ -50,16 +50,17 @@ def report(criterion, passed, detail, seconds=None):
 
 
 def timed_experiments(*plans):
-    """Records of all plans and the wall time it took to run them."""
+    """The cells of all plans and the wall time it took to run them."""
     started = time.time()
-    records = []
+    cells = []
     for plan in plans:
-        records.extend(run_experiment(plan, parallelism=PARALLELISM))
-    return records, time.time() - started
+        cells.extend(run_experiment(plan, parallelism=PARALLELISM))
+    return cells, time.time() - started
 
 
-def cell_evals(records, n, variant):
-    return [r.evaluations for r in records if r.n == n and r.variant == variant]
+def cell_evals(cells, n, variant):
+    return [e for cell in cells if cell.n == n and cell.variant == variant
+            for e in cell.evaluations]
 
 
 def loglog_slope(points):
@@ -126,18 +127,18 @@ def test_criterion_3_crowding_hand_trace():
 
 
 @pytest.fixture(scope="module")
-def omm_records():
+def omm_cells():
     plan = replace(lab.preset_plans()["omm"], n_values=(50,), runs_per_cell=200,
                    master_seed=ACCEPT_SEED)
     return timed_experiments(plan)
 
 
-def test_criterion_4_oneminmax_separation(omm_records):
+def test_criterion_4_oneminmax_separation(omm_cells):
     started = time.time()
-    omm_records, sweep_s = omm_records
-    nsga2 = cell_evals(omm_records, 50, "nsga2")
-    r_small = cell_evals(omm_records, 50, "rnsga2-n1")
-    r_same = cell_evals(omm_records, 50, "rnsga2")
+    omm_cells, sweep_s = omm_cells
+    nsga2 = cell_evals(omm_cells, 50, "nsga2")
+    r_small = cell_evals(omm_cells, 50, "rnsga2-n1")
+    r_same = cell_evals(omm_cells, 50, "rnsga2")
     assert len(nsga2) == len(r_small) == len(r_same) == 200
     factor = statistics.fmean(nsga2) / statistics.fmean(r_small)
     u, p_value = loop_reference_rank_sum(r_same, nsga2)
@@ -152,7 +153,7 @@ def test_criterion_4_oneminmax_separation(omm_records):
 
 
 @pytest.fixture(scope="module")
-def ojzj_n30_records():
+def ojzj_n30_cells():
     plan = replace(lab.preset_plans()["ojzj"], n_values=(30,), runs_per_cell=200,
                    master_seed=ACCEPT_SEED,
                    variants=(Variant("nsga2", "crowding", "4*(n-2*k+3)"),
@@ -161,23 +162,23 @@ def ojzj_n30_records():
 
 
 @pytest.fixture(scope="module")
-def ojzj_r1_curve_records():
+def ojzj_r1_curve_cells():
     plan = replace(lab.preset_plans()["ojzj"], runs_per_cell=200,
                    master_seed=ACCEPT_SEED,
                    variants=(Variant("rnsga2-n1", "refpoint", 1),))
     return timed_experiments(plan)
 
 
-def test_criterion_5_ojzj_separation(ojzj_n30_records, ojzj_r1_curve_records):
+def test_criterion_5_ojzj_separation(ojzj_n30_cells, ojzj_r1_curve_cells):
     started = time.time()
-    (ojzj_n30_records, n30_s), (ojzj_r1_curve_records, curve_s) = (
-        ojzj_n30_records, ojzj_r1_curve_records)
-    nsga2 = cell_evals(ojzj_n30_records, 30, "nsga2")
-    r_small = cell_evals(ojzj_n30_records, 30, "rnsga2-n1")
+    (ojzj_n30_cells, n30_s), (ojzj_r1_curve_cells, curve_s) = (
+        ojzj_n30_cells, ojzj_r1_curve_cells)
+    nsga2 = cell_evals(ojzj_n30_cells, 30, "nsga2")
+    r_small = cell_evals(ojzj_n30_cells, 30, "rnsga2-n1")
     assert len(nsga2) == len(r_small) == 200
     ratio = statistics.fmean(nsga2) / statistics.fmean(r_small)
     u, p_value = loop_reference_rank_sum(r_small, nsga2)
-    slope = loglog_slope((row.n, row.mean_evals) for row in summarize(ojzj_r1_curve_records))
+    slope = loglog_slope((row.n, row.mean_evals) for row in summarize(ojzj_r1_curve_cells))
     ok = (ratio >= 3.0 and u < len(r_small) * len(nsga2) / 2 and p_value < 0.01
           and 1.5 <= slope <= 3.0)
     report("C5 OneJumpZeroJump separation", ok,
@@ -187,13 +188,13 @@ def test_criterion_5_ojzj_separation(ojzj_n30_records, ojzj_r1_curve_records):
            n30_s + curve_s + time.time() - started)
 
 
-def test_c5_curve_matches_exact_expectations(ojzj_r1_curve_records):
+def test_c5_curve_matches_exact_expectations(ojzj_r1_curve_cells):
     started = time.time()
-    records, curve_s = ojzj_r1_curve_records
+    cells, curve_s = ojzj_r1_curve_cells
     sizes = lab.preset_plans()["ojzj"].n_values
     scores = [z_of_mean(OneJumpZeroJump(n, 2), "refpoint", 1 / n,
-                        cell_evals(records, n, "rnsga2-n1")) for n in sizes]
-    measured = loglog_slope((row.n, row.mean_evals) for row in summarize(records))
+                        cell_evals(cells, n, "rnsga2-n1")) for n in sizes]
+    measured = loglog_slope((row.n, row.mean_evals) for row in summarize(cells))
     exact_slope = loglog_slope((n, mean) for n, (mean, _) in zip(sizes, scores))
     ok = all(abs(z) <= Z_BOUND for _, z in scores) and 1.5 <= exact_slope <= 3.0
     report("C5 exact", ok,
@@ -204,16 +205,16 @@ def test_c5_curve_matches_exact_expectations(ojzj_r1_curve_records):
 
 
 @pytest.fixture(scope="module")
-def ommstar_records():
+def ommstar_cells():
     plan = replace(lab.preset_plans()["ommstar"], n_values=(30,), runs_per_cell=100,
                    master_seed=ACCEPT_SEED)
     return timed_experiments(plan)
 
 
-def test_criterion_6_oneminmax_star_reversal(ommstar_records):
+def test_criterion_6_oneminmax_star_reversal(ommstar_cells):
     started = time.time()
-    ommstar_records, sweep_s = ommstar_records
-    summary = {row.variant: row for row in summarize(ommstar_records)}
+    ommstar_cells, sweep_s = ommstar_cells
+    summary = {row.variant: row for row in summarize(ommstar_cells)}
     nsga2, rnsga2 = summary["nsga2"], summary["rnsga2"]
     assert nsga2.runs == rnsga2.runs == 100
     ok = (nsga2.success_rate == 1.0
@@ -226,7 +227,7 @@ def test_criterion_6_oneminmax_star_reversal(ommstar_records):
 
 
 @pytest.fixture(scope="module")
-def nk_instance_records():
+def nk_instance_cells():
     base = lab.preset_plans()["nk"]
     return timed_experiments(*(
         replace(base, n_values=(15,), runs_per_cell=1,
@@ -235,16 +236,17 @@ def nk_instance_records():
         for instance_index in range(20)))
 
 
-def test_criterion_7_nk_qualitative_ordering(nk_instance_records):
+def test_criterion_7_nk_qualitative_ordering(nk_instance_cells):
     started = time.time()
-    nk_instance_records, sweep_s = nk_instance_records
-    nsga2 = [r for r in nk_instance_records if r.variant == "nsga2"]
-    rnsga2 = [r for r in nk_instance_records if r.variant == "rnsga2"]
+    nk_instance_cells, sweep_s = nk_instance_cells
+    nsga2 = [cell for cell in nk_instance_cells if cell.variant == "nsga2"]
+    rnsga2 = [cell for cell in nk_instance_cells if cell.variant == "rnsga2"]
     assert len(nsga2) == len(rnsga2) == 20
-    nsga2_median = statistics.median(r.evaluations for r in nsga2)
-    rnsga2_median = statistics.median(r.evaluations for r in rnsga2)
-    nsga2_capped = sum(1 for r in nsga2 if not r.hit)
-    rnsga2_capped = sum(1 for r in rnsga2 if not r.hit)
+    assert all(len(cell.hits) == 1 for cell in nsga2 + rnsga2)
+    nsga2_median = statistics.median(cell.evaluations[0] for cell in nsga2)
+    rnsga2_median = statistics.median(cell.evaluations[0] for cell in rnsga2)
+    nsga2_capped = sum(1 for cell in nsga2 if not cell.hits[0])
+    rnsga2_capped = sum(1 for cell in rnsga2 if not cell.hits[0])
     ok = nsga2_median < rnsga2_median and rnsga2_capped > nsga2_capped
     report("C7 NK qualitative ordering", ok,
            f"medians: nsga2={nsga2_median:.0f} vs rnsga2={rnsga2_median:.0f}; "

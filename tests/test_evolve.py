@@ -1,6 +1,7 @@
 """The generation loop: initialization, generations, stopping, and accounting."""
 
 import dataclasses
+import hashlib
 import io
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 from emolab import evolve
 from emolab.core import bitwise_mutate, random_population, stream
-from emolab.evolve import AlgorithmConfig, GenerationTrace, run
+from emolab.evolve import AlgorithmConfig, GenerationTrace, RunResult, run
 from emolab.problems import (
     OneJumpZeroJump,
     OneMinMax,
@@ -618,6 +619,58 @@ class TestUnobservedRunsStopAtTheirLastEvaluation:
             else:
                 assert result.hit and result.generations == 0
                 assert result.evaluations_to_hit <= self.POP
+
+
+class TestObserversGetReadOnlyStates:
+    """A state's arrays are read-only on both engines, so an observer cannot change the
+    run it watches: on the array engine they are its population, and the N = 1 kernel
+    hands one set of arrays to all the states of one parent."""
+
+    STAR = OneMinMaxStar(30).reference_point()
+    # problem, config, seed, then the RunResult and the count and sha256 of the states as
+    # copy_and_clear reads them, recorded while the arrays were still writable
+    CASES = {
+        "array engine": (OneMinMax(20), omm_config(20, 4, CrowdingDistance(), max_evaluations=400),
+                         1, RunResult(True, 251, 252, 62), 63,
+                         "5ae465856f477101c9141ca4660f25818cb97641e1a9c1db592ac3c6a1a45dd3"),
+        "kernel": (OneMinMaxStar(30),
+                   AlgorithmConfig(policy=ReferencePointDistance(STAR), pop_size=1,
+                                   reference_point=STAR, max_evaluations=300),
+                   7, RunResult(False, None, 300, 299), 300,
+                   "93073fd8eca523cf16e7ca8c543f4331e5ab82e3e5909144d86c16b9a610fb3d"),
+    }
+
+    @pytest.mark.parametrize("field", ["genomes", "objectives", "birth"])
+    @pytest.mark.parametrize("engine", list(CASES))
+    def test_a_write_raises(self, engine, field, kernel_calls):
+        problem, config, seed, *_ = self.CASES[engine]
+
+        def write(state):
+            getattr(state, field)[...] = 0
+
+        with pytest.raises(ValueError, match="read-only"):
+            run(problem, config, seed, on_generation=write)
+        assert len(kernel_calls) == (engine == "kernel")
+
+    @pytest.mark.parametrize("engine", list(CASES))
+    def test_an_observer_that_copies_sees_the_run_unchanged(self, engine):
+        problem, config, seed, result, count, digest = self.CASES[engine]
+        state_digest, states = hashlib.sha256(), []
+
+        def copy_and_clear(state):
+            arrays = [array.copy() for array in (state.genomes, state.objectives, state.birth)]
+            for array in arrays:
+                state_digest.update(array.tobytes())
+            state_digest.update(repr((state.generation, state.evaluations,
+                                      state.evaluations_to_hit, arrays[0].shape,
+                                      *(array.dtype.str for array in arrays))).encode())
+            for array in arrays:  # a copy is the observer's own to change
+                array[...] = 0
+            states.append(state)
+
+        assert run(problem, config, seed, on_generation=copy_and_clear) == result
+        assert run(problem, config, seed) == result
+        assert len(states) == count and state_digest.hexdigest() == digest
 
 
 class TestGenerationTrace:

@@ -16,8 +16,8 @@ import pytest
 
 from emolab import lab, problems
 from emolab.lab import (
+    CellTrials,
     ExperimentPlan,
-    TrialRecord,
     Variant,
     plan_from_json,
     preset_plans,
@@ -144,27 +144,35 @@ class TestRankSumTest:
         assert type(u) is float and type(p_value) is float
 
 
+def omm_cell(seeds, evaluations, hits, n=10, variant="v"):
+    """A crowding cell of OneMinMax at N = 4, its columns as tuples in trial order."""
+    return CellTrials("omm", n, None, variant, "crowding", 4,
+                      tuple(seeds), tuple(evaluations), tuple(hits))
+
+
 class TestSummarize:
     def test_constant_records(self):
-        records = [TrialRecord("omm", 10, None, "v", "crowding", 4, s, t, 100, True)
-                   for t, s in enumerate(range(4))]
-        row = summarize(records)[0]
+        row, = summarize([omm_cell(range(4), [100] * 4, [True] * 4)])
         assert row.mean_evals == 100.0
         assert row.std_evals == 0.0
         assert row.success_rate == 1.0
         assert row.runs == 4
 
     def test_sample_standard_deviation(self):
-        records = [TrialRecord("omm", 10, None, "v", "crowding", 4, s, t, e, True)
-                   for t, (s, e) in enumerate([(1, 90), (2, 110)])]
-        row = summarize(records)[0]
+        row, = summarize([omm_cell([1, 2], [90, 110], [True, True])])
         assert row.mean_evals == 100.0
         assert row.std_evals == pytest.approx(math.sqrt(200))  # divisor n-1
 
     def test_success_rate_counts_hits(self):
-        records = [TrialRecord("omm", 10, None, "v", "crowding", 4, s, t, 50, hit)
-                   for t, (s, hit) in enumerate([(1, True), (2, True), (3, True), (4, False)])]
-        assert summarize(records)[0].success_rate == 0.75
+        row, = summarize([omm_cell([1, 2, 3, 4], [50] * 4, [True, True, True, False])])
+        assert row.success_rate == 0.75
+
+    def test_one_row_per_cell_in_the_cells_order(self):
+        cells = [omm_cell([5, 6, 7], [30, 10, 20], [True, False, True], n=20, variant="b"),
+                 omm_cell([8], [40], [False], n=10, variant="a")]
+        assert summarize(cells) == [
+            lab.SummaryRow("omm", 20, "b", 20.0, 10.0, 2 / 3, 3),
+            lab.SummaryRow("omm", 10, "a", 40.0, 0.0, 0.0, 1)]
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
@@ -309,17 +317,31 @@ class TestNeverEndingCells:
 
 class TestRunExperiment:
     def test_record_cardinality(self):
-        records = run_experiment(tiny_plan())
-        assert len(records) == 3 * 2 * 2
-        for n in (6, 8):
-            for label in ("nsga2", "rnsga2-n1"):
-                cell = [r for r in records if r.n == n and r.variant == label]
-                assert len(cell) == 3
+        cells = run_experiment(tiny_plan())
+        assert [(cell.n, cell.variant) for cell in cells] == [
+            (6, "nsga2"), (6, "rnsga2-n1"), (8, "nsga2"), (8, "rnsga2-n1")]
+        for cell in cells:
+            assert len(cell.seeds) == len(cell.evaluations) == len(cell.hits) == 3
+
+    def test_a_cells_columns_are_tuples_in_trial_order(self):
+        plan = tiny_plan()
+        for (n, variant_index, variant, problem, config), cell in zip(
+                lab.cells(plan), run_experiment(plan, parallelism=2)):
+            assert (cell.problem, cell.n, cell.k, cell.variant, cell.policy, cell.pop_size) == (
+                "omm", n, None, variant.label, variant.policy, config.pop_size)
+            seeds = tuple(trial_seed(plan, n, variant_index, t) for t in range(3))
+            results = [lab.run(problem, config, seed) for seed in seeds]
+            assert cell.seeds == seeds
+            assert cell.evaluations == tuple(r.evaluations_to_hit or r.evaluations
+                                             for r in results)
+            assert cell.hits == tuple(r.hit for r in results)
+            for column, kind in ((cell.seeds, int), (cell.evaluations, int), (cell.hits, bool)):
+                assert type(column) is tuple and {type(value) for value in column} == {kind}
 
     def test_omm_preset_covers_all_cells(self):
         plan = lab.with_overrides(preset_plans()["omm"], runs=1)
-        records = run_experiment(plan, parallelism=2)
-        cells = {(r.n, r.variant, r.pop_size) for r in records}
+        cells = {(cell.n, cell.variant, cell.pop_size)
+                 for cell in run_experiment(plan, parallelism=2)}
         expected = {(n, label, size)
                     for n in (10, 20, 30, 40, 50)
                     for label, size in (("nsga2", 4 * (n + 1)),
@@ -394,7 +416,7 @@ class TestRunExperiment:
     def test_different_master_seed_changes_trials(self):
         a = run_experiment(tiny_plan())
         b = run_experiment(tiny_plan(master_seed=12))
-        assert [r.seed for r in a] != [r.seed for r in b]
+        assert [cell.seeds for cell in a] != [cell.seeds for cell in b]
 
     def test_seed_schedule_injective(self):
         plan = tiny_plan(runs_per_cell=20)
@@ -408,11 +430,11 @@ class TestRunExperiment:
         plan = tiny_plan(problem="ommstar", n_values=(10,), max_evaluations=60,
                          variants=(Variant("rnsga2", "refpoint", 4),),
                          runs_per_cell=5)
-        records = run_experiment(plan)
-        misses = [r for r in records if not r.hit]
+        cell, = run_experiment(plan)
+        misses = [evals for evals, hit in zip(cell.evaluations, cell.hits) if not hit]
         assert misses, "tiny budget should produce at least one miss"
-        for r in misses:
-            assert r.evaluations >= 60  # cap-truncated totals stay in the record
+        for evaluations in misses:
+            assert evaluations >= 60  # cap-truncated totals stay in the cell
 
 
 class TestPlanChecks:
@@ -542,16 +564,16 @@ class TestPlanJson:
 
 class TestCsvRoundTrip:
     def test_trials_and_summary_files(self, tmp_path):
-        records = run_experiment(tiny_plan())
+        cells = run_experiment(tiny_plan())
         trials_path = tmp_path / "trials.csv"
         summary_path = tmp_path / "summary.csv"
-        write_trials_csv(records, trials_path)
-        rows = summarize(records)
+        write_trials_csv(cells, trials_path)
+        rows = summarize(cells)
         write_summary_csv(rows, summary_path)
 
         trial_lines = trials_path.read_text(encoding="utf-8").splitlines()
         assert trial_lines[0] == "problem,n,k,variant,policy,pop_size,seed,evaluations,hit"
-        assert len(trial_lines) == len(records) + 1
+        assert len(trial_lines) == 4 * 3 + 1  # 2 sizes x 2 variants x 3 runs
         assert ",," in trial_lines[1]  # k column empty for OneMinMax
 
         parsed = read_summary_csv(summary_path)
@@ -566,8 +588,8 @@ class TestCsvRoundTrip:
         assert read_summary_csv(path) == rows
 
     def test_lf_line_endings(self, tmp_path):
-        records = run_experiment(tiny_plan(n_values=(6,), runs_per_cell=1))
+        cells = run_experiment(tiny_plan(n_values=(6,), runs_per_cell=1))
         path = tmp_path / "trials.csv"
-        write_trials_csv(records, path)
+        write_trials_csv(cells, path)
         raw = path.read_bytes()
         assert b"\r" not in raw
