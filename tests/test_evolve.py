@@ -6,6 +6,7 @@ import io
 import math
 import os
 import tracemalloc
+import weakref
 from decimal import Decimal
 
 import numpy as np
@@ -307,6 +308,17 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def tables_built(monkeypatch):
+    """The problems whose ones table is built, in order, starting from an empty rule entry.
+    It counts OneMinMax and OneMinMax*, which builds its table through OneMinMax's."""
+    built, ones_table = [], OneMinMax.ones_table
+    monkeypatch.setattr(OneMinMax, "ones_table",
+                        lambda problem: built.append(problem) or ones_table(problem))
+    monkeypatch.setattr(evolve, "_last_rule", [None] * 4)
+    return built
+
+
 def assert_kernel_matches_array_engine(problem, config, seeds, kernel_calls):
     """Each seed's run goes through the kernel, unobserved and observed, and gives the
     RunResult and the RunStates of the array engine's run of Plain(problem), which has no
@@ -448,49 +460,59 @@ class TestSingleParentKernel:
         assert result.evaluations == 20
         assert peak < 17 * 2 ** 20
 
-    def test_a_cells_runs_build_the_ones_table_once(self, monkeypatch):
-        built = []
-        ones_table = OneMinMaxStar.ones_table
-
-        def counted(problem):
-            built.append(problem)
-            return ones_table(problem)
-
-        monkeypatch.setattr(OneMinMaxStar, "ones_table", counted)
-        evolve._count_rule.cache_clear()
-        reference = OneMinMaxStar(10).reference_point()
+    def test_a_cells_runs_build_the_ones_table_once(self, tables_built):
+        problem = OneMinMaxStar(10)  # a cell hands one problem object to all its runs
+        reference = problem.reference_point()
         config = AlgorithmConfig(policy=ReferencePointDistance(reference), pop_size=1,
                                  reference_point=reference, max_evaluations=30)
         for seed in range(3):
-            run(OneMinMaxStar(10), config, seed)
-        assert built == [OneMinMaxStar(10)]
+            run(problem, config, seed)
+        assert len(tables_built) == 1 and tables_built[0] is problem
+        # an equal problem that is another object builds its own rule
+        twin = OneMinMaxStar(10)
+        run(twin, config, 0)
+        assert twin == problem and len(tables_built) == 2 and tables_built[1] is twin
         # a problem of the same size has its own rule, so the relocated
         # all-zeros vector stays OneMinMax*'s
         assert not evolve._count_rule(OneMinMax(10), reference, reference)[0](1, 0)
         # the relocated vector is the target, and it replaces the parent
-        assert evolve._count_rule(OneMinMaxStar(10), reference, reference)[0](1, 0) == \
-            evolve._HIT | 1
-        assert len(built) == 2
+        assert evolve._count_rule(problem, reference, reference)[0](1, 0) == evolve._HIT | 1
+        assert len(tables_built) == 4
 
-    def test_a_cells_runs_share_one_candidate_table(self):
-        evolve._count_rule.cache_clear()
+    def test_a_cells_runs_share_one_candidate_table(self, tables_built):
         problem = OneMinMaxStar(10)
         target = problem.reference_point()
         config = AlgorithmConfig(policy=ReferencePointDistance(target), pop_size=1,
                                  reference_point=target, max_evaluations=30)
         for seed in range(3):
             run(problem, config, seed)
-        run(problem, config, 3, on_generation=observe_nothing)  # an observed run shares it too
-        assert evolve._count_rule.cache_info()[:2] == (3, 1)  # hits, misses
+        rule = evolve._count_rule(problem, target, target)
+        assert len(tables_built) == 1
+        # an observed run shares the rule too; it builds the ones table once more, for its states
+        run(problem, config, 3, on_generation=observe_nothing)
+        assert evolve._count_rule(problem, target, target) == rule
+        assert len(tables_built) == 2 and all(built is problem for built in tables_built)
         # OneMinMax*'s relocated all-zeros vector is one flip from a one-bit parent
-        verdict, marks = evolve._count_rule(problem, target, target)
+        verdict, marks = rule
         assert verdict(1, 0) == evolve._HIT | 1 and marks(1)[evolve._BAND]
         # an off-front survival reference, and OneMinMax of the same n, get their own tables
-        for other, reference in ((problem, off_front(target)), (OneMinMax(10), target)):
+        omm = OneMinMax(10)
+        for other, reference in ((problem, off_front(target)), (omm, target)):
             run(other, dataclasses.replace(config, policy=ReferencePointDistance(reference)), 0)
-        assert evolve._count_rule.cache_info()[:2] == (4, 3)
-        verdict, marks = evolve._count_rule(OneMinMax(10), target, target)
+        assert len(tables_built) == 4 and tables_built[2] is problem and tables_built[3] is omm
+        verdict, marks = evolve._count_rule(omm, target, target)
         assert not verdict(1, 0) and not marks(1)[evolve._BAND]
+        assert len(tables_built) == 4  # the last run's rule, reused
+
+    def test_the_rule_entry_holds_one_problem(self):
+        # the entry keeps the last N = 1 problem and its rule alive, and no other
+        first = OneMinMax(10)
+        run(first, omm_config(10, 1, max_evaluations=30), 0)
+        first_alive = weakref.ref(first)
+        del first
+        assert first_alive() is not None
+        run(OneMinMax(12), omm_config(12, 1, max_evaluations=30), 0)
+        assert first_alive() is None
 
     @pytest.mark.parametrize("band", [evolve._BAND, 0], ids=["band", "no-band"])
     @pytest.mark.parametrize("rate", [0.5, 1.0])
@@ -504,22 +526,19 @@ class TestSingleParentKernel:
         changes = (rng.random((evolve._BLOCK_GENERATIONS, n)) < rate) @ weights
         assert rate == 1.0 or np.any(abs(changes) > evolve._BAND)
         monkeypatch.setattr(evolve, "_BAND", band)
-        evolve._count_rule.cache_clear()  # its rows were built for another band
-        try:
-            for problem in (OneMinMax(n), OneMinMaxStar(n), OneJumpZeroJump(n, 4)):
-                middle = tuple(problem.ones_table()[n // 2 + 2].tolist())
-                for target in (problem.reference_point(), middle):
-                    for survival in (CrowdingDistance(), ReferencePointDistance(target),
-                                     ReferencePointDistance(off_front(target))):
-                        config = AlgorithmConfig(policy=survival, pop_size=1,
-                                                 reference_point=target, mutation_rate=rate,
-                                                 max_evaluations=3 * evolve._BLOCK_GENERATIONS + 2)
-                        assert_kernel_matches_array_engine(problem, config, range(2),
-                                                           kernel_calls)
-                        marks = evolve._count_rule(problem, survival.reference, target)[1]
-                        assert len(marks(n // 2)) == 2 * band + 3
-        finally:
-            evolve._count_rule.cache_clear()
+        # empty the rule entry, whose rows were built for another band
+        monkeypatch.setattr(evolve, "_last_rule", [None] * 4)
+        for problem in (OneMinMax(n), OneMinMaxStar(n), OneJumpZeroJump(n, 4)):
+            middle = tuple(problem.ones_table()[n // 2 + 2].tolist())
+            for target in (problem.reference_point(), middle):
+                for survival in (CrowdingDistance(), ReferencePointDistance(target),
+                                 ReferencePointDistance(off_front(target))):
+                    config = AlgorithmConfig(policy=survival, pop_size=1,
+                                             reference_point=target, mutation_rate=rate,
+                                             max_evaluations=3 * evolve._BLOCK_GENERATIONS + 2)
+                    assert_kernel_matches_array_engine(problem, config, range(2), kernel_calls)
+                    marks = evolve._count_rule(problem, survival.reference, target)[1]
+                    assert len(marks(n // 2)) == 2 * band + 3
 
     @pytest.mark.parametrize("seed", [514, 551])
     def test_replacement_on_the_last_row_of_a_block(self, seed, kernel_calls):

@@ -14,11 +14,11 @@ and the container of the reference points, and checks that the unobserved
 run gives the RunResult of the same run observed. On the kernel's cases it
 also runs the problem wrapped in `Plain`, without ones_table(), observed on
 the array engine, and checks the trajectory, which a capped run's RunResult
-does not show: the kernel, with its rule cached or built for one run, hands
-its observer the array engine's RunStates, array for array (values, dtype
-and shape) and counter for counter. One band case to every ten corpus cases
-draws an N = 1 run whose count changes often leave the kernel's candidate
-band, which the corpus cases seldom do.
+does not show: the kernel, whose rule is kept for the problem object and
+never hashed, hands its observer the array engine's RunStates, array for
+array (values, dtype and shape) and counter for counter. One band case to
+every ten corpus cases draws an N = 1 run whose count changes often leave
+the kernel's candidate band, which the corpus cases seldom do.
 
 The Tier-1 corpus is fixed by SEED and CASES; `draw_case(seed, index)` and
 `draw_band_case(seed, index)` rebuild a failing case. A longer campaign runs
@@ -38,7 +38,7 @@ import numpy as np
 import pytest
 
 from emolab import evolve
-from emolab.evolve import AlgorithmConfig, run
+from emolab.evolve import AlgorithmConfig, RunResult, run
 from emolab.problems import OneJumpZeroJump, OneMinMax, OneMinMaxStar, generate_nk_instance
 from emolab.survival import CrowdingDistance, ReferencePointDistance
 
@@ -298,19 +298,19 @@ def check_seed_3_on_the_kernel(wrap, monkeypatch):
 
 
 def test_an_unhashable_problem_with_a_ones_table_runs_unobserved_at_n_1(monkeypatch):
-    # a plain @dataclass has no hash, so the kernel builds its rule for the run alone
+    # a plain @dataclass has no hash; nothing hashes the problem, so it runs as any other
     check_seed_3_on_the_kernel(Unhashable, monkeypatch)
 
 
 def test_a_problem_whose_value_cannot_be_hashed_runs_unobserved_at_n_1(monkeypatch):
-    # its type has a hash, but its value raises TypeError: unhashable type: 'list' at the
-    # rule's cache key, so the kernel builds its rule for the run alone
+    # its type has a hash, but its value raises TypeError: unhashable type: 'list';
+    # nothing hashes the problem, so it runs as any other
     check_seed_3_on_the_kernel(UnhashableValue, monkeypatch)
 
 
 @pytest.mark.parametrize("wrap", [Ones, Unhashable])
 def test_a_type_error_from_the_ones_table_is_raised_once(wrap):
-    # the kernel falls back to an uncached rule only when the cache cannot hash the problem
+    # hashable or not, the rule is built once and its error is not caught
     class Failing(wrap):
         def ones_table(self):
             calls.append(self)
@@ -323,6 +323,24 @@ def test_a_type_error_from_the_ones_table_is_raised_once(wrap):
     with pytest.raises(TypeError, match="no table"):
         run(failing, config, 0)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("wrap", [Unhashable, UnhashableValue])
+def test_runs_of_one_unhashable_problem_share_one_rule(wrap, monkeypatch):
+    # the kernel keeps the last rule for its problem object, matched by identity, so two
+    # runs of one problem that cannot be hashed build it from one ones table
+    calls, ones_table = [], wrap.ones_table
+    monkeypatch.setattr(wrap, "ones_table", lambda problem: calls.append(problem) or
+                        ones_table(problem))
+    bare = OneMinMax(8)
+    target = bare.reference_point()
+    config = AlgorithmConfig(policy=ReferencePointDistance(target), pop_size=1,
+                             reference_point=target)
+    expected = run(bare, config, 3)
+    assert expected == RunResult(hit=True, evaluations_to_hit=43, evaluations=43, generations=42)
+    problem = wrap(8, bare)
+    assert [run(problem, config, 3) for _ in range(2)] == [expected] * 2
+    assert len(calls) == 1 and calls[0] is problem
 
 
 def main(argv=None) -> int:
