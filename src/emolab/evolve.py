@@ -36,7 +36,7 @@ _BLOCK_UNIFORMS = 1 << 18
 # parent; a child further away is always visited. It keeps a table row small.
 _BAND = 8
 _HIT = 2  # a verdict's bit for a child that meets the target; bit 1 is for one that survives
-_last_rule = [None] * 4  # _count_rule's last [problem, reference, target, (verdict, marks)]
+_last_rule = [None] * 4  # _count_rule's last [problem, reference, target, rule]
 
 
 @dataclass(frozen=True)
@@ -159,14 +159,14 @@ def run(
 def _count_rule(problem, reference, target) -> tuple:
     """Survival at N = 1 by ones counts, and its candidate table, shared by a cell's runs.
 
-    verdict(parent, child) has the bit _HIT if the child's objective vector
-    is the target and the bit 1 if the child replaces the parent. marks(parent)
-    is a bool row over the count changes -_BAND-1 .. _BAND+1: entry
-    d + _BAND + 1 is whether a child with d more ones than the parent gets a
-    nonzero verdict, and the two end entries, which stand for every change
-    outside the band, are True. marks memoizes its rows as parents are met. The last
-    rule built is kept in _last_rule and reused while the problem is the same object
-    and the reference pair (or None) and the target pair are equal; nothing is hashed.
+    The rule is (verdict, marks, (f1, f2)); f1 and f2 are the ones table's columns as lists.
+    verdict(parent, child) has the bit _HIT if the child's objective vector is the target and
+    the bit 1 if the child replaces the parent. marks(parent) is a bool row over the count
+    changes -_BAND-1 .. _BAND+1: entry d + _BAND + 1 is whether a child with d more ones than
+    the parent gets a nonzero verdict, and the two end entries, which stand for every change
+    outside the band, are True; marks memoizes its rows as parents are met. The last rule built
+    is kept in _last_rule and reused while the problem is the same object and the reference
+    pair (or None) and the target pair are equal; nothing is hashed.
     """
     last, *points, rule = _last_rule
     if last is problem and points == [reference, target]:
@@ -187,8 +187,8 @@ def _count_rule(problem, reference, target) -> tuple:
         children = range(parent - _BAND, parent + _BAND + 1)
         return np.array([True, *(0 <= child <= problem.n and bool(verdict(parent, child))
                                  for child in children), True])
-    _last_rule[:] = problem, reference, target, (verdict, marks)
-    return verdict, marks
+    _last_rule[:] = problem, reference, target, (verdict, marks, (f1, f2))
+    return _last_rule[3]
 
 
 def _run_single(problem, config, genome, rate, cap, rng, on_generation) -> RunResult:
@@ -210,26 +210,25 @@ def _run_single(problem, config, genome, rate, cap, rng, on_generation) -> RunRe
     One product of a block's flips with the weights gives every row's count
     change. These are sums of +-1 below 2^24 in magnitude, so float32
     (float64 from n = 2^24 on) holds them exactly in any order of summation.
-    The parent's row of the candidate table (_count_rule, the last run's on the
-    same problem object) marks the rows that might hit or replace it, and only
-    those are visited, in row order, each under the exact rule. A replacement
-    turns around the weights of the positions it flipped, and the rows after it
-    are scanned again with one more product. Row r of a block that starts after
-    evaluation `base` is evaluation base + r + 1 and gives generation base + r's
-    state. An observer gets the array engine's RunStates, a block's before the
-    next draw: the parent's genome read off its weights, its ones-table row and
-    its birth; under crowding a hit child that does not dominate it loses.
+    The parent's row of the candidate table (_count_rule, the last run's on the same problem
+    object) marks the rows that might hit or replace it, and only those are visited, in row
+    order, each under the exact rule. A replacement turns around the weights of the positions
+    it flipped, and the rows after it are scanned again with one more product. Row r of a
+    block that starts after evaluation `base` is evaluation base + r + 1 and gives generation
+    base + r's state. An observer gets the array engine's RunStates, a block's before the next
+    draw: the parent's genome read off its weights, its vector read off the rule's f1 and f2,
+    and its birth; under crowding a hit child that does not dominate it loses.
     """
     n = problem.n
-    verdict, marks = _count_rule(problem, config.policy.reference, config.reference_point)
+    verdict, marks, (f1, f2) = _count_rule(problem, config.policy.reference, config.reference_point)
     count_type = np.float32 if n < 1 << 24 else np.float64  # exact integer sums
     ones, weights = np.count_nonzero(genome), 1 - 2 * genome.astype(count_type)
     evaluations, hit = 1, verdict(ones, ones) >= _HIT  # the first parent meets the target
     born = shown = 0  # the parent's birth, and the number of states handed on
-    table = None if on_generation is None else problem.ones_table()
 
     def report(stop):  # the states of generations shown .. stop - 1, all of the current parent
-        population = (weights < 0).astype(np.uint8)[None], table[[ones]], np.array([born])
+        population = ((weights < 0).astype(np.uint8)[None],
+                      np.array([[f1[ones], f2[ones]]], np.float64), np.array([born]))
         for array in population:  # shared by these states, so no observer may change them
             array.flags.writeable = False
         for g in range(shown, stop):

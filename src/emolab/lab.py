@@ -55,7 +55,7 @@ DEFAULT_MASTER_SEED = 1009
 MAX_POPULATION_BITS = 1_000_000  # pop_size * n: a generation peaks near 0.5 GB
 MAX_NK_TABLE = 1 << 24           # 2 * n * 2^(nk_k+1) float64 entries: 128 MiB, and
 # enumeration holds its multilinear coefficients too (n=25, K=17: 241 MB max RSS)
-MAX_TRIALS = 1_000_000           # runs_per_cell * |n_values| * |variants|: cells at 128 MB max RSS
+MAX_TRIALS = 1_000_000           # trials; max RSS 128 MB as one cell, 945 MB as 10^6 cells
 # A sweep's results table: one entry a trial (17 bytes), its seed, evaluations and hit
 TRIAL_ENTRY = np.dtype([("seed", "<u8"), ("evaluations", "<i8"), ("hit", "?")])
 # Processes of one sweep: its own and up to 255 helpers, all started before its first trial.
@@ -126,7 +126,8 @@ class ExperimentPlan:
         if (self.nk_k is None) == (self.problem == "nk"):
             raise ValueError("nk_k must be set on nk plans and only on them")
         rules = [_pop_size_rule(variant.pop_size) for variant in self.variants]
-        for n in self.n_values:
+        object.__setattr__(self, "_pop_sizes", np.empty((len(self.n_values), len(rules)), np.int32))
+        for row, n in enumerate(self.n_values):
             _check_int("every problem size", n)
             if not 1 <= n <= MAX_POPULATION_BITS:  # a run holds at least n population bits
                 raise ValueError(f"problem sizes must lie in [1, {MAX_POPULATION_BITS}]")
@@ -141,7 +142,7 @@ class ExperimentPlan:
                 if 2 * n * 2 ** (self.nk_k + 1) > MAX_NK_TABLE:
                     raise ValueError(f"nk_k={self.nk_k} at n={n} needs more than "
                                      f"{MAX_NK_TABLE} NK table entries")
-            for variant, rule in zip(self.variants, rules):
+            for column, (variant, rule) in enumerate(zip(self.variants, rules)):
                 pop_size = rule(n, self.k)
                 if pop_size * n > MAX_POPULATION_BITS:
                     raise ValueError(f"variant {_quoted(variant.label)} at n={n} holds more than "
@@ -152,6 +153,7 @@ class ExperimentPlan:
                     raise ValueError(f"variant {_quoted(variant.label)} runs {variant.policy} "
                                      f"at N=1 on {self.problem} at n={n}, which may never end: "
                                      "set max_evaluations")
+                self._pop_sizes[row, column] = pop_size
         if len(set(self.n_values)) != len(self.n_values):
             raise ValueError(f"problem sizes must be unique, got {_quoted(list(self.n_values))}")
 
@@ -287,20 +289,19 @@ def reference_for(plan: ExperimentPlan, n: int, problem):
 
 
 def cells(plan: ExperimentPlan):
-    """Yield (n, variant index, variant, problem, config) for every cell, sizes outermost.
-
-    A size's problem and reference point are built once and shared by its
-    variants; config holds the variant's population, survival policy and budget.
-    """
-    rules = [_pop_size_rule(variant.pop_size) for variant in plan.variants]
-    for n in plan.n_values:
+    """Yield (n, variant's index in the plan, variant, problem, config) for every cell, in
+    trials.csv order: sizes ascending, then variant labels. A size's problem, reference point
+    and policies are built once; pop_size is read off plan._pop_sizes, which its check fills."""
+    by_label = sorted(enumerate(plan.variants), key=lambda item: item[1].label)
+    policies = {"crowding": CrowdingDistance()}
+    refpoint = any(variant.policy == "refpoint" for variant in plan.variants)
+    for n, pop_sizes in zip(sorted(plan.n_values), plan._pop_sizes[np.argsort(plan.n_values)]):
         problem = build_problem(plan, n)
         reference = reference_for(plan, n, problem)
-        for variant_index, (variant, rule) in enumerate(zip(plan.variants, rules)):
-            policy = (CrowdingDistance() if variant.policy == "crowding"
-                      else ReferencePointDistance(reference))
+        policies["refpoint"] = ReferencePointDistance(reference) if refpoint else None
+        for variant_index, variant in by_label:
             yield n, variant_index, variant, problem, AlgorithmConfig(
-                policy=policy, pop_size=rule(n, plan.k),
+                policy=policies[variant.policy], pop_size=pop_sizes.item(variant_index),
                 reference_point=reference, max_evaluations=plan.max_evaluations)
 
 
@@ -360,7 +361,7 @@ def run_experiment(plan: ExperimentPlan, parallelism: int = 1) -> list:
     """
     if not 1 <= parallelism <= MAX_PARALLELISM:
         raise ValueError(f"parallelism must lie in [1, {MAX_PARALLELISM}], got {parallelism}")
-    plan_cells = sorted(cells(plan), key=lambda cell: (cell[0], cell[2].label))
+    plan_cells = list(cells(plan))
     trials = len(plan_cells) * plan.runs_per_cell
     counter = multiprocessing.Value("q", 0)
     table = multiprocessing.RawArray("B", TRIAL_ENTRY.itemsize * trials)

@@ -488,21 +488,21 @@ class TestSingleParentKernel:
             run(problem, config, seed)
         rule = evolve._count_rule(problem, target, target)
         assert len(tables_built) == 1
-        # an observed run shares the rule too; it builds the ones table once more, for its states
+        # an observed run shares the rule too, and reads its states' vectors off its columns
         run(problem, config, 3, on_generation=observe_nothing)
         assert evolve._count_rule(problem, target, target) == rule
-        assert len(tables_built) == 2 and all(built is problem for built in tables_built)
+        assert len(tables_built) == 1
         # OneMinMax*'s relocated all-zeros vector is one flip from a one-bit parent
-        verdict, marks = rule
+        verdict, marks, _ = rule
         assert verdict(1, 0) == evolve._HIT | 1 and marks(1)[evolve._BAND]
         # an off-front survival reference, and OneMinMax of the same n, get their own tables
         omm = OneMinMax(10)
         for other, reference in ((problem, off_front(target)), (omm, target)):
             run(other, dataclasses.replace(config, policy=ReferencePointDistance(reference)), 0)
-        assert len(tables_built) == 4 and tables_built[2] is problem and tables_built[3] is omm
-        verdict, marks = evolve._count_rule(omm, target, target)
+        assert len(tables_built) == 3 and tables_built[1] is problem and tables_built[2] is omm
+        verdict, marks, _ = evolve._count_rule(omm, target, target)
         assert not verdict(1, 0) and not marks(1)[evolve._BAND]
-        assert len(tables_built) == 4  # the last run's rule, reused
+        assert len(tables_built) == 3  # the last run's rule, reused
 
     def test_the_rule_entry_holds_one_problem(self):
         # the entry keeps the last N = 1 problem and its rule alive, and no other

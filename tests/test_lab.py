@@ -4,11 +4,12 @@ import hashlib
 import json
 import math
 import multiprocessing
+import pickle
 import re
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -248,19 +249,33 @@ class TestResolvePopSize:
                                 else formulas[variant.pop_size](n, plan.k))
                     assert resolve_pop_size(variant.pop_size, n, plan.k) == expected
 
-    def test_cells_parse_each_rule_once(self, monkeypatch):
+    def test_cells_evaluate_no_rule(self, monkeypatch):
+        # the plan's check evaluates every rule at every size; cells reads the sizes it kept
         plan = preset_plans()["ojzj"]  # five sizes; two of the three variants have a rule string
-        parsed, parse = [], lab.ast.parse
-
-        def counted(*args, **kwargs):
-            parsed.append(args[0])
-            return parse(*args, **kwargs)
-
-        monkeypatch.setattr(lab.ast, "parse", counted)
-        pop_sizes = [config.pop_size for *_, config in lab.cells(plan)]
-        assert parsed == ["4*(n-2*k+3)"] * 2
-        assert pop_sizes == [4 * (n - 2 * plan.k + 3) if variant.pop_size != 1 else 1
-                             for n in plan.n_values for variant in plan.variants]
+        parsed, evaluated, policies = [], [], []
+        parse, rule_value, policy = lab.ast.parse, lab._rule_value, lab.ReferencePointDistance
+        monkeypatch.setattr(lab.ast, "parse",
+                            lambda *args, **kwargs: parsed.append(args[0]) or parse(*args, **kwargs))
+        monkeypatch.setattr(lab, "_rule_value",
+                            lambda *args: evaluated.append(args[0]) or rule_value(*args))
+        monkeypatch.setattr(lab, "ReferencePointDistance",
+                            lambda reference: policies.append(reference) or policy(reference))
+        plan_cells = list(lab.cells(plan))
+        assert parsed == [] and evaluated == []
+        # one reference-point policy per size, shared by its two refpoint variants
+        assert len(policies) == len(plan.n_values)
+        by_size = [plan_cells[i:i + 3] for i in range(0, len(plan_cells), 3)]
+        assert all(rnsga2[4].policy is rnsga2_n1[4].policy for _, rnsga2, rnsga2_n1 in by_size)
+        # in trials.csv order, labels nsga2, rnsga2, rnsga2-n1 at each size
+        assert [(n, variant.label, config.pop_size) for n, _, variant, _, config in plan_cells] == [
+            (n, label, 4 * (n - 2 * plan.k + 3) if label != "rnsga2-n1" else 1)
+            for n in plan.n_values for label in ("nsga2", "rnsga2", "rnsga2-n1")]
+        # it is building a plan that parses each rule string once and evaluates it at every size
+        crowding_only = replace(plan, variants=plan.variants[:1])
+        assert parsed == ["4*(n-2*k+3)"] and evaluated
+        # and a plan with no refpoint variant builds no reference-point policy
+        list(lab.cells(crowding_only))
+        assert len(policies) == len(plan.n_values)
 
     @pytest.mark.parametrize("rule", [True, 4.0, None, ["n"]])
     def test_rejects_non_rule_values(self, rule):
@@ -277,6 +292,48 @@ class TestResolvePopSize:
         for rule in ("-" * 100_000 + "1", "1+" * 100_000 + "1", "(" * 1000 + "1" + ")" * 1000):
             with pytest.raises(ValueError):
                 resolve_pop_size(rule, 10)
+
+
+def cell_sizes(plan):
+    return [(n, variant_index, config.pop_size) for n, variant_index, _, _, config in lab.cells(plan)]
+
+
+class TestKeptPopSizes:
+    """A plan keeps the population size its check computed for each cell, outside its fields."""
+
+    def test_the_sizes_are_not_a_field(self):
+        assert [f.name for f in fields(ExperimentPlan)] == [
+            "name", "problem", "n_values", "variants", "runs_per_cell", "master_seed",
+            "max_evaluations", "k", "nk_k"]
+        plan = tiny_plan()
+        assert plan == tiny_plan() and hash(plan) == hash(tiny_plan())
+        assert "_pop_sizes" not in repr(plan) and "_pop_sizes" not in asdict(plan)
+        doc = json.loads(plan_json(plan))
+        doc["_pop_sizes"] = [[28, 1], [36, 1]]
+        with pytest.raises(ValueError, match="unknown ExperimentPlan keys"):
+            plan_from_json(json.dumps(doc))
+
+    def test_a_changed_plan_has_its_own_sizes(self):
+        plan = tiny_plan()
+        assert cell_sizes(plan) == [(6, 0, 28), (6, 1, 1), (8, 0, 36), (8, 1, 1)]
+        assert cell_sizes(replace(plan, n_values=(10, 7))) == [
+            (7, 0, 32), (7, 1, 1), (10, 0, 44), (10, 1, 1)]
+        variants = (Variant("b", "refpoint", "n//2"), Variant("a", "crowding", 3))
+        assert cell_sizes(replace(plan, variants=variants)) == [
+            (6, 1, 3), (6, 0, 3), (8, 1, 3), (8, 0, 4)]
+        assert cell_sizes(with_overrides(plan, runs=5, master_seed=3)) == cell_sizes(plan)
+
+    def test_a_pickled_plan_gives_the_same_cells(self):
+        for plan in (tiny_plan(), preset_plans()["ojzj"]):
+            copy = pickle.loads(pickle.dumps(plan))
+            assert copy == plan and list(lab.cells(copy)) == list(lab.cells(plan))
+
+    def test_every_cell_takes_the_benchmarks_size(self, monkeypatch):
+        # a size's reference point sets no population size; NK's would enumerate its front
+        monkeypatch.setattr(lab, "reference_for", lambda plan, n, problem: (0.0, 0.0))
+        for plan in preset_plans().values():
+            for n, _, variant, _, config in lab.cells(plan):
+                assert config.pop_size == resolve_pop_size(variant.pop_size, n, plan.k)
 
 
 class TestSizeBounds:

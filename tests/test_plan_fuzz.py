@@ -4,7 +4,9 @@ Cases either mutate the JSON of the four presets and read it with
 `plan_from_json`, or give the fields of a preset fuzzed values through
 `dataclasses.replace` and `with_overrides`. The corpus is fixed by SEEDS and
 CASES; a failing case is reported with its route, seed and index, and
-`fuzz_case(route, seed, index)` rebuilds it. A longer campaign runs from the
+`fuzz_case(route, seed, index)` rebuilds it. A plan of a synthetic problem
+that builds must also give each cell the population size `resolve_pop_size`
+gives its variant, in the same time bound. A longer campaign runs from the
 command line, under the same time and message bounds,
 
     PYTHONPATH=src python tests/test_plan_fuzz.py --seed 7 --cases 5000
@@ -22,7 +24,8 @@ from dataclasses import asdict, fields, replace
 
 import pytest
 
-from emolab.lab import ExperimentPlan, Variant, plan_from_json, preset_plans, with_overrides
+from emolab.lab import (ExperimentPlan, Variant, cells, plan_from_json, preset_plans,
+                        resolve_pop_size, with_overrides)
 
 SEEDS = (1, 2)
 CASES = 600             # per seed and route
@@ -197,6 +200,11 @@ def check_case(route, seed, index):
         # an accepted plan reads back from its own JSON
         if plan_from_json(json.dumps(asdict(plan))) != plan:
             return None, f"case {route} {seed} {index}: the plan does not read back from its JSON"
+        # its cells take the sizes the benchmark resolves; NK cells would enumerate fronts
+        if plan.problem != "nk" and any(
+                config.pop_size != resolve_pop_size(variant.pop_size, n, plan.k)
+                for n, _, variant, _, config in cells(plan)):
+            return None, f"case {route} {seed} {index}: a cell's population size is not its rule's"
     elapsed = time.perf_counter() - start
     if elapsed >= CASE_SECONDS:
         return None, f"case {route} {seed} {index} took {elapsed:.2f} s"
